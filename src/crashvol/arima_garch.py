@@ -24,7 +24,16 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter, lfiltic
 
-from .data_ingest import ConvergenceError, InsufficientDataError, ValidationError
+from .data_ingest import (
+    ConvergenceError,
+    InsufficientDataError,
+    ValidationError,
+    _fmt,
+    _pop_float,
+    _pop_indexed,
+    _pop_int,
+    parse_kv_file,
+)
 
 _MAXITER = 2000
 _FTOL = 1e-10
@@ -388,10 +397,6 @@ def forecast_level_variance(model: ArimaSpec, horizon: int, innovation_vars=None
 # ---------------------------------------------------------------------------
 # flat key = value fitted-model files
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def write_arima_model(
     arima: ArimaSpec, path, start: tuple[int, int], level_tail, garch: GarchSpec | None = None
 ) -> None:
@@ -435,59 +440,24 @@ def write_arima_model(
         fh.write("\n".join(lines) + "\n")
 
 
-def _take_indexed(kv: dict, prefix: str, path) -> list[float]:
-    try:
-        idx = sorted(
-            int(k[len(prefix) :]) for k in list(kv) if k.startswith(prefix) and k[len(prefix) :]
-        )
-    except ValueError:
-        raise ValidationError(f"{path}: malformed {prefix}* key") from None
-    if idx != list(range(1, len(idx) + 1)):
-        raise ValidationError(f"{path}: {prefix}* indices must run 1..n")
-    try:
-        return [float(kv.pop(f"{prefix}{i}")) for i in idx]
-    except ValueError:
-        raise ValidationError(f"{path}: {prefix}* values must be numeric") from None
-
-
 def read_arima_model(path):
     """Load a fitted-model file.
 
     Returns (ArimaSpec, GarchSpec | None, start, level_tail, h_tail); the
     returned spec's residuals hold only the stored trailing values.
     """
-    from .stochastic_engine import parse_kv_file
-
     kv = parse_kv_file(path)
     model = kv.pop("model", "arima")
     if model not in ("arima", "arima-garch"):
         raise ValidationError(f"{path}: unknown model {model}")
-
-    def pop_int(key):
-        if key not in kv:
-            raise ValidationError(f"{path}: missing key {key}")
-        try:
-            return int(kv.pop(key))
-        except ValueError:
-            raise ValidationError(f"{path}: key {key} is not an integer") from None
-
-    def pop_float(key):
-        if key not in kv:
-            raise ValidationError(f"{path}: missing key {key}")
-        try:
-            return float(kv.pop(key))
-        except ValueError:
-            raise ValidationError(f"{path}: key {key} is not numeric") from None
-
-    p, d, q = pop_int("p"), pop_int("d"), pop_int("q")
-    intercept = pop_float("intercept")
-    sigma2 = pop_float("sigma2")
-    css = pop_float("css")
-    start = (pop_int("start_year"), pop_int("start_month"))
-    ar = np.array(_take_indexed(kv, "ar.", path))
-    ma = np.array(_take_indexed(kv, "ma.", path))
-    tail = np.array(_take_indexed(kv, "tail.", path))
-    resid = np.array(_take_indexed(kv, "resid.", path))
+    p, d, q = (_pop_int(kv, key, path) for key in ("p", "d", "q"))
+    intercept = _pop_float(kv, "intercept", path)
+    sigma2 = _pop_float(kv, "sigma2", path)
+    css = _pop_float(kv, "css", path)
+    start = (_pop_int(kv, "start_year", path), _pop_int(kv, "start_month", path))
+    ar, ma, tail, resid = (
+        np.array(_pop_indexed(kv, prefix, path)) for prefix in ("ar.", "ma.", "tail.", "resid.")
+    )
     spec = ArimaSpec(
         p=p, d=d, q=q, ar_coeffs=ar, ma_coeffs=ma,
         intercept=intercept, residuals=resid, sigma2=sigma2, css=css,
@@ -495,11 +465,12 @@ def read_arima_model(path):
     garch = None
     h_tail = None
     if model == "arima-garch":
-        gp, gq = pop_int("garch.p"), pop_int("garch.q")
-        omega = pop_float("garch.omega")
-        alpha = np.array(_take_indexed(kv, "garch.alpha.", path))
-        beta = np.array(_take_indexed(kv, "garch.beta.", path))
-        h_tail = np.array(_take_indexed(kv, "garch.h.", path))
+        gp, gq = _pop_int(kv, "garch.p", path), _pop_int(kv, "garch.q", path)
+        omega = _pop_float(kv, "garch.omega", path)
+        alpha, beta, h_tail = (
+            np.array(_pop_indexed(kv, prefix, path))
+            for prefix in ("garch.alpha.", "garch.beta.", "garch.h.")
+        )
         garch = GarchSpec(p=gp, q=gq, omega=omega, alpha_coeffs=alpha, beta_coeffs=beta)
     if kv:
         raise ValidationError(f"{path}: unknown keys {', '.join(sorted(kv))}")

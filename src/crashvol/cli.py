@@ -20,20 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arima_garch, evaluation, series_stats, stochastic_engine
+from . import evaluation, series_stats, stochastic_engine
 from .data_ingest import (
     CrashvolError,
     MonthlySeries,
     ValidationError,
     add_months,
     merge_series,
+    parse_kv_file,
     parse_monthly_csv,
     slice_window,
 )
 
 log = logging.getLogger("crashvol")
-
-STOCHASTIC_MODELS = ("heston", "vasicek")
 
 
 def _parse_ym(text: str) -> tuple[int, int]:
@@ -194,58 +193,30 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
+def _fit_options(args) -> dict:
+    orders, garch_orders = _parse_orders(args.orders)
+    return {"orders": orders, "garch_orders": garch_orders, "overrides": _overrides_from_args(args)}
+
+
 def cmd_fit(args) -> int:
     series = _load_inputs(args.input)
-    train_start = _parse_ym(args.train_start)
-    train_end = _parse_ym(args.train_end)
-    start = add_months(*train_end, 1)
-    if args.model in STOCHASTIC_MODELS:
-        overrides = _overrides_from_args(args)
-        if args.model == "heston":
-            params, history = evaluation.fit_heston_from_stats(
-                series, train_start, train_end, start, overrides
-            )
-        else:
-            params, history = evaluation.fit_vasicek_from_stats(
-                series, train_start, train_end, start, overrides
-            )
-        stochastic_engine.write_stochastic_params(params, args.out, history)
-    else:
-        train = slice_window(series, train_start, train_end)
-        (p, d, q), (gp, gq) = _parse_orders(args.orders)
-        arima = arima_garch.fit_arima(train.rates, p, d, q)
-        garch = None
-        if args.model == "arima-garch":
-            garch = arima_garch.fit_garch(arima.residuals, gp, gq)
-        arima_garch.write_arima_model(arima, args.out, start, train.rates, garch)
+    train = (_parse_ym(args.train_start), _parse_ym(args.train_end))
+    model = evaluation.MODELS[args.model]
+    state = model.fit(series, train, add_months(*train[1], 1), _fit_options(args))
+    model.write(state, args.out)
     log.info("parameters written to %s", args.out)
     print(args.out)
     return 0
 
 
 def _forecast_from_file(params_path, horizon, n_paths, seed, levels):
-    kv = stochastic_engine.parse_kv_file(params_path)
-    model = kv.get("model", "heston")
-    if model in STOCHASTIC_MODELS:
-        if seed is None:
-            raise ValidationError(f"--seed is required for {model} forecasts")
-        params, history = stochastic_engine.read_stochastic_params(params_path)
-        simulate = (
-            stochastic_engine.simulate_heston
-            if model == "heston"
-            else stochastic_engine.simulate_vasicek
-        )
-        result = simulate(params, horizon, n_paths, seed, history)
-        return stochastic_engine.forecast_quantiles(result, levels)
-    spec, garch, start, tail, h_tail = arima_garch.read_arima_model(params_path)
-    points = arima_garch.forecast_arima(spec, tail, horizon)
-    if garch is not None:
-        innov = arima_garch.forecast_garch_variance(garch, spec.residuals, horizon, h_tail)
-        level_vars = arima_garch.forecast_level_variance(spec, horizon, innov)
-    else:
-        level_vars = arima_garch.forecast_level_variance(spec, horizon)
-    months = [add_months(*start, k) for k in range(horizon)]
-    return evaluation.gaussian_quantiles(months, points, level_vars, levels)
+    model_id = parse_kv_file(params_path).get("model", "heston")
+    model = evaluation.MODELS.get(model_id)
+    if model is None:
+        raise ValidationError(f"{params_path}: unknown model {model_id}")
+    if model.seeded and seed is None:
+        raise ValidationError(f"--seed is required for {model_id} forecasts")
+    return model.quantiles(model.read(params_path), horizon, n_paths, seed, levels)
 
 
 def cmd_forecast(args) -> int:
@@ -298,16 +269,9 @@ def cmd_backtest(args) -> int:
     train = (_parse_ym(args.train_start), _parse_ym(args.train_end))
     test = (_parse_ym(args.test_start), _parse_ym(args.test_end))
     levels = _parse_levels(args.levels)
-    if args.model in STOCHASTIC_MODELS and args.seed is None:
+    if evaluation.MODELS[args.model].seeded and args.seed is None:
         raise ValidationError(f"--seed is required for the {args.model} model")
-    (p, d, q), (gp, gq) = _parse_orders(args.orders)
-    config = {
-        "n_paths": args.paths,
-        "levels": levels,
-        "orders": (p, d, q),
-        "garch_orders": (gp, gq),
-        "overrides": _overrides_from_args(args),
-    }
+    config = {"n_paths": args.paths, "levels": levels, **_fit_options(args)}
     quantiles, report = evaluation.backtest(
         series, train, test, model=args.model, config=config, seed=args.seed or 0
     )

@@ -4,11 +4,15 @@ Input files are UTF-8 CSVs with header ``year,month,crashes,vmt_thousands``.
 Rows may arrive unsorted; after sorting they must form a gap-free run of
 consecutive calendar months. Crash rates are stored as dimensionless
 fractions (crashes divided by VMT in thousands), never as percentages.
+
+Fitted parameters are stored in flat ``key = value`` text files; the
+helpers at the end of this module read and format them for every model.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +84,8 @@ class MonthlyObservation:
             raise ValidationError(f"month {self.month} outside 1..12 ({self.year})")
         if self.crashes < 0:
             raise ValidationError(f"negative crash count at {self.year}-{self.month:02d}")
-        if self.vmt_thousands <= 0:
-            raise ValidationError(f"nonpositive VMT at {self.year}-{self.month:02d}")
+        if not math.isfinite(self.vmt_thousands) or self.vmt_thousands <= 0:
+            raise ValidationError(f"nonpositive or non-finite VMT at {self.year}-{self.month:02d}")
 
     @property
     def rate(self) -> float:
@@ -203,3 +207,61 @@ def merge_series(a: MonthlySeries, b: MonthlySeries) -> MonthlySeries:
             raise ValidationError(f"conflicting values for {key[0]}-{key[1]:02d}")
         seen[key] = ob
     return MonthlySeries(tuple(seen[k] for k in sorted(seen)))
+
+
+# ---------------------------------------------------------------------------
+# flat key = value files
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def parse_kv_file(path) -> dict[str, str]:
+    """Read a flat `key = value` file, ignoring blanks and # comments."""
+    out: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ValidationError(f"{path}:{lineno}: expected key = value")
+            key, val = (part.strip() for part in text.split("=", 1))
+            if not key or not val:
+                raise ValidationError(f"{path}:{lineno}: expected key = value")
+            if key in out:
+                raise ValidationError(f"{path}:{lineno}: duplicate key {key}")
+            out[key] = val
+    return out
+
+
+def _pop_float(kv: dict, key: str, path) -> float:
+    if key not in kv:
+        raise ValidationError(f"{path}: missing key {key}")
+    try:
+        x = float(kv.pop(key))
+    except ValueError:
+        raise ValidationError(f"{path}: key {key} is not numeric") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{path}: key {key} is not finite")
+    return x
+
+
+def _pop_int(kv: dict, key: str, path) -> int:
+    if key not in kv:
+        raise ValidationError(f"{path}: missing key {key}")
+    try:
+        return int(kv.pop(key))
+    except ValueError:
+        raise ValidationError(f"{path}: key {key} is not an integer") from None
+
+
+def _pop_indexed(kv: dict, prefix: str, path) -> list[float]:
+    """Pop the floats stored under `prefix`1..`prefix`n, in index order."""
+    try:
+        idx = sorted(int(k[len(prefix) :]) for k in list(kv) if k.startswith(prefix))
+    except ValueError:
+        raise ValidationError(f"{path}: malformed {prefix}* key") from None
+    if idx != list(range(1, len(idx) + 1)):
+        raise ValidationError(f"{path}: {prefix}* indices must run 1..n")
+    return [_pop_float(kv, f"{prefix}{i}", path) for i in idx]

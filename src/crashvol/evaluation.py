@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.stats import norm
@@ -152,8 +153,27 @@ def _spike_specs(profile: series_stats.SeasonProfile, threshold: float):
     )
 
 
-def _apply_common_overrides(values: dict, overrides: dict):
-    spikes = overrides.get("spikes")
+def _fit_from_stats(params_cls, model_values, series, train_start, train_end, test_start, overrides):
+    # the statistics and overrides both simulators share; `model_values`
+    # pops its own overrides and returns the model-specific parameters
+    overrides = dict(overrides or {})
+    stats_slice = _train_slice_for_stats(series, train_start, train_end)
+    train = slice_window(series, train_start, train_end)
+    prof = series_stats.volatility_profile(stats_slice)
+    growth = series_stats.annual_growth_rate(stats_slice)
+    season = series_stats.season_profile(stats_slice)
+    threshold = float(overrides.pop("spike_threshold", DEFAULT_SPIKE_THRESHOLD))
+
+    values = {
+        **model_values(prof, train, overrides),
+        "c1": _anchor_rate(series, train_end, test_start),
+        "mu": growth.annual_growth,
+        "spikes": _spike_specs(season, threshold),
+        "start": tuple(test_start),
+        "scheme": "reflect",
+        "dt": stochastic_engine.DEFAULT_DT,
+    }
+    spikes = overrides.pop("spikes", None)
     if spikes is not None:
         values["spikes"] = tuple(
             s
@@ -163,7 +183,27 @@ def _apply_common_overrides(values: dict, overrides: dict):
         )
     for key in ("c1", "mu", "scheme"):
         if key in overrides:
-            values[key] = overrides[key]
+            values[key] = overrides.pop(key)
+    if overrides:
+        raise ValidationError(f"unknown parameter overrides: {', '.join(sorted(overrides))}")
+    history = tuple(float(r) for r in train.rates[-12:])
+    return params_cls(**values), history
+
+
+def _heston_values(prof, train, overrides) -> dict:
+    theta_vol = float(overrides.pop("theta_vol", prof.window_vol))
+    v0_vol = float(overrides.pop("v0_vol", theta_vol))
+    xi = float(overrides.pop("xi", prof.vol_of_vol))
+    kappa = float(
+        overrides.pop("kappa", stochastic_engine.feller_bound(xi, theta_vol) * (1.0 + KAPPA_EPS))
+    )
+    return {
+        "v0": v0_vol**2,
+        "theta": theta_vol**2,
+        "kappa": kappa,
+        "xi": xi,
+        "rho": float(overrides.pop("rho", DEFAULT_RHO)),
+    }
 
 
 def fit_heston_from_stats(
@@ -181,39 +221,10 @@ def fit_heston_from_stats(
     restricted to threshold-clearing sign-stable months. Returns the params
     and the up-to-12 trailing training rates used by the spike baseline.
     """
-    overrides = dict(overrides or {})
-    stats_slice = _train_slice_for_stats(series, train_start, train_end)
-    train = slice_window(series, train_start, train_end)
-    prof = series_stats.volatility_profile(stats_slice)
-    growth = series_stats.annual_growth_rate(stats_slice)
-    season = series_stats.season_profile(stats_slice)
-    threshold = float(overrides.pop("spike_threshold", DEFAULT_SPIKE_THRESHOLD))
-
-    theta_vol = float(overrides.pop("theta_vol", prof.window_vol))
-    v0_vol = float(overrides.pop("v0_vol", theta_vol))
-    xi = float(overrides.pop("xi", prof.vol_of_vol))
-    kappa = float(
-        overrides.pop("kappa", stochastic_engine.feller_bound(xi, theta_vol) * (1.0 + KAPPA_EPS))
+    return _fit_from_stats(
+        stochastic_engine.HestonParams, _heston_values,
+        series, train_start, train_end, test_start, overrides,
     )
-    values = {
-        "c1": _anchor_rate(series, train_end, test_start),
-        "mu": growth.annual_growth,
-        "v0": v0_vol**2,
-        "theta": theta_vol**2,
-        "kappa": kappa,
-        "xi": xi,
-        "rho": float(overrides.pop("rho", DEFAULT_RHO)),
-        "spikes": _spike_specs(season, threshold),
-        "start": tuple(test_start),
-        "scheme": "reflect",
-        "dt": stochastic_engine.DEFAULT_DT,
-    }
-    _apply_common_overrides(values, overrides)
-    leftover = set(overrides) - {"c1", "mu", "scheme", "spikes"}
-    if leftover:
-        raise ValidationError(f"unknown parameter overrides: {', '.join(sorted(leftover))}")
-    history = tuple(float(r) for r in train.rates[-12:])
-    return stochastic_engine.HestonParams(**values), history
 
 
 def _ar1_slope(rates: np.ndarray) -> float:
@@ -223,6 +234,17 @@ def _ar1_slope(rates: np.ndarray) -> float:
     if vx == 0:
         raise ValidationError("constant training rates, AR(1) slope undefined")
     return float(np.cov(x, y, bias=True)[0, 1] / vx)
+
+
+def _vasicek_values(prof, train, overrides) -> dict:
+    if "kappa_v" in overrides:
+        kappa_v = float(overrides.pop("kappa_v"))
+    else:
+        slope = _ar1_slope(train.rates)
+        if slope <= 0 or slope >= 1:
+            raise ValidationError(f"AR(1) slope {slope:.4g} outside (0, 1), kappa_v undefined")
+        kappa_v = -12.0 * math.log(slope)
+    return {"kappa_v": kappa_v, "sigma_v": float(overrides.pop("sigma_v", prof.window_vol))}
 
 
 def fit_vasicek_from_stats(
@@ -237,37 +259,10 @@ def fit_vasicek_from_stats(
     kappa_v = -12*ln(AR(1) slope of the training rates), sigma_v = training
     window volatility; growth target and spikes match the primary model.
     """
-    overrides = dict(overrides or {})
-    stats_slice = _train_slice_for_stats(series, train_start, train_end)
-    train = slice_window(series, train_start, train_end)
-    prof = series_stats.volatility_profile(stats_slice)
-    growth = series_stats.annual_growth_rate(stats_slice)
-    season = series_stats.season_profile(stats_slice)
-    threshold = float(overrides.pop("spike_threshold", DEFAULT_SPIKE_THRESHOLD))
-
-    if "kappa_v" in overrides:
-        kappa_v = float(overrides.pop("kappa_v"))
-    else:
-        slope = _ar1_slope(train.rates)
-        if slope <= 0 or slope >= 1:
-            raise ValidationError(f"AR(1) slope {slope:.4g} outside (0, 1), kappa_v undefined")
-        kappa_v = -12.0 * math.log(slope)
-    values = {
-        "c1": _anchor_rate(series, train_end, test_start),
-        "mu": growth.annual_growth,
-        "kappa_v": kappa_v,
-        "sigma_v": float(overrides.pop("sigma_v", prof.window_vol)),
-        "spikes": _spike_specs(season, threshold),
-        "start": tuple(test_start),
-        "scheme": "reflect",
-        "dt": stochastic_engine.DEFAULT_DT,
-    }
-    _apply_common_overrides(values, overrides)
-    leftover = set(overrides) - {"c1", "mu", "scheme", "spikes"}
-    if leftover:
-        raise ValidationError(f"unknown parameter overrides: {', '.join(sorted(leftover))}")
-    history = tuple(float(r) for r in train.rates[-12:])
-    return stochastic_engine.VasicekParams(**values), history
+    return _fit_from_stats(
+        stochastic_engine.VasicekParams, _vasicek_values,
+        series, train_start, train_end, test_start, overrides,
+    )
 
 
 def gaussian_quantiles(
@@ -282,7 +277,106 @@ def gaussian_quantiles(
     )
 
 
-MODEL_IDS = ("heston", "vasicek", "arima", "arima-garch")
+# ---------------------------------------------------------------------------
+# the model table
+
+class _Model(NamedTuple):
+    """One model's steps: fit, file write/read, and forecast quantiles.
+
+    Steps look functions up on their module at call time, so wrappers
+    installed on a module (such as perfbench's spans) see every call.
+    """
+
+    seeded: bool  # forecasts draw random paths and need a seed
+    fit: Callable  # (series, train, test_start, options) -> fitted state
+    write: Callable  # (state, path) -> None
+    read: Callable  # (path) -> state
+    quantiles: Callable  # (state, horizon, n_paths, seed, levels) -> ForecastQuantiles
+
+
+def _write_params(state, path) -> None:
+    params, history = state
+    stochastic_engine.write_stochastic_params(params, path, history)
+
+
+def _simulated_quantiles(simulate, state, horizon, n_paths, seed, levels):
+    params, history = state
+    result = simulate(params, horizon, n_paths, seed, history)
+    return stochastic_engine.forecast_quantiles(result, levels)
+
+
+def _fit_arima(series, train, test_start, orders, garch_orders=None):
+    # the state has read_arima_model's layout; in memory it keeps every
+    # training level and residual, so the GARCH variances are recomputed
+    rates = slice_window(series, *train).rates
+    p, d, q = (int(x) for x in orders)
+    arima = arima_garch.fit_arima(rates, p, d, q)
+    garch = None
+    if garch_orders is not None:
+        gp, gq = (int(x) for x in garch_orders)
+        garch = arima_garch.fit_garch(arima.residuals, gp, gq)
+    return arima, garch, tuple(test_start), rates, None
+
+
+def _write_arima(state, path) -> None:
+    arima, garch, start, level_tail, _ = state
+    arima_garch.write_arima_model(arima, path, start, level_tail, garch)
+
+
+def _gaussian_forecast(state, horizon, n_paths, seed, levels):
+    arima, garch, start, level_tail, h_tail = state
+    points = arima_garch.forecast_arima(arima, level_tail, horizon)
+    innov = None
+    if garch is not None:
+        innov = arima_garch.forecast_garch_variance(garch, arima.residuals, horizon, h_tail)
+    level_vars = arima_garch.forecast_level_variance(arima, horizon, innov)
+    months = [add_months(*start, k) for k in range(horizon)]
+    return gaussian_quantiles(months, points, level_vars, levels)
+
+
+MODELS = {
+    "heston": _Model(
+        seeded=True,
+        fit=lambda series, train, test_start, options: fit_heston_from_stats(
+            series, *train, test_start, options["overrides"]
+        ),
+        write=_write_params,
+        read=lambda path: stochastic_engine.read_stochastic_params(path),
+        quantiles=lambda state, *args: _simulated_quantiles(
+            stochastic_engine.simulate_heston, state, *args
+        ),
+    ),
+    "vasicek": _Model(
+        seeded=True,
+        fit=lambda series, train, test_start, options: fit_vasicek_from_stats(
+            series, *train, test_start, options["overrides"]
+        ),
+        write=_write_params,
+        read=lambda path: stochastic_engine.read_stochastic_params(path),
+        quantiles=lambda state, *args: _simulated_quantiles(
+            stochastic_engine.simulate_vasicek, state, *args
+        ),
+    ),
+    "arima": _Model(
+        seeded=False,
+        fit=lambda series, train, test_start, options: _fit_arima(
+            series, train, test_start, options["orders"]
+        ),
+        write=_write_arima,
+        read=lambda path: arima_garch.read_arima_model(path),
+        quantiles=_gaussian_forecast,
+    ),
+    "arima-garch": _Model(
+        seeded=False,
+        fit=lambda series, train, test_start, options: _fit_arima(
+            series, train, test_start, options["orders"], options["garch_orders"]
+        ),
+        write=_write_arima,
+        read=lambda path: arima_garch.read_arima_model(path),
+        quantiles=_gaussian_forecast,
+    ),
+}
+MODEL_IDS = tuple(MODELS)
 
 
 def backtest(
@@ -315,40 +409,23 @@ def backtest(
     n_paths = int(config.pop("n_paths", 5000))
     levels = tuple(float(x) for x in config.pop("levels", DEFAULT_LEVELS))
     scheme = config.pop("scheme", None)
-    orders = tuple(config.pop("orders", (1, 2, 2)))
-    garch_orders = tuple(config.pop("garch_orders", (2, 1)))
-    overrides = dict(config.pop("overrides", {}))
+    options = {
+        "orders": tuple(config.pop("orders", (1, 2, 2))),
+        "garch_orders": tuple(config.pop("garch_orders", (2, 1))),
+        "overrides": dict(config.pop("overrides", {})),
+    }
     if "spike_threshold" in config:
-        overrides["spike_threshold"] = config.pop("spike_threshold")
+        options["overrides"]["spike_threshold"] = config.pop("spike_threshold")
     if scheme is not None:
-        overrides["scheme"] = scheme
+        options["overrides"]["scheme"] = scheme
     if config:
         raise ValidationError(f"unknown backtest config keys: {', '.join(sorted(config))}")
-
-    if model == "heston":
-        params, history = fit_heston_from_stats(series, train_start, train_end, test_start, overrides)
-        result = stochastic_engine.simulate_heston(params, horizon, n_paths, seed, history)
-        quantiles = stochastic_engine.forecast_quantiles(result, levels)
-    elif model == "vasicek":
-        params, history = fit_vasicek_from_stats(series, train_start, train_end, test_start, overrides)
-        result = stochastic_engine.simulate_vasicek(params, horizon, n_paths, seed, history)
-        quantiles = stochastic_engine.forecast_quantiles(result, levels)
-    elif model in ("arima", "arima-garch"):
-        train_slice = slice_window(series, train_start, train_end)
-        p, d, q = (int(x) for x in orders)
-        arima = arima_garch.fit_arima(train_slice.rates, p, d, q)
-        points = arima_garch.forecast_arima(arima, train_slice.rates, horizon)
-        if model == "arima-garch":
-            gp, gq = (int(x) for x in garch_orders)
-            garch = arima_garch.fit_garch(arima.residuals, gp, gq)
-            innov = arima_garch.forecast_garch_variance(garch, arima.residuals, horizon)
-            level_vars = arima_garch.forecast_level_variance(arima, horizon, innov)
-        else:
-            level_vars = arima_garch.forecast_level_variance(arima, horizon)
-        quantiles = gaussian_quantiles(months, points, level_vars, levels)
-    else:
+    if model not in MODELS:
         raise ValidationError(f"unknown model {model!r}, expected one of {', '.join(MODEL_IDS)}")
 
+    entry = MODELS[model]
+    state = entry.fit(series, (train_start, train_end), test_start, options)
+    quantiles = entry.quantiles(state, horizon, n_paths, seed, levels)
     forecast = list(zip(months, (float(x) for x in quantiles.median)))
     report = yearly_error_report(forecast, observed, model_id=model)
     return quantiles, report

@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_ingest import ValidationError, add_months
+from .data_ingest import (
+    ValidationError,
+    _fmt,
+    _pop_float,
+    _pop_indexed,
+    _pop_int,
+    add_months,
+    parse_kv_file,
+)
 
 DEFAULT_DT = 1.0 / 12.0
 
@@ -50,6 +58,8 @@ class SpikeSpec:
     def __post_init__(self):
         if not 1 <= self.month <= 12:
             raise ValidationError(f"spike month {self.month} outside 1..12")
+        if not (math.isfinite(self.mean_a) and math.isfinite(self.std_b)):
+            raise ValidationError(f"spike month {self.month} has a non-finite mean or std")
         if self.std_b < 0:
             raise ValidationError("spike std must be nonnegative")
 
@@ -57,6 +67,18 @@ class SpikeSpec:
 def _check(cond: bool, what: str):
     if not cond:
         raise ValidationError(f"violated invariant: {what}")
+
+
+def _check_common(params, *model_values):
+    """Invariants shared by both parameter sets; model_values must be finite too."""
+    values = (params.c1, params.mu, params.dt, *model_values)
+    _check(all(math.isfinite(x) for x in values), "finite parameters")
+    _check(params.c1 > 0, "c1 > 0")
+    _check(params.dt > 0, "dt > 0")
+    _check(params.scheme in ("reflect", "truncate"), "scheme in {reflect, truncate}")
+    _check(1 <= params.start[1] <= 12, "start month in 1..12")
+    months = [s.month for s in params.spikes]
+    _check(len(months) == len(set(months)), "unique spike months")
 
 
 @dataclass(frozen=True)
@@ -81,17 +103,12 @@ class HestonParams:
     feller_satisfied: bool = field(init=False)
 
     def __post_init__(self):
-        _check(self.c1 > 0, "c1 > 0")
+        _check_common(self, self.v0, self.theta, self.kappa, self.xi, self.rho)
         _check(self.v0 >= 0, "v0 >= 0")
         _check(self.theta >= 0, "theta >= 0")
         _check(self.kappa >= 0, "kappa >= 0")
         _check(self.xi >= 0, "xi >= 0")
         _check(-1.0 <= self.rho <= 1.0, "-1 <= rho <= 1")
-        _check(self.dt > 0, "dt > 0")
-        _check(self.scheme in ("reflect", "truncate"), "scheme in {reflect, truncate}")
-        _check(1 <= self.start[1] <= 12, "start month in 1..12")
-        months = [s.month for s in self.spikes]
-        _check(len(months) == len(set(months)), "unique spike months")
         ok = self.theta > 0 and self.kappa > self.xi**2 / (2.0 * self.theta)
         object.__setattr__(self, "feller_satisfied", bool(ok))
         if not ok and self.xi > 0:
@@ -119,14 +136,9 @@ class VasicekParams:
     dt: float = DEFAULT_DT
 
     def __post_init__(self):
-        _check(self.c1 > 0, "c1 > 0")
+        _check_common(self, self.kappa_v, self.sigma_v)
         _check(self.kappa_v >= 0, "kappa_v >= 0")
         _check(self.sigma_v >= 0, "sigma_v >= 0")
-        _check(self.dt > 0, "dt > 0")
-        _check(self.scheme in ("reflect", "truncate"), "scheme in {reflect, truncate}")
-        _check(1 <= self.start[1] <= 12, "start month in 1..12")
-        months = [s.month for s in self.spikes]
-        _check(len(months) == len(set(months)), "unique spike months")
 
 
 @dataclass(frozen=True)
@@ -164,13 +176,6 @@ class ForecastQuantiles:
     bands: np.ndarray  # shape (len(levels), horizon)
 
 
-def correlated_normal_pair(z1, z2, rho: float):
-    """Map two independent draws to a correlated pair (z1, rho*z1 + sqrt(1-rho^2)*z2)."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValidationError(f"correlation {rho} outside [-1, 1]")
-    return z1, rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-
-
 def feller_bound(xi: float, theta_vol: float) -> float:
     """Mean-reversion threshold xi^2 / (2*theta) with theta in volatility units."""
     if theta_vol <= 0:
@@ -194,32 +199,6 @@ def step_rate(c_prev, params: HestonParams, v, dt: float, z_c):
     return _fold(raw, params.scheme)
 
 
-def spike_adjustment(month: int, spikes, z) -> float:
-    """Spike multiplier for one month: mean_a + std_b*z, or 0 off-spike."""
-    if not 1 <= month <= 12:
-        raise ValidationError(f"month {month} outside 1..12")
-    for spec in spikes:
-        if spec.month == month:
-            return spec.mean_a + spec.std_b * z
-    return 0.0
-
-
-def prevailing_year_average(path_so_far, history_tail) -> float:
-    """Mean of the most recent up-to-12 base rates.
-
-    Takes simulated months first and backfills from observed history while
-    fewer than 12 simulated months exist.
-    """
-    sim = np.asarray(path_so_far, dtype=float)[-12:]
-    need = 12 - sim.size
-    hist = np.asarray(history_tail, dtype=float)
-    tail = hist[-need:] if need > 0 and hist.size else np.empty(0)
-    vals = np.concatenate([tail, sim])
-    if vals.size == 0:
-        raise ValidationError("no rates available for the trailing average")
-    return float(vals.mean())
-
-
 def _draw_buffers(seed: int, n_paths: int, counts: list[int]) -> np.ndarray:
     """Per-path normal draws, one substream per path, fixed intra-month order."""
     total = int(sum(counts))
@@ -239,8 +218,54 @@ def _trailing_average(base, t, tail_arr):
     return (sim_sum + tail_sum) / (k + b)
 
 
-def _spike_table(spikes) -> dict[int, SpikeSpec]:
-    return {s.month: s for s in spikes}
+def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history_tail):
+    """Shared Monte Carlo loop; `step(c, v, t, z)` advances one month.
+
+    `z` holds the month's `draws` normal columns; the step returns the new
+    base rate and the variance to report. In a spike month one more draw
+    follows the step's draws.
+    """
+    _check(horizon >= 1, "horizon >= 1")
+    _check(n_paths >= 1, "n_paths >= 1")
+    _check(seed >= 0, "seed >= 0")
+    spike_at = {s.month: s for s in params.spikes}
+    y0, m0 = params.start
+    cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
+    counts = [draws + 1 if m in spike_at else draws for m in cal_months]
+    buf = _draw_buffers(seed, n_paths, counts)
+    tail_arr = np.asarray(history_tail, dtype=float)
+
+    base = np.empty((n_paths, horizon))
+    rep = np.empty((n_paths, horizon))
+    var = np.empty((n_paths, horizon))
+    c = np.full(n_paths, params.c1)
+    v = np.full(n_paths, v0)
+    col = 0
+    for t, month in enumerate(cal_months):
+        c, v = step(c, v, t, buf[:, col : col + draws])
+        col += draws
+        base[:, t] = c
+        var[:, t] = v
+        spec = spike_at.get(month)
+        if spec is not None:
+            g = spec.mean_a + spec.std_b * buf[:, col]
+            col += 1
+            cbar = _trailing_average(base, t, tail_arr)
+            rep[:, t] = _fold(c + cbar * g, params.scheme)
+        else:
+            rep[:, t] = c
+    for arr in (rep, var, base):
+        arr.flags.writeable = False
+    return SimulationResult(
+        rate_paths=rep,
+        var_paths=var,
+        base_paths=base,
+        seed=seed,
+        dt=params.dt,
+        history_tail=tuple(float(x) for x in tail_arr),
+        start=params.start,
+        model_id=model_id,
+    )
 
 
 def simulate_heston(
@@ -254,54 +279,17 @@ def simulate_heston(
 
     Deterministic for a given (params, horizon, n_paths, seed).
     """
-    _check(horizon >= 1, "horizon >= 1")
-    _check(n_paths >= 1, "n_paths >= 1")
     dt = params.dt
-    spike_at = _spike_table(params.spikes)
-    y0, m0 = params.start
-    cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
-    counts = [3 if m in spike_at else 2 for m in cal_months]
-    buf = _draw_buffers(seed, n_paths, counts)
-    tail_arr = np.asarray(history_tail, dtype=float)
-
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
-    base = np.empty((n_paths, horizon))
-    rep = np.empty((n_paths, horizon))
-    var = np.empty((n_paths, horizon))
-    c = np.full(n_paths, params.c1)
-    v = np.full(n_paths, params.v0)
-    col = 0
-    for t, month in enumerate(cal_months):
-        z_c = buf[:, col]
-        z_v = rho * z_c + rho_c * buf[:, col + 1]
-        col += 2
-        v_new = step_variance(v, params, dt, z_v)
-        c_new = step_rate(c, params, v, dt, z_c)  # start-of-step variance
-        base[:, t] = c_new
-        var[:, t] = v_new
-        spec = spike_at.get(month)
-        if spec is not None:
-            g = spec.mean_a + spec.std_b * buf[:, col]
-            col += 1
-            cbar = _trailing_average(base, t, tail_arr)
-            rep[:, t] = _fold(c_new + cbar * g, params.scheme)
-        else:
-            rep[:, t] = c_new
-        c = c_new
-        v = v_new
-    for arr in (rep, var, base):
-        arr.flags.writeable = False
-    return SimulationResult(
-        rate_paths=rep,
-        var_paths=var,
-        base_paths=base,
-        seed=seed,
-        dt=dt,
-        history_tail=tuple(float(x) for x in tail_arr),
-        start=params.start,
-        model_id="heston",
-    )
+
+    def step(c, v, t, z):
+        z_c = z[:, 0]
+        z_v = rho * z_c + rho_c * z[:, 1]
+        # the rate update uses the start-of-step variance
+        return step_rate(c, params, v, dt, z_c), step_variance(v, params, dt, z_v)
+
+    return _simulate("heston", params, params.v0, 2, step, horizon, n_paths, seed, history_tail)
 
 
 def simulate_vasicek(
@@ -316,49 +304,16 @@ def simulate_vasicek(
     Draw order per path per month is z_c then the spike draw; var_paths
     reports the constant instantaneous variance sigma_v^2.
     """
-    _check(horizon >= 1, "horizon >= 1")
-    _check(n_paths >= 1, "n_paths >= 1")
     dt = params.dt
     sdt = math.sqrt(dt)
-    spike_at = _spike_table(params.spikes)
-    y0, m0 = params.start
-    cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
-    counts = [2 if m in spike_at else 1 for m in cal_months]
-    buf = _draw_buffers(seed, n_paths, counts)
-    tail_arr = np.asarray(history_tail, dtype=float)
 
-    base = np.empty((n_paths, horizon))
-    rep = np.empty((n_paths, horizon))
-    c = np.full(n_paths, params.c1)
-    col = 0
-    for t, month in enumerate(cal_months):
+    def step(c, v, t, z):
         theta_t = params.c1 * (1.0 + params.mu) ** ((t + 1) / 12.0)
-        z = buf[:, col]
-        col += 1
-        raw = c + params.kappa_v * (theta_t - c) * dt + params.sigma_v * params.c1 * sdt * z
-        c_new = _fold(raw, params.scheme)
-        base[:, t] = c_new
-        spec = spike_at.get(month)
-        if spec is not None:
-            g = spec.mean_a + spec.std_b * buf[:, col]
-            col += 1
-            cbar = _trailing_average(base, t, tail_arr)
-            rep[:, t] = _fold(c_new + cbar * g, params.scheme)
-        else:
-            rep[:, t] = c_new
-        c = c_new
-    var = np.full((n_paths, horizon), params.sigma_v**2)
-    for arr in (rep, var, base):
-        arr.flags.writeable = False
-    return SimulationResult(
-        rate_paths=rep,
-        var_paths=var,
-        base_paths=base,
-        seed=seed,
-        dt=dt,
-        history_tail=tuple(float(x) for x in tail_arr),
-        start=params.start,
-        model_id="vasicek",
+        raw = c + params.kappa_v * (theta_t - c) * dt + params.sigma_v * params.c1 * sdt * z[:, 0]
+        return _fold(raw, params.scheme), v
+
+    return _simulate(
+        "vasicek", params, params.sigma_v**2, 1, step, horizon, n_paths, seed, history_tail
     )
 
 
@@ -384,36 +339,25 @@ def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
 # ---------------------------------------------------------------------------
 # flat key = value parameter files
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def write_stochastic_params(params, path, history_tail=()) -> None:
     """Write a heston or vasicek parameter file (flat key = value text)."""
-    lines = []
     if isinstance(params, HestonParams):
-        lines += [
-            "model = heston",
-            f"c1 = {_fmt(params.c1)}",
-            f"mu = {_fmt(params.mu)}",
-            f"v0_vol = {_fmt(math.sqrt(params.v0))}",
-            f"theta_vol = {_fmt(math.sqrt(params.theta))}",
-            f"kappa = {_fmt(params.kappa)}",
-            f"xi = {_fmt(params.xi)}",
-            f"rho = {_fmt(params.rho)}",
+        model = "heston"
+        fields = [
+            ("v0_vol", math.sqrt(params.v0)),
+            ("theta_vol", math.sqrt(params.theta)),
+            ("kappa", params.kappa),
+            ("xi", params.xi),
+            ("rho", params.rho),
         ]
     elif isinstance(params, VasicekParams):
-        lines += [
-            "model = vasicek",
-            f"c1 = {_fmt(params.c1)}",
-            f"mu = {_fmt(params.mu)}",
-            f"kappa_v = {_fmt(params.kappa_v)}",
-            f"sigma_v = {_fmt(params.sigma_v)}",
-        ]
+        model = "vasicek"
+        fields = [("kappa_v", params.kappa_v), ("sigma_v", params.sigma_v)]
     else:
         raise ValidationError(f"unsupported parameter type {type(params).__name__}")
+    fields = [("c1", params.c1), ("mu", params.mu), *fields, ("dt", params.dt)]
+    lines = [f"model = {model}"] + [f"{key} = {_fmt(x)}" for key, x in fields]
     lines += [
-        f"dt = {_fmt(params.dt)}",
         f"scheme = {params.scheme}",
         f"start_year = {params.start[0]}",
         f"start_month = {params.start[1]}",
@@ -425,34 +369,6 @@ def write_stochastic_params(params, path, history_tail=()) -> None:
         lines.append(f"history.{i} = {_fmt(float(r))}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def parse_kv_file(path) -> dict[str, str]:
-    """Read a flat `key = value` file, ignoring blanks and # comments."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in text.split("=", 1))
-            if not key or not val:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            if key in out:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key}")
-            out[key] = val
-    return out
-
-
-def _pop_float(kv: dict, key: str, path) -> float:
-    if key not in kv:
-        raise ValidationError(f"{path}: missing key {key}")
-    try:
-        return float(kv.pop(key))
-    except ValueError:
-        raise ValidationError(f"{path}: key {key} is not numeric") from None
 
 
 def _pop_spikes(kv: dict, path) -> tuple[SpikeSpec, ...]:
@@ -468,52 +384,33 @@ def _pop_spikes(kv: dict, path) -> tuple[SpikeSpec, ...]:
     return tuple(specs)
 
 
-def _pop_history(kv: dict, path) -> tuple[float, ...]:
-    try:
-        idx = sorted(int(k.split(".")[1]) for k in kv if k.startswith("history."))
-    except (IndexError, ValueError):
-        raise ValidationError(f"{path}: malformed history key") from None
-    if idx and idx != list(range(1, len(idx) + 1)):
-        raise ValidationError(f"{path}: history indices must run 1..n")
-    return tuple(_pop_float(kv, f"history.{i}", path) for i in idx)
-
-
 def read_stochastic_params(path):
     """Load a parameter file; returns (HestonParams | VasicekParams, history_tail)."""
     kv = parse_kv_file(path)
     model = kv.pop("model", "heston")
-    scheme = kv.pop("scheme", "reflect")
-    start = (
-        int(_pop_float(kv, "start_year", path)),
-        int(_pop_float(kv, "start_month", path)),
+    common = dict(
+        c1=_pop_float(kv, "c1", path),
+        mu=_pop_float(kv, "mu", path),
+        spikes=_pop_spikes(kv, path),
+        start=(_pop_int(kv, "start_year", path), _pop_int(kv, "start_month", path)),
+        scheme=kv.pop("scheme", "reflect"),
+        dt=_pop_float(kv, "dt", path) if "dt" in kv else DEFAULT_DT,
     )
-    spikes = _pop_spikes(kv, path)
-    history = _pop_history(kv, path)
-    dt = _pop_float(kv, "dt", path) if "dt" in kv else DEFAULT_DT
+    history = tuple(_pop_indexed(kv, "history.", path))
     if model == "heston":
         params = HestonParams(
-            c1=_pop_float(kv, "c1", path),
-            mu=_pop_float(kv, "mu", path),
             v0=_pop_float(kv, "v0_vol", path) ** 2,
             theta=_pop_float(kv, "theta_vol", path) ** 2,
             kappa=_pop_float(kv, "kappa", path),
             xi=_pop_float(kv, "xi", path),
             rho=_pop_float(kv, "rho", path),
-            spikes=spikes,
-            start=start,
-            scheme=scheme,
-            dt=dt,
+            **common,
         )
     elif model == "vasicek":
         params = VasicekParams(
-            c1=_pop_float(kv, "c1", path),
-            mu=_pop_float(kv, "mu", path),
             kappa_v=_pop_float(kv, "kappa_v", path),
             sigma_v=_pop_float(kv, "sigma_v", path),
-            spikes=spikes,
-            start=start,
-            scheme=scheme,
-            dt=dt,
+            **common,
         )
     else:
         raise ValidationError(f"{path}: unknown model {model}")

@@ -341,8 +341,16 @@ def test_criterion_07_determinism(tmp_path):
     for name in ("dc_2010_2014.csv", "dc_2015_2019.csv"):
         shutil.copy(str(_files("crashvol") / "data" / name), data_dir / name)
 
+    # the child runs from data_dir, where a relative PYTHONPATH no longer
+    # resolves: put the directory holding the imported package first
+    import crashvol
+
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(crashvol.__file__)))
+    pythonpath = os.pathsep.join(filter(None, (pkg_parent, os.environ.get("PYTHONPATH"))))
+
     def run(cmd, threads):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, PYTHONHASHSEED="0")
+        env = dict(os.environ, OMP_NUM_THREADS=threads, PYTHONHASHSEED="0",
+                   PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "crashvol", *cmd],
             capture_output=True, text=True, cwd=data_dir, env=env,

@@ -102,6 +102,16 @@ def test_forecast_requires_seed(workdir, capsys):
     assert rc == 1
     assert err.startswith("crashvol: E_VALIDATION:")
     assert "--seed" in err
+    # a negative seed and a non-finite parameter fail the same way
+    nan_params = workdir / "nan.params"
+    nan_params.write_text(params.read_text().replace("mu = ", "mu = nan # "))
+    for path, seed in ((params, "-1"), (nan_params, "1")):
+        rc = main(["forecast", "--params", str(path), "--horizon", "12",
+                   "--paths", "50", "--seed", seed, "--out", str(workdir / "f.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("crashvol: E_VALIDATION:")
+        assert err.count("\n") == 1
 
 
 def test_forecast_writes_quantile_csv(workdir):

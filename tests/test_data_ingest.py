@@ -50,6 +50,9 @@ def test_observation_validation():
         MonthlyObservation(2010, 1, -1, 1000)
     with pytest.raises(ValidationError):
         MonthlyObservation(2010, 1, 1, 0.0)
+    for vmt in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="non-finite"):
+            MonthlyObservation(2010, 1, 1, vmt)
 
 
 def test_series_requires_contiguity():

@@ -11,7 +11,10 @@ from crashvol.data_ingest import (
     ValidationError,
 )
 from crashvol.evaluation import (
+    DEFAULT_LEVELS,
     DEFAULT_SPIKE_THRESHOLD,
+    MODEL_IDS,
+    MODELS,
     backtest,
     dated_rates,
     error_stats,
@@ -241,6 +244,26 @@ def test_backtest_vasicek_variance_plane(full_series):
     assert rep.model_id == "vasicek"
     assert len(q.months) == 60
     assert q.months[0] == (2015, 1)
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_model_file_forecast_matches_backtest(model_id, full_series, tmp_path):
+    # fit -> file -> read -> quantiles agrees with the in-memory backtest up
+    # to the 12 significant digits the file stores
+    train, test = ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q_mem, _ = backtest(full_series, train, test, model_id, {"n_paths": 300}, seed=5)
+        model = MODELS[model_id]
+        options = {"overrides": {}, "orders": (1, 2, 2), "garch_orders": (2, 1)}
+        state = model.fit(full_series, train, test[0], options)
+        path = tmp_path / f"{model_id}.params"
+        model.write(state, path)
+        q_file = model.quantiles(model.read(path), 60, 300, 5, DEFAULT_LEVELS)
+    assert q_file.months == q_mem.months
+    assert q_file.levels == q_mem.levels
+    np.testing.assert_allclose(q_file.median, q_mem.median, rtol=1e-10)
+    np.testing.assert_allclose(q_file.bands, q_mem.bands, rtol=1e-10)
 
 
 def test_write_error_report_and_coverage(tmp_path):

@@ -13,14 +13,11 @@ from crashvol.stochastic_engine import (
     HestonParams,
     SpikeSpec,
     VasicekParams,
-    correlated_normal_pair,
     feller_bound,
     forecast_quantiles,
-    prevailing_year_average,
     read_stochastic_params,
     simulate_heston,
     simulate_vasicek,
-    spike_adjustment,
     step_rate,
     step_variance,
     write_stochastic_params,
@@ -34,14 +31,6 @@ BENIGN = dict(
 def _heston(**kw):
     merged = {**BENIGN, **kw}
     return HestonParams(**merged)
-
-
-def test_correlated_pair_formula():
-    z1, z2 = correlated_normal_pair(1.0, 2.0, -0.6)
-    assert z1 == 1.0
-    assert z2 == pytest.approx(-0.6 + math.sqrt(1 - 0.36) * 2.0)
-    with pytest.raises(ValidationError):
-        correlated_normal_pair(0.0, 0.0, 1.5)
 
 
 def test_feller_bound_value():
@@ -67,6 +56,14 @@ def test_param_validation_messages():
         SpikeSpec(0, 0.1, 0.1)
     with pytest.raises(ValidationError):
         SpikeSpec(1, 0.1, -0.1)
+    with pytest.raises(ValidationError, match="finite"):
+        _heston(mu=float("nan"))
+    with pytest.raises(ValidationError, match="finite"):
+        _heston(kappa=float("inf"))
+    with pytest.raises(ValidationError, match="finite"):
+        VasicekParams(c1=0.005, mu=0.14, kappa_v=4.9, sigma_v=float("nan"))
+    with pytest.raises(ValidationError, match="seed >= 0"):
+        simulate_heston(_heston(), 3, 2, seed=-1)
 
 
 def test_feller_warning_fires_only_when_violated():
@@ -98,28 +95,6 @@ def test_fold_schemes():
     t = step_rate(0.001, p_trunc, 1.0, 1.0 / 12, -8.0)
     assert r > 0.0
     assert t == 0.0
-
-
-def test_spike_adjustment_lookup():
-    spikes = (SpikeSpec(7, 0.334, 0.056),)
-    assert spike_adjustment(7, spikes, 1.0) == pytest.approx(0.39)
-    assert spike_adjustment(6, spikes, 1.0) == 0.0
-    with pytest.raises(ValidationError):
-        spike_adjustment(0, spikes, 1.0)
-
-
-def test_prevailing_year_average_backfill():
-    tail = np.arange(1.0, 13.0)  # 1..12
-    assert prevailing_year_average([], tail) == pytest.approx(6.5)
-    # 11 backfilled tail values plus 1 simulated month
-    assert prevailing_year_average([13.0], tail) == pytest.approx(
-        (sum(range(2, 13)) + 13.0) / 12.0
-    )
-    # more than 12 simulated months ignores the tail entirely
-    sim = list(range(100, 114))
-    assert prevailing_year_average(sim, tail) == pytest.approx(np.mean(sim[-12:]))
-    with pytest.raises(ValidationError):
-        prevailing_year_average([], [])
 
 
 def test_simulation_shapes_and_calendar():
@@ -175,6 +150,20 @@ def test_spike_draw_reconstruction():
         want = abs(base + cbar * g)
         assert res.base_paths[k, 0] == pytest.approx(base, rel=1e-12)
         assert res.rate_paths[k, 0] == pytest.approx(want, rel=1e-12)
+        z_v = p.rho * z_c + math.sqrt(1.0 - p.rho**2) * z_raw
+        v1 = abs(p.v0 + p.kappa * (p.theta - p.v0) * dt + p.xi * math.sqrt(p.v0 * dt) * z_v)
+        assert res.var_paths[k, 0] == pytest.approx(v1, rel=1e-12)
+
+    # a February spike in month 14 averages the 12 simulated base rates of
+    # months 3..14 and ignores the (deliberately huge) observed history
+    p = _heston(start=(2015, 1), spikes=(SpikeSpec(2, 0.3, 0.05),))
+    res = simulate_heston(p, 14, 4, seed=9, history_tail=np.full(12, 1.0))
+    for k in range(4):
+        # 2 draws a month plus a spike draw in months 2 and 14: 30 in all
+        z_g = np.random.default_rng([9, k]).standard_normal(30)[-1]
+        base = res.base_paths[k]
+        want = abs(base[13] + base[2:14].mean() * (0.3 + 0.05 * z_g))
+        assert res.rate_paths[k, 13] == pytest.approx(want, rel=1e-12)
 
 
 def test_base_paths_feed_recursion_not_spiked_rates():
@@ -234,6 +223,7 @@ def test_vasicek_spike_reconstruction():
     p = VasicekParams(c1=0.005, mu=0.1, kappa_v=2.0, sigma_v=0.5, spikes=spikes, start=(2015, 1))
     tail = np.full(12, 0.005)
     res = simulate_vasicek(p, 1, 3, seed=4, history_tail=tail)
+    no_hist = simulate_vasicek(p, 1, 3, seed=4)
     dt = p.dt
     for k in range(3):
         z, zg = np.random.default_rng([4, k]).standard_normal(2)
@@ -243,6 +233,10 @@ def test_vasicek_spike_reconstruction():
         cbar = (tail[-11:].sum() + base) / 12.0
         want = abs(base + cbar * (0.3 + 0.05 * zg))
         assert res.rate_paths[k, 0] == pytest.approx(want, rel=1e-12)
+        # with no observed history the average is the first simulated month
+        assert no_hist.base_paths[k, 0] == pytest.approx(base, rel=1e-12)
+        want = abs(base + base * (0.3 + 0.05 * zg))
+        assert no_hist.rate_paths[k, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_forecast_quantiles_ordering():
@@ -317,11 +311,13 @@ def test_params_file_rejects_malformed_values(tmp_path):
     p = _heston(spikes=(SpikeSpec(1, -0.1, 0.1),))
     path = tmp_path / "h.params"
     write_stochastic_params(p, path)
-    text = path.read_text().replace("kappa = ", "kappa = abc # was ")
+    text = path.read_text()
     bad = tmp_path / "bad.params"
-    bad.write_text(text)
-    with pytest.raises(ValidationError):
-        read_stochastic_params(bad)
+    for key, value in (("kappa", "abc"), ("mu", "nan"), ("xi", "inf"), ("spike.1.std", "nan"),
+                       ("start_year", "2015.5"), ("start_month", "x")):
+        bad.write_text(text.replace(f"{key} = ", f"{key} = {value} # was "))
+        with pytest.raises(ValidationError, match=key):
+            read_stochastic_params(bad)
 
 
 @settings(max_examples=50, deadline=None)
