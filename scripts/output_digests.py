@@ -1,0 +1,79 @@
+"""Print a sha256 digest of every file the CLI writes over a fixed run list.
+
+Usage: python scripts/output_digests.py
+
+Runs `crashvol.cli.main` in-process from the source tree next to this
+script: diagnose; fit of all four models; forecast from each fit file
+(seed 7); evaluate of each forecast; backtest of all four models over
+seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator.
+Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
+digest of those lines. Two trees that print the same last line wrote the
+same bytes. Exits 1 if any run fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from crashvol import cli  # noqa: E402
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "crashvol" / "data"
+TRAIN_CSV = str(DATA / "dc_2010_2014.csv")
+TEST_CSV = str(DATA / "dc_2015_2019.csv")
+MODELS = ("heston", "vasicek", "arima", "arima-garch")
+TRAIN = ["--train-start", "2010-01", "--train-end", "2014-12"]
+TEST = ["--test-start", "2015-01", "--test-end", "2019-12"]
+
+
+def runs(w: str):
+    yield ["diagnose", "--input", TRAIN_CSV, "--out", f"{w}/diag"]
+    for model in MODELS:
+        yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model,
+               "--out", f"{w}/{model}.params"]
+    for model in MODELS:
+        yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7",
+               "--out", f"{w}/{model}.fc.csv"]
+    for model in MODELS:
+        yield ["evaluate", "--forecast", f"{w}/{model}.fc.csv", "--observed", TEST_CSV,
+               "--model-id", model, "--out", f"{w}/{model}.eval.csv"]
+    backtest = ["backtest", "--input", TRAIN_CSV, "--input", TEST_CSV, *TRAIN, *TEST,
+                "--paths", "5000"]
+    for model in MODELS:
+        for seed in range(1, 11):
+            yield [*backtest, "--model", model, "--seed", str(seed),
+                   "--out", f"{w}/bt.{model}.{seed}.csv"]
+    for model in ("heston", "vasicek"):
+        yield [*backtest, "--model", model, "--seed", "1", "--scheme", "truncate",
+               "--out", f"{w}/bt.{model}.truncate.csv"]
+
+
+def main() -> int:
+    warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in runs(tmp):
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv)
+            if status != 0:
+                print(f"failed: {' '.join(argv)}", file=sys.stderr)
+                return 1
+        lines = [
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
+            for p in sorted(Path(tmp).iterdir())
+        ]
+    print("\n".join(lines))
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{total}  ALL")
+    print(f"{len(lines)} files", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

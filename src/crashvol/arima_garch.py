@@ -28,11 +28,11 @@ from .data_ingest import (
     ConvergenceError,
     InsufficientDataError,
     ValidationError,
-    _fmt,
     _pop_float,
     _pop_indexed,
     _pop_int,
     parse_kv_file,
+    write_kv_file,
 )
 
 _MAXITER = 2000
@@ -241,21 +241,24 @@ class GarchSpec:
             raise ValidationError("alpha + beta must sum below 1")
 
 
+def _garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
+    # h_t = omega + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with every
+    # pre-sample e2 and h taken as m; private, so tracers do not wrap the
+    # objective kernel
+    rhs = np.full(e2.size, omega)
+    for i, a in enumerate(alpha, start=1):
+        rhs += a * np.concatenate([np.full(i, m), e2])[: e2.size]
+    if len(beta) == 0:
+        return rhs
+    a_poly = np.concatenate(([1.0], -np.asarray(beta)))
+    zi = lfiltic([1.0], a_poly, np.full(len(beta), m))
+    return lfilter([1.0], a_poly, rhs, zi=zi)[0]
+
+
 def garch_variances(spec: GarchSpec, residuals) -> np.ndarray:
     """In-sample conditional variances; pre-sample terms use the sample mean square."""
     e2 = np.asarray(residuals, dtype=float) ** 2
-    m = float(e2.mean())
-    rhs = np.full(e2.size, spec.omega)
-    for i, a in enumerate(spec.alpha_coeffs, start=1):
-        shifted = np.concatenate([np.full(i, m), e2[:-i]]) if i <= e2.size else np.full(e2.size, m)
-        rhs += a * shifted
-    if spec.q:
-        a_poly = np.concatenate(([1.0], -np.asarray(spec.beta_coeffs)))
-        zi = lfiltic([1.0], a_poly, np.full(spec.q, m))
-        h, _ = lfilter([1.0], a_poly, rhs, zi=zi)
-    else:
-        h = rhs
-    return h
+    return _garch_recursion(spec.omega, spec.alpha_coeffs, spec.beta_coeffs, e2, float(e2.mean()))
 
 
 def fit_garch(residuals, p: int, q: int) -> GarchSpec:
@@ -273,7 +276,6 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
     es = e / math.sqrt(s2)
     e2 = es**2
     m = float(e2.mean())
-    n = es.size
 
     def unpack(u):
         u = np.clip(u, -60.0, 60.0)
@@ -283,16 +285,7 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
         return omega, w[:p], w[p:]
 
     def objective(u):
-        omega, alpha, beta = unpack(u)
-        rhs = np.full(n, omega)
-        for i, a in enumerate(alpha, start=1):
-            rhs += a * np.concatenate([np.full(i, m), e2[:-i]])
-        if q:
-            a_poly = np.concatenate(([1.0], -beta))
-            zi = lfiltic([1.0], a_poly, np.full(q, m))
-            h, _ = lfilter([1.0], a_poly, rhs, zi=zi)
-        else:
-            h = rhs
+        h = _garch_recursion(*unpack(u), e2, m)
         return float(np.sum(np.log(h) + e2 / h))
 
     # start near omega = 0.1*var, total ARCH weight 0.1, total GARCH weight 0.8
@@ -346,15 +339,6 @@ def forecast_garch_variance(
         e2.append(val)  # E[e^2] = h for future steps
         h.append(val)
     return np.array(out)
-
-
-def forecast_arima_garch(
-    arima: ArimaSpec, garch: GarchSpec, last_observations, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Point forecasts (identical to the plain ARIMA ones) plus variance forecasts."""
-    points = forecast_arima(arima, last_observations, horizon)
-    variances = forecast_garch_variance(garch, arima.residuals, horizon)
-    return points, variances
 
 
 def psi_weights(model: ArimaSpec, horizon: int) -> np.ndarray:
@@ -411,33 +395,32 @@ def write_arima_model(
         raise ValidationError(f"need {arima.p + arima.d} trailing levels, got {len(level_tail)}")
     n_resid = max(arima.q, garch.p if garch else 0)
     resid_tail = [float(x) for x in np.asarray(arima.residuals)[-n_resid:]] if n_resid else []
-    lines = [
-        f"model = {'arima-garch' if garch else 'arima'}",
-        f"p = {arima.p}",
-        f"d = {arima.d}",
-        f"q = {arima.q}",
-        f"intercept = {_fmt(arima.intercept)}",
-        f"sigma2 = {_fmt(arima.sigma2)}",
-        f"css = {_fmt(arima.css)}",
-        f"start_year = {start[0]}",
-        f"start_month = {start[1]}",
+
+    def indexed(prefix, values):
+        return [(f"{prefix}{i}", float(x)) for i, x in enumerate(values, start=1)]
+
+    pairs = [
+        ("model", "arima-garch" if garch else "arima"),
+        ("p", arima.p),
+        ("d", arima.d),
+        ("q", arima.q),
+        ("intercept", arima.intercept),
+        ("sigma2", arima.sigma2),
+        ("css", arima.css),
+        ("start_year", start[0]),
+        ("start_month", start[1]),
+        *indexed("ar.", arima.ar_coeffs),
+        *indexed("ma.", arima.ma_coeffs),
+        *indexed("tail.", level_tail[-(arima.p + arima.d) :]),
+        *indexed("resid.", resid_tail),
     ]
-    lines += [f"ar.{i} = {_fmt(c)}" for i, c in enumerate(arima.ar_coeffs, start=1)]
-    lines += [f"ma.{i} = {_fmt(c)}" for i, c in enumerate(arima.ma_coeffs, start=1)]
-    lines += [f"tail.{i} = {_fmt(x)}" for i, x in enumerate(level_tail[-(arima.p + arima.d) :], 1)]
-    lines += [f"resid.{i} = {_fmt(x)}" for i, x in enumerate(resid_tail, start=1)]
     if garch is not None:
         h = garch_variances(garch, arima.residuals)
-        lines += [
-            f"garch.p = {garch.p}",
-            f"garch.q = {garch.q}",
-            f"garch.omega = {_fmt(garch.omega)}",
-        ]
-        lines += [f"garch.alpha.{i} = {_fmt(c)}" for i, c in enumerate(garch.alpha_coeffs, 1)]
-        lines += [f"garch.beta.{i} = {_fmt(c)}" for i, c in enumerate(garch.beta_coeffs, 1)]
-        lines += [f"garch.h.{i} = {_fmt(x)}" for i, x in enumerate(h[-garch.q :], 1) if garch.q]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        pairs += [("garch.p", garch.p), ("garch.q", garch.q), ("garch.omega", garch.omega)]
+        pairs += indexed("garch.alpha.", garch.alpha_coeffs)
+        pairs += indexed("garch.beta.", garch.beta_coeffs)
+        pairs += indexed("garch.h.", h[-garch.q :] if garch.q else [])
+    write_kv_file(path, pairs)
 
 
 def read_arima_model(path):
@@ -493,9 +476,7 @@ def select_order(series, max_p: int, max_d: int, max_q: int) -> tuple[int, int, 
             for q in range(max_q + 1):
                 try:
                     fit = fit_arima(x, p, d, q)
-                except ConvergenceError:
-                    continue
-                except (InsufficientDataError, ValidationError):
+                except (ConvergenceError, InsufficientDataError, ValidationError):
                     continue
                 n = x.size - d
                 try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import re
 import sys
@@ -24,6 +25,7 @@ from . import evaluation, series_stats, stochastic_engine
 from .data_ingest import (
     CrashvolError,
     MonthlySeries,
+    ParseError,
     ValidationError,
     add_months,
     merge_series,
@@ -91,34 +93,33 @@ def _write_forecast_csv(path, quantiles: stochastic_engine.ForecastQuantiles) ->
 
 
 def _read_forecast_csv(path) -> stochastic_engine.ForecastQuantiles:
-    from .data_ingest import ParseError
-
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:3] != ["year", "month", "median"]:
-                raise ParseError(f"{path}: expected header year,month,median,q...")
-            levels = []
-            for name in header[3:]:
-                m = re.fullmatch(r"q(\d+(?:\.\d+)?)", name)
-                if not m:
-                    raise ParseError(f"{path}: bad quantile column {name!r}")
-                levels.append(float(m.group(1)) / 100.0)
-            months, med, bands = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3 + len(levels):
-                    raise ParseError(f"{path}:{lineno}: wrong field count")
-                try:
-                    months.append((int(row[0]), int(row[1])))
-                    med.append(float(row[2]))
-                    bands.append([float(x) for x in row[3:]])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    # OSError (missing file, permissions) is left to main's E_IO handler
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["year", "month", "median"]:
+            raise ParseError(f"{path}: expected header year,month,median,q...")
+        levels = []
+        for name in header[3:]:
+            m = re.fullmatch(r"q(\d+(?:\.\d+)?)", name)
+            if not m:
+                raise ParseError(f"{path}: bad quantile column {name!r}")
+            levels.append(float(m.group(1)) / 100.0)
+        months, med, bands = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3 + len(levels):
+                raise ParseError(f"{path}:{lineno}: wrong field count")
+            try:
+                months.append((int(row[0]), int(row[1])))
+                values = [float(x) for x in row[2:]]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(x) for x in values):
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            med.append(values[0])
+            bands.append(values[1:])
     if not months:
         raise ParseError(f"{path}: no forecast rows")
     return stochastic_engine.ForecastQuantiles(
@@ -228,12 +229,19 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _coverage_levels(levels, low_pct, high_pct):
-    low, high = low_pct / 100.0, high_pct / 100.0
-    eps = 1e-9
-    lo = next((x for x in levels if abs(x - low) < eps), None)
-    hi = next((x for x in levels if abs(x - high) < eps), None)
-    return lo, hi
+def _write_scores(args, quantiles, observed, report, report_path, stem) -> int:
+    """Write the error report and the coverage side-car; print the summary line."""
+    evaluation.write_error_report(report, report_path)
+    low, high = args.low / 100.0, args.high / 100.0
+    if low in quantiles.levels and high in quantiles.levels:
+        n_out, frac = evaluation.interval_coverage(quantiles, observed, low, high)
+        evaluation.write_coverage(f"{stem}.coverage.csv", low, high, n_out, frac)
+    else:
+        log.warning("levels %s/%s not among the forecast quantiles, skipping coverage",
+                    args.low, args.high)
+    mae, rmse, mape = report.overall
+    print(f"{report.model_id} overall mae={mae:.6g} rmse={rmse:.6g} mape={mape:.6g}")
+    return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -252,16 +260,7 @@ def cmd_evaluate(args) -> int:
     observed = evaluation.dated_rates(observed_slice)
     forecast = list(zip(quantiles.months, (float(x) for x in quantiles.median)))
     report = evaluation.yearly_error_report(forecast, observed, model_id=args.model_id)
-    evaluation.write_error_report(report, args.out)
-    lo, hi = _coverage_levels(quantiles.levels, args.low, args.high)
-    if lo is not None and hi is not None:
-        n_out, frac = evaluation.interval_coverage(quantiles, observed, lo, hi)
-        evaluation.write_coverage(f"{_stem(args.out)}.coverage.csv", lo, hi, n_out, frac)
-    else:
-        log.warning("levels %s/%s not in forecast file, skipping coverage", args.low, args.high)
-    mae, rmse, mape = report.overall
-    print(f"{args.model_id} overall mae={mae:.6g} rmse={rmse:.6g} mape={mape:.6g}")
-    return 0
+    return _write_scores(args, quantiles, observed, report, args.out, _stem(args.out))
 
 
 def cmd_backtest(args) -> int:
@@ -277,17 +276,8 @@ def cmd_backtest(args) -> int:
     )
     _write_forecast_csv(args.out, quantiles)
     stem = _stem(args.out)
-    evaluation.write_error_report(report, f"{stem}.report.csv")
-    lo, hi = _coverage_levels(levels, args.low, args.high)
-    if lo is not None and hi is not None:
-        observed = evaluation.dated_rates(
-            slice_window(series, quantiles.months[0], quantiles.months[-1])
-        )
-        n_out, frac = evaluation.interval_coverage(quantiles, observed, lo, hi)
-        evaluation.write_coverage(f"{stem}.coverage.csv", lo, hi, n_out, frac)
-    mae, rmse, mape = report.overall
-    print(f"{args.model} overall mae={mae:.6g} rmse={rmse:.6g} mape={mape:.6g}")
-    return 0
+    observed = evaluation.dated_rates(slice_window(series, *test))
+    return _write_scores(args, quantiles, observed, report, f"{stem}.report.csv", stem)
 
 
 # ---------------------------------------------------------------------------

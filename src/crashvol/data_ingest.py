@@ -6,7 +6,7 @@ consecutive calendar months. Crash rates are stored as dimensionless
 fractions (crashes divided by VMT in thousands), never as percentages.
 
 Fitted parameters are stored in flat ``key = value`` text files; the
-helpers at the end of this module read and format them for every model.
+helpers at the end of this module read and write them for every model.
 """
 
 from __future__ import annotations
@@ -212,10 +212,6 @@ def merge_series(a: MonthlySeries, b: MonthlySeries) -> MonthlySeries:
 # ---------------------------------------------------------------------------
 # flat key = value files
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def parse_kv_file(path) -> dict[str, str]:
     """Read a flat `key = value` file, ignoring blanks and # comments."""
     out: dict[str, str] = {}
@@ -233,6 +229,17 @@ def parse_kv_file(path) -> dict[str, str]:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key}")
             out[key] = val
     return out
+
+
+def write_kv_file(path, pairs) -> None:
+    """Write ordered (key, value) pairs as `key = value` lines.
+
+    str and int values are written as they are; any other value is written
+    as a float with 12 significant digits.
+    """
+    lines = [f"{k} = {v if isinstance(v, (str, int)) else f'{v:.12g}'}" for k, v in pairs]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _pop_float(kv: dict, key: str, path) -> float:

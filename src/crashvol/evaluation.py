@@ -58,12 +58,6 @@ class ErrorReport:
     overall: tuple[float, float, float]
     n_months: int
 
-    def year_row(self, year: int) -> tuple[float, float, float]:
-        for y, mae, rmse, mape in self.per_year:
-            if y == year:
-                return mae, rmse, mape
-        raise KeyError(year)
-
 
 def _check_dates(fc_months, ob_months):
     if list(fc_months) != list(ob_months):
@@ -389,10 +383,10 @@ def backtest(
 ) -> tuple[stochastic_engine.ForecastQuantiles, ErrorReport]:
     """Fit on the train window, forecast the test window, score the forecast.
 
-    `config` accepts n_paths, levels, scheme, orders (p,d,q), garch_orders
-    (gp,gq), spike_threshold, and an `overrides` dict forwarded to the
-    parameter assembly (c1, mu, v0_vol, theta_vol, kappa, xi, rho, sigma_v,
-    kappa_v, spikes, scheme).
+    `config` accepts n_paths, levels, orders (p,d,q), garch_orders (gp,gq),
+    and an `overrides` dict forwarded to the parameter assembly (c1, mu,
+    v0_vol, theta_vol, kappa, xi, rho, sigma_v, kappa_v, spikes, scheme,
+    spike_threshold).
     """
     config = dict(config or {})
     train_start, train_end = (tuple(w) for w in train)
@@ -408,16 +402,11 @@ def backtest(
     months = test_slice.months
     n_paths = int(config.pop("n_paths", 5000))
     levels = tuple(float(x) for x in config.pop("levels", DEFAULT_LEVELS))
-    scheme = config.pop("scheme", None)
     options = {
         "orders": tuple(config.pop("orders", (1, 2, 2))),
         "garch_orders": tuple(config.pop("garch_orders", (2, 1))),
         "overrides": dict(config.pop("overrides", {})),
     }
-    if "spike_threshold" in config:
-        options["overrides"]["spike_threshold"] = config.pop("spike_threshold")
-    if scheme is not None:
-        options["overrides"]["scheme"] = scheme
     if config:
         raise ValidationError(f"unknown backtest config keys: {', '.join(sorted(config))}")
     if model not in MODELS:
@@ -431,7 +420,7 @@ def backtest(
     return quantiles, report
 
 
-def write_error_report(report: ErrorReport, path, coverage=None) -> None:
+def write_error_report(report: ErrorReport, path) -> None:
     """Write the `model,year,mae,rmse,mape` table with its overall row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

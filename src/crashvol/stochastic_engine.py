@@ -32,12 +32,12 @@ import numpy as np
 
 from .data_ingest import (
     ValidationError,
-    _fmt,
     _pop_float,
     _pop_indexed,
     _pop_int,
     add_months,
     parse_kv_file,
+    write_kv_file,
 )
 
 DEFAULT_DT = 1.0 / 12.0
@@ -67,6 +67,14 @@ class SpikeSpec:
 def _check(cond: bool, what: str):
     if not cond:
         raise ValidationError(f"violated invariant: {what}")
+
+
+def _power(x: float, p: float, name: str) -> float:
+    """x ** p; a result too large for a float is a ValidationError naming `name`."""
+    try:
+        return x**p
+    except OverflowError:
+        raise ValidationError(f"{name} = {x:.6g} overflows at power {p:g}") from None
 
 
 def _check_common(params, *model_values):
@@ -109,12 +117,12 @@ class HestonParams:
         _check(self.kappa >= 0, "kappa >= 0")
         _check(self.xi >= 0, "xi >= 0")
         _check(-1.0 <= self.rho <= 1.0, "-1 <= rho <= 1")
-        ok = self.theta > 0 and self.kappa > self.xi**2 / (2.0 * self.theta)
+        bound = _power(self.xi, 2, "xi") / (2.0 * self.theta) if self.theta > 0 else math.inf
+        ok = self.kappa > bound
         object.__setattr__(self, "feller_satisfied", bool(ok))
         if not ok and self.xi > 0:
             warnings.warn(
-                f"kappa={self.kappa:.6g} does not exceed xi^2/(2*theta)="
-                f"{self.xi**2 / (2.0 * self.theta) if self.theta > 0 else math.inf:.6g}; "
+                f"kappa={self.kappa:.6g} does not exceed xi^2/(2*theta)={bound:.6g}; "
                 "the variance process relies on the reflection scheme",
                 FellerWarning,
                 stacklevel=2,
@@ -137,8 +145,10 @@ class VasicekParams:
 
     def __post_init__(self):
         _check_common(self, self.kappa_v, self.sigma_v)
+        _check(self.mu > -1.0, "mu > -1")
         _check(self.kappa_v >= 0, "kappa_v >= 0")
         _check(self.sigma_v >= 0, "sigma_v >= 0")
+        _power(self.sigma_v, 2, "sigma_v")  # the reported variance
 
 
 @dataclass(frozen=True)
@@ -308,7 +318,7 @@ def simulate_vasicek(
     sdt = math.sqrt(dt)
 
     def step(c, v, t, z):
-        theta_t = params.c1 * (1.0 + params.mu) ** ((t + 1) / 12.0)
+        theta_t = params.c1 * _power(1.0 + params.mu, (t + 1) / 12.0, "1 + mu")
         raw = c + params.kappa_v * (theta_t - c) * dt + params.sigma_v * params.c1 * sdt * z[:, 0]
         return _fold(raw, params.scheme), v
 
@@ -355,20 +365,20 @@ def write_stochastic_params(params, path, history_tail=()) -> None:
         fields = [("kappa_v", params.kappa_v), ("sigma_v", params.sigma_v)]
     else:
         raise ValidationError(f"unsupported parameter type {type(params).__name__}")
-    fields = [("c1", params.c1), ("mu", params.mu), *fields, ("dt", params.dt)]
-    lines = [f"model = {model}"] + [f"{key} = {_fmt(x)}" for key, x in fields]
-    lines += [
-        f"scheme = {params.scheme}",
-        f"start_year = {params.start[0]}",
-        f"start_month = {params.start[1]}",
+    pairs = [
+        ("model", model),
+        ("c1", params.c1),
+        ("mu", params.mu),
+        *fields,
+        ("dt", params.dt),
+        ("scheme", params.scheme),
+        ("start_year", params.start[0]),
+        ("start_month", params.start[1]),
     ]
     for s in sorted(params.spikes, key=lambda s: s.month):
-        lines.append(f"spike.{s.month}.mean = {_fmt(s.mean_a)}")
-        lines.append(f"spike.{s.month}.std = {_fmt(s.std_b)}")
-    for i, r in enumerate(history_tail, start=1):
-        lines.append(f"history.{i} = {_fmt(float(r))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        pairs += [(f"spike.{s.month}.mean", s.mean_a), (f"spike.{s.month}.std", s.std_b)]
+    pairs += [(f"history.{i}", float(r)) for i, r in enumerate(history_tail, start=1)]
+    write_kv_file(path, pairs)
 
 
 def _pop_spikes(kv: dict, path) -> tuple[SpikeSpec, ...]:
@@ -399,8 +409,8 @@ def read_stochastic_params(path):
     history = tuple(_pop_indexed(kv, "history.", path))
     if model == "heston":
         params = HestonParams(
-            v0=_pop_float(kv, "v0_vol", path) ** 2,
-            theta=_pop_float(kv, "theta_vol", path) ** 2,
+            v0=_power(_pop_float(kv, "v0_vol", path), 2, f"{path}: key v0_vol"),
+            theta=_power(_pop_float(kv, "theta_vol", path), 2, f"{path}: key theta_vol"),
             kappa=_pop_float(kv, "kappa", path),
             xi=_pop_float(kv, "xi", path),
             rho=_pop_float(kv, "rho", path),

@@ -14,7 +14,6 @@ from crashvol.arima_garch import (
     fit_arima,
     fit_garch,
     forecast_arima,
-    forecast_arima_garch,
     forecast_garch_variance,
     forecast_level_variance,
     garch_variances,
@@ -25,6 +24,7 @@ from crashvol.arima_garch import (
     write_arima_model,
 )
 from crashvol.data_ingest import InsufficientDataError, ValidationError
+from crashvol.evaluation import MODELS
 
 
 def _ar1_sample(phi, n, seed, burn=100):
@@ -281,13 +281,18 @@ def test_garch_variance_forecast_converges_to_unconditional():
 
 
 def test_arima_garch_points_equal_plain_arima(train_series):
-    x = train_series.rates[train_series.index_of(2010, 1):]
-    fit = fit_arima(x, 1, 2, 2)
-    g = fit_garch(fit.residuals, 2, 1)
-    pts, h = forecast_arima_garch(fit, g, x, 24)
-    assert pts == pytest.approx(forecast_arima(fit, x, 24), rel=1e-14)
-    assert h.shape == (24,)
-    assert np.all(h > 0)
+    # the GARCH layer only reshapes the bands; the point forecasts are the ARIMA ones
+    options = {"orders": (1, 2, 2), "garch_orders": (2, 1), "overrides": {}}
+    out = {}
+    for model_id in ("arima", "arima-garch"):
+        model = MODELS[model_id]
+        state = model.fit(train_series, ((2010, 1), (2014, 12)), (2015, 1), options)
+        out[model_id] = model.quantiles(state, 24, 0, None, (0.05, 0.95))
+    plain, garch = out["arima"], out["arima-garch"]
+    assert np.array_equal(plain.median, garch.median)
+    assert garch.bands.shape == (2, 24)
+    assert np.all(garch.bands[0] < garch.median) and np.all(garch.median < garch.bands[1])
+    assert not np.allclose(plain.bands, garch.bands)
 
 
 def test_model_file_round_trip(tmp_path, train_series):

@@ -266,10 +266,83 @@ def test_io_error_code(workdir, capsys):
     assert capsys.readouterr().err.startswith("crashvol: E_IO:")
 
 
-def test_missing_input_file(workdir, capsys):
-    rc = main(["diagnose", "--input", str(workdir / "nope.csv"), "--out", str(workdir / "x")])
+FORECAST_ROWS = "year,month,median,q25,q75\n2015,1,0.005,0.004,0.006\n"
+
+
+@pytest.mark.parametrize("missing", [
+    "diagnose --input", "forecast --params", "evaluate --forecast", "evaluate --observed",
+], ids=lambda m: m.replace(" --", "-"))
+def test_missing_input_file(workdir, capsys, missing):
+    nope, fc = str(workdir / "nope.csv"), workdir / "fc.csv"
+    fc.write_text(FORECAST_ROWS)
+    argv = {
+        "diagnose --input": ["diagnose", "--input", nope],
+        "forecast --params": ["forecast", "--params", nope, "--seed", "1"],
+        "evaluate --forecast": ["evaluate", "--forecast", nope,
+                                "--observed", str(workdir / "dc_2015_2019.csv")],
+        "evaluate --observed": ["evaluate", "--forecast", str(fc), "--observed", nope],
+    }[missing]
+    rc = main([*argv, "--out", str(workdir / "x.csv")])
     assert rc == 1
-    assert "E_IO" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("crashvol: E_IO:")
+    assert "nope.csv" in err
+
+
+@pytest.mark.parametrize("row", ["2015,2,nan,0.004,0.006", "2015,2,0.005,0.004,inf"],
+                         ids=["median-nan", "band-inf"])
+def test_evaluate_rejects_non_finite_forecast(workdir, capsys, row):
+    fc = workdir / "fc.csv"
+    fc.write_text(FORECAST_ROWS + row + "\n")
+    rc = main(["evaluate", "--forecast", str(fc),
+               "--observed", str(workdir / "dc_2015_2019.csv"), "--out", str(workdir / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"crashvol: E_PARSE: {fc}:3: non-finite")
+    assert err.count("\n") == 1
+    assert not (workdir / "r.csv").exists()
+
+
+@pytest.mark.parametrize("model,key,value", [
+    ("heston", "v0_vol", "1e200"), ("heston", "theta_vol", "1e200"),
+    ("vasicek", "sigma_v", "1e200"), ("vasicek", "mu", "-2"),
+])
+def test_forecast_rejects_out_of_domain_params(workdir, capsys, model, key, value):
+    params = workdir / "p.params"
+    main(["fit", "--input", str(workdir / "dc_2010_2014.csv"),
+          "--train-start", "2010-01", "--train-end", "2014-12",
+          "--model", model, "--out", str(params)])
+    params.write_text(params.read_text().replace(f"\n{key} = ", f"\n{key} = {value} # "))
+    capsys.readouterr()
+    rc = main(["forecast", "--params", str(params), "--horizon", "12",
+               "--paths", "50", "--seed", "1", "--out", str(workdir / "f.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crashvol: E_VALIDATION:")
+    assert key in err
+    assert err.count("\n") == 1
+
+
+def test_missing_coverage_levels_warn_in_both_commands(workdir, caplog):
+    bt = workdir / "bt.csv"
+    rc = main([
+        "backtest",
+        "--input", str(workdir / "dc_2010_2014.csv"),
+        "--input", str(workdir / "dc_2015_2019.csv"),
+        "--train-start", "2010-01", "--train-end", "2014-12",
+        "--test-start", "2015-01", "--test-end", "2019-12",
+        "--model", "vasicek", "--paths", "50", "--seed", "6", "--levels", "5,95",
+        "--out", str(bt),
+    ])
+    assert rc == 0
+    rc = main(["evaluate", "--forecast", str(bt),
+               "--observed", str(workdir / "dc_2015_2019.csv"), "--out", str(workdir / "ev.csv")])
+    assert rc == 0
+    assert (workdir / "bt.report.csv").exists() and (workdir / "ev.csv").exists()
+    assert not (workdir / "bt.coverage.csv").exists()
+    assert not (workdir / "ev.coverage.csv").exists()
+    skipped = [r for r in caplog.records if "skipping coverage" in r.getMessage()]
+    assert [r.levelname for r in skipped] == ["WARNING", "WARNING"]
 
 
 def test_bad_month_format(workdir, capsys):

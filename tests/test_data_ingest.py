@@ -12,8 +12,10 @@ from crashvol.data_ingest import (
     add_months,
     merge_series,
     month_span,
+    parse_kv_file,
     parse_monthly_csv,
     slice_window,
+    write_kv_file,
     write_monthly_csv,
 )
 
@@ -166,3 +168,15 @@ def test_error_codes():
     assert RangeError("x").code == "E_RANGE"
     assert ValidationError("x").code == "E_VALIDATION"
     assert AlignmentError("x").code == "E_ALIGN"
+
+
+def test_kv_file_writer_formats_and_round_trips(tmp_path):
+    path = tmp_path / "m.params"
+    write_kv_file(path, [("model", "heston"), ("p", 2), ("c1", 0.1 + 0.2), ("big", 1e200),
+                         ("coef", np.float64(-1.0 / 3.0))])
+    assert path.read_text() == (
+        "model = heston\np = 2\nc1 = 0.3\nbig = 1e+200\ncoef = -0.333333333333\n"
+    )
+    assert parse_kv_file(path) == {
+        "model": "heston", "p": "2", "c1": "0.3", "big": "1e+200", "coef": "-0.333333333333"
+    }

@@ -185,15 +185,17 @@ def test_backtest_requires_adjacent_windows(full_series):
 
 
 def test_backtest_rejects_unknown_keys(full_series):
-    with pytest.raises(ValidationError):
-        backtest(
-            full_series,
-            ((2010, 1), (2014, 12)),
-            ((2015, 1), (2019, 12)),
-            model="heston",
-            config={"paths": 10},
-            seed=1,
-        )
+    # scheme and spike_threshold are parameter overrides, not config keys
+    for key, value in (("paths", 10), ("scheme", "truncate"), ("spike_threshold", 0.1)):
+        with pytest.raises(ValidationError, match=key):
+            backtest(
+                full_series,
+                ((2010, 1), (2014, 12)),
+                ((2015, 1), (2019, 12)),
+                model="heston",
+                config={key: value},
+                seed=1,
+            )
     with pytest.raises(ValidationError):
         backtest(
             full_series,

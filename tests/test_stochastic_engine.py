@@ -64,6 +64,16 @@ def test_param_validation_messages():
         VasicekParams(c1=0.005, mu=0.14, kappa_v=4.9, sigma_v=float("nan"))
     with pytest.raises(ValidationError, match="seed >= 0"):
         simulate_heston(_heston(), 3, 2, seed=-1)
+    # values whose powers overflow, and a growth rate below -100%
+    with pytest.raises(ValidationError, match="xi = 1e"):
+        _heston(xi=1e200)
+    with pytest.raises(ValidationError, match="sigma_v = 1e"):
+        VasicekParams(c1=0.005, mu=0.14, kappa_v=4.9, sigma_v=1e200)
+    with pytest.raises(ValidationError, match="mu > -1"):
+        VasicekParams(c1=0.005, mu=-2.0, kappa_v=4.9, sigma_v=0.63)
+    fast_growth = VasicekParams(c1=0.005, mu=1e100, kappa_v=4.9, sigma_v=0.63)
+    with pytest.raises(ValidationError, match="1 \\+ mu"):
+        simulate_vasicek(fast_growth, 60, 2, seed=1)
 
 
 def test_feller_warning_fires_only_when_violated():
@@ -314,7 +324,14 @@ def test_params_file_rejects_malformed_values(tmp_path):
     text = path.read_text()
     bad = tmp_path / "bad.params"
     for key, value in (("kappa", "abc"), ("mu", "nan"), ("xi", "inf"), ("spike.1.std", "nan"),
-                       ("start_year", "2015.5"), ("start_month", "x")):
+                       ("start_year", "2015.5"), ("start_month", "x"), ("v0_vol", "1e200"),
+                       ("theta_vol", "1e200"), ("xi", "1e200")):
+        bad.write_text(text.replace(f"{key} = ", f"{key} = {value} # was "))
+        with pytest.raises(ValidationError, match=key):
+            read_stochastic_params(bad)
+    write_stochastic_params(VasicekParams(c1=0.005, mu=0.14, kappa_v=4.9, sigma_v=0.63), path)
+    text = path.read_text()
+    for key, value in (("sigma_v", "1e200"), ("mu", "-2")):
         bad.write_text(text.replace(f"{key} = ", f"{key} = {value} # was "))
         with pytest.raises(ValidationError, match=key):
             read_stochastic_params(bad)
