@@ -5,7 +5,9 @@ Usage: python scripts/output_digests.py
 Runs `crashvol.cli.main` in-process from the source tree next to this
 script: diagnose; fit of all four models; forecast from each fit file
 (seed 7); evaluate of each forecast; backtest of all four models over
-seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator.
+seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
+one heston forecast and one heston backtest at non-default `--levels`,
+`--low` and `--high`.
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails.
@@ -53,6 +55,11 @@ def runs(w: str):
     for model in ("heston", "vasicek"):
         yield [*backtest, "--model", model, "--seed", "1", "--scheme", "truncate",
                "--out", f"{w}/bt.{model}.truncate.csv"]
+    levels = ["--levels", "2.5,10,50,90,97.5"]
+    yield ["forecast", "--params", f"{w}/heston.params", "--seed", "7", *levels,
+           "--out", f"{w}/heston.levels.fc.csv"]
+    yield [*backtest, "--model", "heston", "--seed", "1", *levels, "--low", "10", "--high", "90",
+           "--out", f"{w}/bt.heston.levels.csv"]
 
 
 def main() -> int:

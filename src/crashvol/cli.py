@@ -52,12 +52,9 @@ def _parse_levels(text: str) -> tuple[float, ...]:
         percents = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise ValidationError(f"bad quantile levels {text!r}") from None
-    levels = tuple(p / 100.0 for p in percents)
-    if not levels or any(not 0.0 < x < 1.0 for x in levels):
-        raise ValidationError("quantile levels must be percentages strictly inside (0, 100)")
-    if sorted(set(levels)) != list(levels):
-        raise ValidationError("quantile levels must be sorted and unique")
-    return levels
+    if not percents:
+        raise ValidationError("need at least one quantile level")
+    return stochastic_engine._check_levels(p / 100.0 for p in percents)
 
 
 def _parse_orders(text: str) -> tuple[tuple[int, int, int], tuple[int, int]]:
@@ -79,12 +76,8 @@ def _load_inputs(paths) -> MonthlySeries:
     return series
 
 
-def _level_name(level: float) -> str:
-    return f"q{level * 100:02g}"
-
-
 def _write_forecast_csv(path, quantiles: stochastic_engine.ForecastQuantiles) -> None:
-    names = [_level_name(x) for x in quantiles.levels]
+    names = [stochastic_engine._level_name(x) for x in quantiles.levels]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("year,month,median," + ",".join(names) + "\n")
         for t, (y, m) in enumerate(quantiles.months):
@@ -101,10 +94,10 @@ def _read_forecast_csv(path) -> stochastic_engine.ForecastQuantiles:
             raise ParseError(f"{path}: expected header year,month,median,q...")
         levels = []
         for name in header[3:]:
-            m = re.fullmatch(r"q(\d+(?:\.\d+)?)", name)
-            if not m:
+            level = stochastic_engine._level_from_name(name)
+            if level is None:
                 raise ParseError(f"{path}: bad quantile column {name!r}")
-            levels.append(float(m.group(1)) / 100.0)
+            levels.append(level)
         months, med, bands = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -210,19 +203,20 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _forecast_from_file(params_path, horizon, n_paths, seed, levels):
-    model_id = parse_kv_file(params_path).get("model", "heston")
-    model = evaluation.MODELS.get(model_id)
-    if model is None:
-        raise ValidationError(f"{params_path}: unknown model {model_id}")
-    if model.seeded and seed is None:
-        raise ValidationError(f"--seed is required for {model_id} forecasts")
-    return model.quantiles(model.read(params_path), horizon, n_paths, seed, levels)
+def _check_seed(model_id, seed):
+    if evaluation.MODELS[model_id].seeded and seed is None:
+        raise ValidationError(f"--seed is required for the {model_id} model")
 
 
 def cmd_forecast(args) -> int:
     levels = _parse_levels(args.levels)
-    quantiles = _forecast_from_file(args.params, args.horizon, args.paths, args.seed, levels)
+    model_id = parse_kv_file(args.params).get("model", "heston")
+    model = evaluation.MODELS.get(model_id)
+    if model is None:
+        raise ValidationError(f"{args.params}: unknown model {model_id}")
+    _check_seed(model_id, args.seed)
+    state = model.read(args.params)
+    quantiles = model.quantiles(state, args.horizon, args.paths, args.seed, levels)
     _write_forecast_csv(args.out, quantiles)
     log.info("forecast written to %s", args.out)
     print(args.out)
@@ -268,8 +262,7 @@ def cmd_backtest(args) -> int:
     train = (_parse_ym(args.train_start), _parse_ym(args.train_end))
     test = (_parse_ym(args.test_start), _parse_ym(args.test_end))
     levels = _parse_levels(args.levels)
-    if evaluation.MODELS[args.model].seeded and args.seed is None:
-        raise ValidationError(f"--seed is required for the {args.model} model")
+    _check_seed(args.model, args.seed)
     config = {"n_paths": args.paths, "levels": levels, **_fit_options(args)}
     quantiles, report = evaluation.backtest(
         series, train, test, model=args.model, config=config, seed=args.seed or 0
@@ -313,6 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mean-deviation threshold for spike months (default 0.12)")
         p.add_argument("--scheme", choices=("reflect", "truncate"), default=None)
 
+    def add_forecast_flags(p):
+        p.add_argument("--paths", type=int, default=5000)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--levels", default="5,25,75,95", help="quantile percentages")
+
+    def add_coverage_flags(p):
+        p.add_argument("--low", type=float, default=25.0, help="lower coverage percentile")
+        p.add_argument("--high", type=float, default=75.0, help="upper coverage percentile")
+
     p = sub.add_parser("fit", help="fit model parameters on a training window")
     add_input(p)
     add_fit_flags(p)
@@ -322,9 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="forecast from a parameter file")
     p.add_argument("--params", required=True, help="parameter or fitted-model file")
     p.add_argument("--horizon", type=int, default=60, help="months to forecast (default 60)")
-    p.add_argument("--paths", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--levels", default="5,25,75,95", help="quantile percentages")
+    add_forecast_flags(p)
     p.add_argument("--out", required=True, help="forecast CSV to write")
     p.set_defaults(func=cmd_forecast)
 
@@ -333,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observed", action="append", required=True, dest="observed",
                    help="observed crash/VMT CSV; repeat to merge")
     p.add_argument("--model-id", default="model", help="model column value for the report")
-    p.add_argument("--low", type=float, default=25.0, help="lower coverage percentile")
-    p.add_argument("--high", type=float, default=75.0, help="upper coverage percentile")
+    add_coverage_flags(p)
     p.add_argument("--out", required=True, help="error-report CSV to write")
     p.set_defaults(func=cmd_evaluate)
 
@@ -343,11 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_fit_flags(p)
     p.add_argument("--test-start", required=True, metavar="YYYY-MM")
     p.add_argument("--test-end", required=True, metavar="YYYY-MM")
-    p.add_argument("--paths", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--levels", default="5,25,75,95", help="quantile percentages")
-    p.add_argument("--low", type=float, default=25.0, help="lower coverage percentile")
-    p.add_argument("--high", type=float, default=75.0, help="upper coverage percentile")
+    add_forecast_flags(p)
+    add_coverage_flags(p)
     p.add_argument("--out", required=True, help="forecast CSV; report/coverage use its stem")
     p.set_defaults(func=cmd_backtest)
     return parser

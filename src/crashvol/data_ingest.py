@@ -64,14 +64,6 @@ def add_months(year: int, month: int, k: int) -> tuple[int, int]:
     return idx // 12, idx % 12 + 1
 
 
-def month_span(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
-    """Inclusive list of consecutive (year, month) pairs from start to end."""
-    n = (end[0] - start[0]) * 12 + (end[1] - start[1]) + 1
-    if n < 1:
-        raise RangeError(f"window start {start} is after end {end}")
-    return [add_months(start[0], start[1], k) for k in range(n)]
-
-
 @dataclass(frozen=True)
 class MonthlyObservation:
     year: int
@@ -173,17 +165,6 @@ def parse_monthly_csv(path) -> MonthlySeries:
         raise ParseError(f"{path}: no data rows")
     rows.sort(key=lambda ob: (ob.year, ob.month))
     return MonthlySeries(tuple(rows))
-
-
-def write_monthly_csv(series: MonthlySeries, path) -> None:
-    """Serialize a MonthlySeries back to the canonical CSV layout."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
-        for ob in series.observations:
-            vmt = ob.vmt_thousands
-            vmt_txt = f"{vmt:.10g}"
-            writer.writerow([ob.year, ob.month, ob.crashes, vmt_txt])
 
 
 def slice_window(series: MonthlySeries, start: tuple[int, int], end: tuple[int, int]) -> MonthlySeries:

@@ -192,8 +192,8 @@ def _heston_values(prof, train, overrides) -> dict:
         overrides.pop("kappa", stochastic_engine.feller_bound(xi, theta_vol) * (1.0 + KAPPA_EPS))
     )
     return {
-        "v0": v0_vol**2,
-        "theta": theta_vol**2,
+        "theta": stochastic_engine._power(theta_vol, 2, "theta_vol"),
+        "v0": stochastic_engine._power(v0_vol, 2, "v0_vol"),
         "kappa": kappa,
         "xi": xi,
         "rho": float(overrides.pop("rho", DEFAULT_RHO)),
@@ -401,7 +401,7 @@ def backtest(
     observed = dated_rates(test_slice)
     months = test_slice.months
     n_paths = int(config.pop("n_paths", 5000))
-    levels = tuple(float(x) for x in config.pop("levels", DEFAULT_LEVELS))
+    levels = stochastic_engine._check_levels(config.pop("levels", DEFAULT_LEVELS))
     options = {
         "orders": tuple(config.pop("orders", (1, 2, 2))),
         "garch_orders": tuple(config.pop("garch_orders", (2, 1))),

@@ -25,6 +25,7 @@ bit-identical for a given seed no matter how paths are batched.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -178,12 +179,43 @@ class SimulationResult:
         return [add_months(y, m, k) for k in range(self.horizon)]
 
 
+def _level_name(level: float) -> str:
+    """Forecast CSV column of a quantile level: `q` and the percentage at %g."""
+    return f"q{level * 100:02g}"
+
+
+def _level_from_name(name: str) -> float | None:
+    """The level a `q...` column name encodes, or None for any other name."""
+    m = re.fullmatch(r"q(\d+(?:\.\d+)?)", name)
+    return float(m.group(1)) / 100.0 if m else None
+
+
+def _check_levels(levels) -> tuple[float, ...]:
+    """Quantile levels as floats: strictly inside (0, 1), strictly increasing, and
+    each read back unchanged from its column name (no precision lost at %g, no
+    exponent form, no shared name). No levels at all is a median-only forecast."""
+    lv = tuple(float(x) for x in levels)
+    for x in lv:
+        if not 0.0 < x < 1.0:
+            raise ValidationError(f"quantile level {x:g} ({x * 100:g} %) is not inside (0, 1)")
+        if _level_from_name(_level_name(x)) != x:
+            raise ValidationError(f"quantile level {x!r} does not survive as {_level_name(x)}")
+    if any(a >= b for a, b in zip(lv, lv[1:])):
+        raise ValidationError("quantile levels must be sorted and unique")
+    return lv
+
+
 @dataclass(frozen=True)
 class ForecastQuantiles:
+    """Per-month median and quantile bands; the levels pass `_check_levels`."""
+
     months: tuple[tuple[int, int], ...]
     median: np.ndarray
     levels: tuple[float, ...]
     bands: np.ndarray  # shape (len(levels), horizon)
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", _check_levels(self.levels))
 
 
 def feller_bound(xi: float, theta_vol: float) -> float:
@@ -329,21 +361,10 @@ def simulate_vasicek(
 
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
     """Per-month empirical quantiles (linear interpolation) plus the median."""
-    lv = [float(x) for x in levels]
-    if not lv:
-        raise ValidationError("need at least one quantile level")
-    if any(not 0.0 < x < 1.0 for x in lv):
-        raise ValidationError("quantile levels must lie strictly inside (0, 1)")
-    if sorted(set(lv)) != lv:
-        raise ValidationError("quantile levels must be sorted and unique")
+    lv = _check_levels(levels)
     bands = np.quantile(result.rate_paths, lv, axis=0)
     med = np.median(result.rate_paths, axis=0)
-    return ForecastQuantiles(
-        months=tuple(result.months),
-        median=med,
-        levels=tuple(lv),
-        bands=bands,
-    )
+    return ForecastQuantiles(months=tuple(result.months), median=med, levels=lv, bands=bands)
 
 
 # ---------------------------------------------------------------------------

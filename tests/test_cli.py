@@ -1,11 +1,18 @@
 import csv
 import shutil
+import tempfile
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crashvol import cli
 from crashvol.cli import main
+from crashvol.data_ingest import ValidationError, add_months
+from crashvol.stochastic_engine import ForecastQuantiles
 
 
 @pytest.fixture()
@@ -158,11 +165,45 @@ def test_forecast_rejects_bad_levels(workdir, capsys):
         "--train-start", "2010-01", "--train-end", "2014-12",
         "--model", "vasicek", "--out", str(params),
     ])
-    rc = main(["forecast", "--params", str(params), "--horizon", "6",
-               "--paths", "50", "--seed", "2", "--levels", "0,150",
-               "--out", str(workdir / "f.csv")])
+    forecast = ["forecast", "--params", str(params), "--horizon", "6", "--paths", "50"]
+    backtest = ["backtest", "--input", str(workdir / "dc_2010_2014.csv"),
+                "--input", str(workdir / "dc_2015_2019.csv"),
+                "--train-start", "2010-01", "--train-end", "2014-12",
+                "--test-start", "2015-01", "--test-end", "2019-12",
+                "--model", "vasicek", "--paths", "50"]
+    # out of range, descending, `q1e-05` names, and two levels that would
+    # both be written as `q12.3457`
+    for command, levels in ((forecast, "0,150"), (forecast, "75,25"),
+                            (forecast, "0.00001,50"), (forecast, ","),
+                            (backtest, "12.34567891,12.34567892,50")):
+        capsys.readouterr()
+        rc = main([*command, "--seed", "2", "--levels", levels, "--out", str(workdir / "f.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("crashvol: E_VALIDATION:")
+        assert err.count("\n") == 1
+        assert not (workdir / "f.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "backtest"])
+def test_seeded_model_requires_seed(workdir, capsys, command):
+    params = workdir / "h.params"
+    main(["fit", "--input", str(workdir / "dc_2010_2014.csv"),
+          "--train-start", "2010-01", "--train-end", "2014-12",
+          "--model", "heston", "--out", str(params)])
+    capsys.readouterr()
+    argv = {
+        "forecast": ["forecast", "--params", str(params)],
+        "backtest": ["backtest", "--input", str(workdir / "dc_2010_2014.csv"),
+                     "--input", str(workdir / "dc_2015_2019.csv"),
+                     "--train-start", "2010-01", "--train-end", "2014-12",
+                     "--test-start", "2015-01", "--test-end", "2019-12"],
+    }[command]
+    rc = main([*argv, "--paths", "50", "--out", str(workdir / "f.csv")])
     assert rc == 1
-    assert "E_VALIDATION" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "crashvol: E_VALIDATION: --seed is required for the heston model\n"
+    )
 
 
 def test_forecast_deterministic_output(workdir):
@@ -289,6 +330,27 @@ def test_missing_input_file(workdir, capsys, missing):
     assert "nope.csv" in err
 
 
+@pytest.mark.parametrize("columns", [",q75,q25", ",q0,q100", ""],
+                         ids=["descending", "outside-0-100", "median-only"])
+def test_evaluate_checks_quantile_columns(workdir, capsys, columns):
+    fc = workdir / "fc.csv"
+    bands = ",0.004,0.006" if columns else ""
+    fc.write_text(f"year,month,median{columns}\n2015,1,0.005{bands}\n")
+    rc = main(["evaluate", "--forecast", str(fc),
+               "--observed", str(workdir / "dc_2015_2019.csv"), "--out", str(workdir / "r.csv")])
+    err = capsys.readouterr().err
+    if columns:
+        assert rc == 1
+        assert err.startswith("crashvol: E_VALIDATION: quantile level")
+        assert err.count("\n") == 1
+        assert not (workdir / "r.csv").exists()
+    else:
+        # a median-only forecast is scored; coverage is skipped
+        assert rc == 0
+        assert (workdir / "r.csv").exists()
+        assert not (workdir / "r.coverage.csv").exists()
+
+
 @pytest.mark.parametrize("row", ["2015,2,nan,0.004,0.006", "2015,2,0.005,0.004,inf"],
                          ids=["median-nan", "band-inf"])
 def test_evaluate_rejects_non_finite_forecast(workdir, capsys, row):
@@ -366,3 +428,46 @@ def test_merged_inputs_align(workdir):
     stats = _read_stats(workdir / "d.stats.csv")
     assert "yearly_vol.2019" in stats
     assert "yearly_vol.2010" in stats
+
+
+_PERCENT = st.one_of(
+    st.floats(min_value=-5.0, max_value=105.0),
+    st.integers(1, 999).map(lambda k: k / 10),
+    st.sampled_from([0.0, 100.0, 1e-5, 12.34567891, 12.34567892, float("nan"), float("inf")]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    percents=st.one_of(
+        st.lists(st.integers(1, 99999), min_size=1, max_size=6, unique=True).map(
+            lambda ks: [k / 1000 for k in sorted(ks)]
+        ),
+        st.lists(_PERCENT, max_size=6).map(sorted),
+        st.lists(_PERCENT, max_size=6),
+    ),
+    start=st.tuples(st.integers(1900, 2100), st.integers(1, 12)),
+    horizon=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forecast_csv_round_trip(percents, start, horizon, seed):
+    # any --levels list is either E_VALIDATION up front, or its forecast CSV
+    # reads back with the same levels and months and the values at 10 digits
+    try:
+        levels = cli._parse_levels(",".join(repr(p) for p in percents))
+    except ValidationError:
+        return
+    rng = np.random.default_rng(seed)
+    rows = 1 + len(levels)
+    values = rng.standard_normal((rows, horizon)) * 10.0 ** rng.integers(-8, 8, (rows, 1))
+    months = tuple(add_months(*start, k) for k in range(horizon))
+    q = ForecastQuantiles(months=months, median=values[0], levels=levels, bands=values[1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fc.csv"
+        cli._write_forecast_csv(path, q)
+        back = cli._read_forecast_csv(path)
+    assert back.levels == levels
+    assert back.months == months
+    want = np.array([[float(f"{v:.10g}") for v in row] for row in values]).reshape(rows, horizon)
+    assert np.array_equal(back.median, want[0])
+    assert np.array_equal(back.bands, want[1:])

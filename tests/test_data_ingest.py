@@ -11,12 +11,10 @@ from crashvol.data_ingest import (
     ValidationError,
     add_months,
     merge_series,
-    month_span,
     parse_kv_file,
     parse_monthly_csv,
     slice_window,
     write_kv_file,
-    write_monthly_csv,
 )
 
 
@@ -29,13 +27,6 @@ def test_add_months_rollover():
     assert add_months(2015, 1, -1) == (2014, 12)
     assert add_months(2010, 6, 30) == (2012, 12)
     assert add_months(2010, 6, 0) == (2010, 6)
-
-
-def test_month_span_inclusive():
-    span = month_span((2014, 11), (2015, 2))
-    assert span == [(2014, 11), (2014, 12), (2015, 1), (2015, 2)]
-    with pytest.raises(RangeError):
-        month_span((2015, 2), (2014, 11))
 
 
 def test_observation_rate():
@@ -126,14 +117,6 @@ def test_parse_gap_mentions_missing_month(tmp_path):
         parse_monthly_csv(p)
     assert exc.value.code == "E_GAP"
     assert "2010-02" in str(exc.value)
-
-
-def test_csv_round_trip(tmp_path, train_series):
-    p = tmp_path / "rt.csv"
-    write_monthly_csv(train_series, p)
-    back = parse_monthly_csv(p)
-    assert back.months == train_series.months
-    assert np.array_equal(back.rates, train_series.rates)
 
 
 def test_slice_window(train_series):

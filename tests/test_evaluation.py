@@ -137,6 +137,12 @@ def test_fit_heston_override_and_rejection(full_series):
         fit_heston_from_stats(
             full_series, (2010, 1), (2014, 12), (2015, 1), overrides={"bogus": 1.0}
         )
+    # a volatility too large to square is named, not a raw OverflowError
+    for key in ("theta_vol", "v0_vol"):
+        with pytest.raises(ValidationError, match=f"{key} = 1e\\+200 overflows"):
+            fit_heston_from_stats(
+                full_series, (2010, 1), (2014, 12), (2015, 1), overrides={key: 1e200}
+            )
 
 
 def test_fit_vasicek_from_stats(full_series):
@@ -204,6 +210,19 @@ def test_backtest_rejects_unknown_keys(full_series):
             model="sarima",
             config={},
             seed=1,
+        )
+
+
+@pytest.mark.parametrize("levels", [(0.0, 0.5), (0.75, 0.25)], ids=["zero", "descending"])
+def test_backtest_rejects_bad_levels(full_series, levels):
+    # the Gaussian bands would be -inf at level 0 and unordered when descending
+    with pytest.raises(ValidationError, match="quantile level"):
+        backtest(
+            full_series,
+            ((2010, 1), (2014, 12)),
+            ((2015, 1), (2019, 12)),
+            model="arima",
+            config={"levels": levels},
         )
 
 

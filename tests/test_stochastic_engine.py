@@ -269,6 +269,17 @@ def test_forecast_quantiles_level_validation():
         forecast_quantiles(res, (0.75, 0.25))
     with pytest.raises(ValidationError):
         forecast_quantiles(res, (0.25, 0.25))
+    # 0.123456789 would be written, and read back, as q12.3457
+    with pytest.raises(ValidationError, match="q12.3457"):
+        forecast_quantiles(res, (0.123456789, 0.5))
+    # the constructor applies the same rule; no levels is a median-only forecast
+    with pytest.raises(ValidationError):
+        ForecastQuantiles(months=((2015, 1),), median=np.ones(1), levels=(0.75, 0.25),
+                          bands=np.ones((2, 1)))
+    q = ForecastQuantiles(months=((2015, 1),), median=np.ones(1), levels=(),
+                          bands=np.empty((0, 1)))
+    assert q.levels == ()
+    assert forecast_quantiles(res, ()).bands.shape == (0, 3)
 
 
 def test_params_file_round_trip(tmp_path):
