@@ -4,7 +4,8 @@ Usage: python scripts/output_digests.py
 
 Runs `crashvol.cli.main` in-process from the source tree next to this
 script: diagnose; fit of all four models; forecast from each fit file
-(seed 7); evaluate of each forecast; backtest of all four models over
+(seed 7); evaluate of each forecast, and of the heston forecast once more
+under the model id `heston,v2`; backtest of all four models over
 seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
 one heston forecast and one heston backtest at non-default `--levels`,
 `--low` and `--high`.
@@ -46,6 +47,9 @@ def runs(w: str):
     for model in MODELS:
         yield ["evaluate", "--forecast", f"{w}/{model}.fc.csv", "--observed", TEST_CSV,
                "--model-id", model, "--out", f"{w}/{model}.eval.csv"]
+    # a model id with a comma pins the quoting of the error report
+    yield ["evaluate", "--forecast", f"{w}/heston.fc.csv", "--observed", TEST_CSV,
+           "--model-id", "heston,v2", "--out", f"{w}/heston.quoted.eval.csv"]
     backtest = ["backtest", "--input", TRAIN_CSV, "--input", TEST_CSV, *TRAIN, *TEST,
                 "--paths", "5000"]
     for model in MODELS:

@@ -11,7 +11,6 @@ info, warning, error) controls log verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import os
@@ -27,6 +26,8 @@ from .data_ingest import (
     MonthlySeries,
     ParseError,
     ValidationError,
+    _read_csv,
+    _write_csv,
     add_months,
     merge_series,
     parse_kv_file,
@@ -78,48 +79,34 @@ def _load_inputs(paths) -> MonthlySeries:
 
 def _write_forecast_csv(path, quantiles: stochastic_engine.ForecastQuantiles) -> None:
     names = [stochastic_engine._level_name(x) for x in quantiles.levels]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("year,month,median," + ",".join(names) + "\n")
-        for t, (y, m) in enumerate(quantiles.months):
-            vals = [quantiles.median[t]] + [quantiles.bands[i, t] for i in range(len(names))]
-            fh.write(f"{y},{m}," + ",".join(f"{v:.10g}" for v in vals) + "\n")
+    rows = [["year", "month", "median", *names]]
+    for t, (y, m) in enumerate(quantiles.months):
+        rows.append([y, m, quantiles.median[t], *quantiles.bands[:, t]])
+    _write_csv(path, rows)
 
 
 def _read_forecast_csv(path) -> stochastic_engine.ForecastQuantiles:
-    # OSError (missing file, permissions) is left to main's E_IO handler
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["year", "month", "median"]:
-            raise ParseError(f"{path}: expected header year,month,median,q...")
-        levels = []
-        for name in header[3:]:
-            level = stochastic_engine._level_from_name(name)
-            if level is None:
-                raise ParseError(f"{path}: bad quantile column {name!r}")
-            levels.append(level)
-        months, med, bands = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + len(levels):
-                raise ParseError(f"{path}:{lineno}: wrong field count")
-            try:
-                months.append((int(row[0]), int(row[1])))
-                values = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not all(math.isfinite(x) for x in values):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            med.append(values[0])
-            bands.append(values[1:])
-    if not months:
-        raise ParseError(f"{path}: no forecast rows")
+    header, rows = _read_csv(path)
+    if header[:3] != ["year", "month", "median"]:
+        raise ParseError(f"{path}: expected header year,month,median,q...")
+    levels = []
+    for name in header[3:]:
+        level = stochastic_engine._level_from_name(name)
+        if level is None:
+            raise ParseError(f"{path}: bad quantile column {name!r}")
+        levels.append(level)
+    months, values = [], []
+    for lineno, row in rows:
+        try:
+            months.append((int(row[0]), int(row[1])))
+            values.append([float(x) for x in row[2:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(x) for x in values[-1]):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+    table = np.array(values)  # one row per month: median, then each level
     return stochastic_engine.ForecastQuantiles(
-        months=tuple(months),
-        median=np.array(med),
-        levels=tuple(levels),
-        bands=np.array(bands).T if levels else np.empty((0, len(months))),
+        months=tuple(months), median=table[:, 0], levels=tuple(levels), bands=table[:, 1:].T
     )
 
 
@@ -138,13 +125,10 @@ def cmd_diagnose(args) -> int:
     growth = series_stats.annual_growth_rate(series)
     season = series_stats.season_profile(series)
     diag = series_stats.distribution_diagnostics(series)
-    rows: list[tuple[str, object]] = [
-        ("window_vol", prof.window_vol),
-        ("vol_of_vol", prof.vol_of_vol),
-    ]
+    rows = [("statistic", "value")]
+    rows += [("window_vol", prof.window_vol), ("vol_of_vol", prof.vol_of_vol)]
     rows += [(f"yearly_vol.{y}", v) for y, v in zip(prof.years, prof.yearly_vols)]
-    rows.append(("growth", growth.annual_growth))
-    rows.append(("growth_method", growth.method))
+    rows += [("growth", growth.annual_growth), ("growth_method", growth.method)]
     for m in range(1, 13):
         rows.append((f"season.{m}.mean", season.mean[m - 1]))
         rows.append((f"season.{m}.std", season.std[m - 1]))
@@ -154,42 +138,26 @@ def cmd_diagnose(args) -> int:
         rows.append(("rate_vol_correlation", series_stats.rate_vol_correlation(series)))
     except CrashvolError:
         log.info("skipping rate/vol correlation, needs 3 full years")
-    rows.append(("jb_stat", diag.jarque_bera))
-    rows.append(("jb_pvalue", diag.jb_pvalue))
+    rows += [("jb_stat", diag.jarque_bera), ("jb_pvalue", diag.jb_pvalue)]
 
     stats_path = f"{stem}.stats.csv"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        fh.write("statistic,value\n")
-        for key, val in rows:
-            text = f"{val:.10g}" if isinstance(val, float) else str(val)
-            fh.write(f"{key},{text}\n")
+    _write_csv(stats_path, rows)
     for name, edges, counts in (
         ("hist_rates", diag.rate_bin_edges, diag.rate_counts),
         ("hist_logdiffs", diag.logdiff_bin_edges, diag.logdiff_counts),
     ):
-        with open(f"{stem}.{name}.csv", "w", encoding="utf-8") as fh:
-            fh.write("bin_low,bin_high,count\n")
-            for i, c in enumerate(counts):
-                fh.write(f"{edges[i]:.10g},{edges[i + 1]:.10g},{int(c)}\n")
+        bins = [(edges[i], edges[i + 1], int(c)) for i, c in enumerate(counts)]
+        _write_csv(f"{stem}.{name}.csv", [("bin_low", "bin_high", "count"), *bins])
     log.info("diagnostics written to %s", stats_path)
     print(stats_path)
     return 0
 
 
-def _overrides_from_args(args) -> dict:
-    overrides: dict = {}
-    if args.rho is not None:
-        overrides["rho"] = args.rho
-    if args.spike_threshold is not None:
-        overrides["spike_threshold"] = args.spike_threshold
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    return overrides
-
-
 def _fit_options(args) -> dict:
     orders, garch_orders = _parse_orders(args.orders)
-    return {"orders": orders, "garch_orders": garch_orders, "overrides": _overrides_from_args(args)}
+    overrides = {key: getattr(args, key) for key in ("rho", "spike_threshold", "scheme")}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    return {"orders": orders, "garch_orders": garch_orders, "overrides": overrides}
 
 
 def cmd_fit(args) -> int:
@@ -223,10 +191,18 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _write_scores(args, quantiles, observed, report, report_path, stem) -> int:
+def _coverage_band(args) -> tuple[float, float]:
+    """--low and --high as levels, checked before any work is done."""
+    low, high = args.low / 100.0, args.high / 100.0
+    if not low < high:
+        raise ValidationError(f"--low {args.low} must be below --high {args.high}")
+    return low, high
+
+
+def _write_scores(args, band, quantiles, observed, report, report_path, stem) -> int:
     """Write the error report and the coverage side-car; print the summary line."""
     evaluation.write_error_report(report, report_path)
-    low, high = args.low / 100.0, args.high / 100.0
+    low, high = band
     if low in quantiles.levels and high in quantiles.levels:
         n_out, frac = evaluation.interval_coverage(quantiles, observed, low, high)
         evaluation.write_coverage(f"{stem}.coverage.csv", low, high, n_out, frac)
@@ -239,6 +215,7 @@ def _write_scores(args, quantiles, observed, report, report_path, stem) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    band = _coverage_band(args)
     quantiles = _read_forecast_csv(args.forecast)
     observed_series = _load_inputs(args.observed)
     try:
@@ -254,10 +231,11 @@ def cmd_evaluate(args) -> int:
     observed = evaluation.dated_rates(observed_slice)
     forecast = list(zip(quantiles.months, (float(x) for x in quantiles.median)))
     report = evaluation.yearly_error_report(forecast, observed, model_id=args.model_id)
-    return _write_scores(args, quantiles, observed, report, args.out, _stem(args.out))
+    return _write_scores(args, band, quantiles, observed, report, args.out, _stem(args.out))
 
 
 def cmd_backtest(args) -> int:
+    band = _coverage_band(args)
     series = _load_inputs(args.input)
     train = (_parse_ym(args.train_start), _parse_ym(args.train_end))
     test = (_parse_ym(args.test_start), _parse_ym(args.test_end))
@@ -270,7 +248,7 @@ def cmd_backtest(args) -> int:
     _write_forecast_csv(args.out, quantiles)
     stem = _stem(args.out)
     observed = evaluation.dated_rates(slice_window(series, *test))
-    return _write_scores(args, quantiles, observed, report, f"{stem}.report.csv", stem)
+    return _write_scores(args, band, quantiles, observed, report, f"{stem}.report.csv", stem)
 
 
 # ---------------------------------------------------------------------------

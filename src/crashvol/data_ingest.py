@@ -5,14 +5,16 @@ Rows may arrive unsorted; after sorting they must form a gap-free run of
 consecutive calendar months. Crash rates are stored as dimensionless
 fractions (crashes divided by VMT in thousands), never as percentages.
 
-Fitted parameters are stored in flat ``key = value`` text files; the
-helpers at the end of this module read and write them for every model.
+Every input file is decoded, and every CSV read or written, by the helpers
+at the end of this module, which also own the flat ``key = value`` format.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +80,8 @@ class MonthlyObservation:
             raise ValidationError(f"negative crash count at {self.year}-{self.month:02d}")
         if not math.isfinite(self.vmt_thousands) or self.vmt_thousands <= 0:
             raise ValidationError(f"nonpositive or non-finite VMT at {self.year}-{self.month:02d}")
+        if self.crashes > sys.float_info.max or not math.isfinite(self.rate):
+            raise ValidationError(f"non-finite crash rate at {self.year}-{self.month:02d}")
 
     @property
     def rate(self) -> float:
@@ -135,36 +139,18 @@ class MonthlySeries:
 
 def parse_monthly_csv(path) -> MonthlySeries:
     """Read a crash/VMT CSV into a validated MonthlySeries."""
-    # OSError (missing file, permissions) is left to the caller's I/O handling
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header, rows = _read_csv(path)
+    if tuple(header) != HEADER:
+        raise ParseError(f"{path}: expected header {','.join(HEADER)}")
+    observations = []
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != HEADER:
-            raise ParseError(f"{path}: expected header {','.join(HEADER)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                rows.append(
-                    MonthlyObservation(
-                        year=int(row[0]),
-                        month=int(row[1]),
-                        crashes=int(row[2]),
-                        vmt_thousands=float(row[3]),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    rows.sort(key=lambda ob: (ob.year, ob.month))
-    return MonthlySeries(tuple(rows))
+            year, month, crashes, vmt = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        observations.append(MonthlyObservation(year, month, crashes, vmt))
+    observations.sort(key=lambda ob: (ob.year, ob.month))
+    return MonthlySeries(tuple(observations))
 
 
 def slice_window(series: MonthlySeries, start: tuple[int, int], end: tuple[int, int]) -> MonthlySeries:
@@ -191,24 +177,58 @@ def merge_series(a: MonthlySeries, b: MonthlySeries) -> MonthlySeries:
 
 
 # ---------------------------------------------------------------------------
-# flat key = value files
+# input files, CSV files and flat key = value files
+
+def _open_input(path) -> io.StringIO:
+    """Decode an input file as UTF-8 into a stream read as `open(path, newline="")` would."""
+    # OSError (missing file, permissions) is left to the caller's I/O handling
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def _read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Stripped header cells and (line, fields) data rows of a CSV; blank rows are skipped."""
+    reader = csv.reader(_open_input(path))
+    try:
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    (_, header), *data = rows
+    for lineno, row in data:
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+    return [h.strip() for h in header], data
+
+
+def _write_csv(path, rows, lineterminator="\n") -> None:
+    """Write rows as CSV; floats at 10 significant digits, other values with str."""
+    text = [[f"{v:.10g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=lineterminator).writerows(text)
+
 
 def parse_kv_file(path) -> dict[str, str]:
     """Read a flat `key = value` file, ignoring blanks and # comments."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in text.split("=", 1))
-            if not key or not val:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            if key in out:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key}")
-            out[key] = val
+    for lineno, line in enumerate(_open_input(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        key, eq, val = (part.strip() for part in text.partition("="))
+        if not (key and eq and val):
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        if key in out:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key}")
+        out[key] = val
     return out
 
 

@@ -10,7 +10,6 @@ formatting happens at I/O boundaries.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -24,6 +23,7 @@ from .data_ingest import (
     MonthlySeries,
     RangeError,
     ValidationError,
+    _write_csv,
     add_months,
     slice_window,
 )
@@ -299,15 +299,18 @@ def _simulated_quantiles(simulate, state, horizon, n_paths, seed, levels):
     return stochastic_engine.forecast_quantiles(result, levels)
 
 
-def _fit_arima(series, train, test_start, orders, garch_orders=None):
+def _fit_arima(series, train, test_start, options, with_garch):
     # the state has read_arima_model's layout; in memory it keeps every
     # training level and residual, so the GARCH variances are recomputed
+    overrides = sorted(options["overrides"])
+    if overrides:
+        raise ValidationError(f"ARIMA models take no parameter overrides: {', '.join(overrides)}")
     rates = slice_window(series, *train).rates
-    p, d, q = (int(x) for x in orders)
+    p, d, q = (int(x) for x in options["orders"])
     arima = arima_garch.fit_arima(rates, p, d, q)
     garch = None
-    if garch_orders is not None:
-        gp, gq = (int(x) for x in garch_orders)
+    if with_garch:
+        gp, gq = (int(x) for x in options["garch_orders"])
         garch = arima_garch.fit_garch(arima.residuals, gp, gq)
     return arima, garch, tuple(test_start), rates, None
 
@@ -354,7 +357,7 @@ MODELS = {
     "arima": _Model(
         seeded=False,
         fit=lambda series, train, test_start, options: _fit_arima(
-            series, train, test_start, options["orders"]
+            series, train, test_start, options, with_garch=False
         ),
         write=_write_arima,
         read=lambda path: arima_garch.read_arima_model(path),
@@ -363,7 +366,7 @@ MODELS = {
     "arima-garch": _Model(
         seeded=False,
         fit=lambda series, train, test_start, options: _fit_arima(
-            series, train, test_start, options["orders"], options["garch_orders"]
+            series, train, test_start, options, with_garch=True
         ),
         write=_write_arima,
         read=lambda path: arima_garch.read_arima_model(path),
@@ -422,17 +425,12 @@ def backtest(
 
 def write_error_report(report: ErrorReport, path) -> None:
     """Write the `model,year,mae,rmse,mape` table with its overall row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "year", "mae", "rmse", "mape"])
-        for y, mae, rmse, mape in report.per_year:
-            writer.writerow([report.model_id, y, f"{mae:.10g}", f"{rmse:.10g}", f"{mape:.10g}"])
-        mae, rmse, mape = report.overall
-        writer.writerow([report.model_id, "overall", f"{mae:.10g}", f"{rmse:.10g}", f"{mape:.10g}"])
+    rows = [("model", "year", "mae", "rmse", "mape")]
+    rows += [(report.model_id, *row) for row in report.per_year]
+    rows.append((report.model_id, "overall", *report.overall))
+    _write_csv(path, rows, lineterminator="\r\n")
 
 
 def write_coverage(path, low: float, high: float, n_outside: int, frac_outside: float) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["low", "high", "n_outside", "frac_outside"])
-        writer.writerow([f"{low:.10g}", f"{high:.10g}", n_outside, f"{frac_outside:.10g}"])
+    rows = [("low", "high", "n_outside", "frac_outside"), (low, high, n_outside, frac_outside)]
+    _write_csv(path, rows, lineterminator="\r\n")

@@ -310,24 +310,88 @@ def test_io_error_code(workdir, capsys):
 FORECAST_ROWS = "year,month,median,q25,q75\n2015,1,0.005,0.004,0.006\n"
 
 
+def _reading(workdir, flag, path):
+    """argv of a command that reads `path` through `flag`; its other inputs are valid."""
+    fc = workdir / "fc.csv"
+    fc.write_text(FORECAST_ROWS)
+    return {
+        "diagnose --input": ["diagnose", "--input", path],
+        "forecast --params": ["forecast", "--params", path, "--seed", "1"],
+        "evaluate --forecast": ["evaluate", "--forecast", path,
+                                "--observed", str(workdir / "dc_2015_2019.csv")],
+        "evaluate --observed": ["evaluate", "--forecast", str(fc), "--observed", path],
+    }[flag] + ["--out", str(workdir / "x.csv")]
+
+
 @pytest.mark.parametrize("missing", [
     "diagnose --input", "forecast --params", "evaluate --forecast", "evaluate --observed",
 ], ids=lambda m: m.replace(" --", "-"))
 def test_missing_input_file(workdir, capsys, missing):
-    nope, fc = str(workdir / "nope.csv"), workdir / "fc.csv"
-    fc.write_text(FORECAST_ROWS)
-    argv = {
-        "diagnose --input": ["diagnose", "--input", nope],
-        "forecast --params": ["forecast", "--params", nope, "--seed", "1"],
-        "evaluate --forecast": ["evaluate", "--forecast", nope,
-                                "--observed", str(workdir / "dc_2015_2019.csv")],
-        "evaluate --observed": ["evaluate", "--forecast", str(fc), "--observed", nope],
-    }[missing]
-    rc = main([*argv, "--out", str(workdir / "x.csv")])
+    rc = main(_reading(workdir, missing, str(workdir / "nope.csv")))
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("crashvol: E_IO:")
     assert "nope.csv" in err
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("diagnose --input", "year,month,crashes,vmt_thousands\n2010,1,1,1\xff\n"),
+    ("forecast --params", "model = heston\nc1 = 0.1\xff\n"),
+    ("evaluate --forecast", "year,month,median\n2015,1,0.005\xff\n"),
+], ids=["diagnose-input", "forecast-params", "evaluate-forecast"])
+def test_undecodable_input_file(workdir, capsys, flag, text):
+    # a byte that is not UTF-8 is one E_PARSE line naming its line, not a traceback
+    bad = workdir / "bad.txt"
+    bad.write_bytes(text.encode("latin-1"))
+    rc = main(_reading(workdir, flag, str(bad)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"crashvol: E_PARSE: {bad}:2: not UTF-8")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "bad.txt", "dc_2010_2014.csv", "dc_2015_2019.csv", "fc.csv"
+    ]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "backtest"])
+def test_coverage_band_checked_before_any_output(workdir, capsys, command):
+    out = workdir / "out.csv"
+    fc = workdir / "fc.csv"
+    fc.write_text("year,month,median,q10,q90\n2015,1,0.005,0.004,0.006\n")
+    argv = {
+        "evaluate": ["evaluate", "--forecast", str(fc),
+                     "--observed", str(workdir / "dc_2015_2019.csv")],
+        "backtest": ["backtest", "--input", str(workdir / "dc_2010_2014.csv"),
+                     "--input", str(workdir / "dc_2015_2019.csv"),
+                     "--train-start", "2010-01", "--train-end", "2014-12",
+                     "--test-start", "2015-01", "--test-end", "2019-12",
+                     "--model", "vasicek", "--paths", "50", "--seed", "1", "--levels", "10,90"],
+    }[command]
+    rc = main([*argv, "--low", "90", "--high", "10", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("crashvol: E_VALIDATION: --low")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "dc_2010_2014.csv", "dc_2015_2019.csv", "fc.csv"
+    ]
+
+
+@pytest.mark.parametrize("model", ["arima", "arima-garch"])
+def test_arima_rejects_parameter_overrides(workdir, capsys, model):
+    # the ARIMA fits read none of --rho, --scheme or --spike-threshold
+    rc = main(["backtest", "--input", str(workdir / "dc_2010_2014.csv"),
+               "--input", str(workdir / "dc_2015_2019.csv"),
+               "--train-start", "2010-01", "--train-end", "2014-12",
+               "--test-start", "2015-01", "--test-end", "2019-12", "--model", model,
+               "--rho", "0.3", "--scheme", "truncate", "--spike-threshold", "5",
+               "--out", str(workdir / "bt.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "crashvol: E_VALIDATION: ARIMA models take no parameter overrides: "
+        "rho, scheme, spike_threshold\n"
+    )
+    assert not (workdir / "bt.csv").exists()
 
 
 @pytest.mark.parametrize("columns", [",q75,q25", ",q0,q100", ""],

@@ -1,8 +1,18 @@
+import re
+import tempfile
+from importlib.resources import files
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crashvol import cli
+from crashvol.arima_garch import read_arima_model
 from crashvol.data_ingest import (
     AlignmentError,
+    CrashvolError,
     GapError,
     MonthlyObservation,
     MonthlySeries,
@@ -16,6 +26,8 @@ from crashvol.data_ingest import (
     slice_window,
     write_kv_file,
 )
+from crashvol.evaluation import MODELS
+from crashvol.stochastic_engine import read_stochastic_params
 
 
 def _series(pairs):
@@ -46,6 +58,10 @@ def test_observation_validation():
     for vmt in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="non-finite"):
             MonthlyObservation(2010, 1, 1, vmt)
+    # a rate that does not fit a float: a 400-digit count, or a count over 1e-320
+    for crashes, vmt in ((10**400, 100.0), (1, 1e-320)):
+        with pytest.raises(ValidationError, match="non-finite crash rate"):
+            MonthlyObservation(2010, 1, crashes, vmt)
 
 
 def test_series_requires_contiguity():
@@ -163,3 +179,86 @@ def test_kv_file_writer_formats_and_round_trips(tmp_path):
     assert parse_kv_file(path) == {
         "model": "heston", "p": "2", "c1": "0.3", "big": "1e+200", "coef": "-0.333333333333"
     }
+
+
+CSV_READERS = {
+    "monthly": (parse_monthly_csv, "year,month,crashes,vmt_thousands", "2010,{m},1,100"),
+    "forecast": (cli._read_forecast_csv, "year,month,median,q25,q75", "2015,{m},0.5,0.4,0.6"),
+}
+
+
+@pytest.mark.parametrize("reader", CSV_READERS)
+@pytest.mark.parametrize("case", ["blank-rows", "short-row", "huge-field", "empty"])
+def test_csv_readers_share_rules(tmp_path, reader, case):
+    read, header, row = CSV_READERS[reader]
+    rows = [row.format(m=1), row.format(m=2)]
+    path = tmp_path / "in.csv"
+    if case == "blank-rows":
+        # padded header cells and whitespace-only rows are accepted
+        padded = " " + header.replace(",", " , ")
+        path.write_text(f"{padded}\n\n{rows[0]}\n \t\n , \n{rows[1]}\n")
+        assert len(read(path).months) == 2
+        return
+    width = header.count(",") + 1
+    text, match = {
+        "short-row": (f"{header}\n{rows[0]}\n2010,2\n",
+                      f"{path}:3: expected {width} fields, got 2"),
+        "huge-field": (f"{header}\n{'9' * 200_000}\n", f"{path}:2: field larger than field limit"),
+        "empty": ("", f"{path}: empty file"),
+    }[case]
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(match)):
+        read(path)
+
+
+FUZZED_READERS = {
+    "monthly": parse_monthly_csv,
+    "forecast": cli._read_forecast_csv,
+    "heston": read_stochastic_params,
+    "arima-garch": read_arima_model,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory, train_series):
+    """One valid file per fuzzed reader, as bytes, for the fuzzer to mutate."""
+    tmp = tmp_path_factory.mktemp("valid")
+    options = {"orders": (1, 1, 1), "garch_orders": (1, 1), "overrides": {}}
+    for model in ("heston", "arima-garch"):
+        entry = MODELS[model]
+        entry.write(entry.fit(train_series, ((2010, 1), (2014, 12)), (2015, 1), options),
+                    tmp / model)
+    monthly = (files("crashvol") / "data" / "dc_2010_2014.csv").read_bytes().splitlines(keepends=True)
+    return {
+        "monthly": b"".join(monthly[:6]),
+        "forecast": b"year,month,median,q25,q75\n2015,1,0.5,0.4,0.6\n2015,2,0.5,0.4,0.6\n",
+        **{model: (tmp / model).read_bytes() for model in ("heston", "arima-garch")},
+    }
+
+
+def _mutants(valid: bytes):
+    # splice a short run of bytes over part of a valid file, so that the
+    # value rules are reached and not only the format checks
+    junk = st.one_of(st.binary(max_size=12),
+                     st.text("0123456789-+.eE,=#\n\r \"nai", max_size=12).map(str.encode))
+    return st.builds(lambda i, k, b: valid[:i] + b + valid[i + k:],
+                     st.integers(0, len(valid)), st.integers(0, 12), junk)
+
+
+@pytest.mark.parametrize("reader", FUZZED_READERS)
+def test_readers_raise_only_crashvol_errors(reader, valid_inputs):
+    # any bytes either read back or raise CrashvolError, the CLI's E_<CODE> line;
+    # derandomized, so that the run is the same each time
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(data=st.one_of(st.binary(max_size=400), _mutants(valid_inputs[reader])))
+        def read_any(data):
+            path.write_bytes(data)
+            try:
+                FUZZED_READERS[reader](path)
+            except CrashvolError:
+                pass
+
+        read_any()

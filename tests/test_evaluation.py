@@ -226,6 +226,19 @@ def test_backtest_rejects_bad_levels(full_series, levels):
         )
 
 
+@pytest.mark.parametrize("model", ["arima", "arima-garch"])
+def test_arima_backtest_rejects_overrides(full_series, model):
+    # the ARIMA fits read no parameter override, so one given is an error
+    with pytest.raises(ValidationError, match="overrides: rho"):
+        backtest(
+            full_series,
+            ((2010, 1), (2014, 12)),
+            ((2015, 1), (2019, 12)),
+            model=model,
+            config={"overrides": {"rho": 0.3}},
+        )
+
+
 def test_backtest_matches_manual_composition(full_series, holdout_series):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
