@@ -1,0 +1,84 @@
+"""Pair perfbench run records of a parent and a change into one BENCH file.
+
+Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR [--out BENCH.json]
+
+Each directory holds the `<workload>-seed<n>-trace0.json` records that
+`perfbench/run.py --trace 0` writes to `.perfbench_out/` of the checkout it
+ran in. A workload and seed run on both sides makes one pair; records with
+no partner are ignored. For every pair the output keeps both sides'
+end-to-end metrics, `attempted`, `failed` and `environment` (which holds
+`speed_ref_s`, the machine-speed reference taken before and after the run).
+Per workload it adds `median_ratio`: for each metric, the median over the
+pairs of change / parent. Below 1 is lower on the change side, whichever
+direction the metric counts as better. Writes JSON to --out, or to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+
+def _records(directory: Path) -> dict[tuple[str, int], dict]:
+    records = {}
+    for path in sorted(directory.glob("*-trace0.json")):
+        record = json.loads(path.read_text())
+        records[(record["workload"], record["seed"])] = record
+    return records
+
+
+def _side(record: dict) -> dict:
+    return {
+        "metrics": {name: m["value"] for name, m in record["metrics"].items()},
+        "attempted": record["attempted"],
+        "failed": record["failed"],
+        "environment": record["environment"],
+    }
+
+
+def pair_records(parent_dir: Path, change_dir: Path) -> dict:
+    parent, change = _records(parent_dir), _records(change_dir)
+    workloads: dict[str, dict] = {}
+    for workload, seed in sorted(parent.keys() & change.keys()):
+        entry = workloads.setdefault(workload, {"units": {}, "pairs": []})
+        for name, m in parent[workload, seed]["metrics"].items():
+            entry["units"][name] = m["unit"]
+        entry["pairs"].append({
+            "seed": seed,
+            "parent": _side(parent[workload, seed]),
+            "change": _side(change[workload, seed]),
+        })
+    for entry in workloads.values():
+        ratios: dict[str, list[float]] = {}
+        for pair in entry["pairs"]:
+            for name, before in pair["parent"]["metrics"].items():
+                after = pair["change"]["metrics"].get(name)
+                if after is not None and before != 0:
+                    ratios.setdefault(name, []).append(after / before)
+        entry["median_ratio"] = {name: statistics.median(r) for name, r in ratios.items()}
+    return {"workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir", type=Path)
+    parser.add_argument("change_dir", type=Path)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    result = pair_records(args.parent_dir, args.change_dir)
+    if not result["workloads"]:
+        print("bench_record: no workload and seed run on both sides", file=sys.stderr)
+        return 1
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

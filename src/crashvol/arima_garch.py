@@ -13,6 +13,10 @@ weights through a multinomial-logistic map so their sum stays below 1).
 The optimizer is a Nelder-Mead simplex with 5 deterministic restarts, each
 jittered around the best point so far, capped at 2000 iterations per start
 with an objective-spread tolerance of 1e-10.
+
+scipy (the optimizer and the linear filters) is imported inside the
+functions that call it, so `import crashvol` loads numpy alone and only an
+ARIMA or GARCH fit pays for scipy.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter, lfiltic
 
 from .data_ingest import (
     ConvergenceError,
@@ -73,13 +75,15 @@ def pacf_to_coef(pacf) -> np.ndarray:
 
 
 def _poly_roots_outside(coefs, sign: float) -> bool:
-    # characteristic polynomial 1 - sign*sum(c_k B^k); roots in B
+    # characteristic polynomial 1 - sign*sum(c_k B^k); its roots lie outside
+    # the unit circle exactly when those of the reversed polynomial in 1/B,
+    # whose leading coefficient is 1, lie inside (so a tiny last coefficient
+    # is never a divisor)
     c = np.asarray(coefs, dtype=float)
     if c.size == 0:
         return True
-    poly = np.concatenate(([1.0], -sign * c))[::-1]
-    roots = np.roots(poly)
-    return bool(np.all(np.abs(roots) > 1.0))
+    roots = np.roots(np.concatenate(([1.0], -sign * c)))
+    return bool(np.all(np.abs(roots) < 1.0))
 
 
 def css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
@@ -91,6 +95,8 @@ def css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
     if ar.size:
         rhs = rhs - np.convolve(x, np.concatenate(([0.0], ar)))[: x.size]
     if ma.size:
+        from scipy.signal import lfilter
+
         # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
         return lfilter([1.0], np.concatenate(([1.0], ma)), rhs)
     return rhs
@@ -119,6 +125,8 @@ class ArimaSpec:
 
 def _multi_start(objective, x0, rng):
     """Nelder-Mead with deterministic restarts jittered around the best point."""
+    from scipy.optimize import minimize
+
     best = None
     converged = False
     for k in range(_N_STARTS):
@@ -250,6 +258,8 @@ def _garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
         rhs += a * np.concatenate([np.full(i, m), e2])[: e2.size]
     if len(beta) == 0:
         return rhs
+    from scipy.signal import lfilter, lfiltic
+
     a_poly = np.concatenate(([1.0], -np.asarray(beta)))
     zi = lfiltic([1.0], a_poly, np.full(len(beta), m))
     return lfilter([1.0], a_poly, rhs, zi=zi)[0]
@@ -411,7 +421,7 @@ def write_arima_model(
         ("start_month", start[1]),
         *indexed("ar.", arima.ar_coeffs),
         *indexed("ma.", arima.ma_coeffs),
-        *indexed("tail.", level_tail[-(arima.p + arima.d) :]),
+        *indexed("tail.", level_tail[len(level_tail) - arima.p - arima.d :]),
         *indexed("resid.", resid_tail),
     ]
     if garch is not None:

@@ -236,9 +236,18 @@ def write_kv_file(path, pairs) -> None:
     """Write ordered (key, value) pairs as `key = value` lines.
 
     str and int values are written as they are; any other value is written
-    as a float with 12 significant digits.
+    as a float with 12 significant digits, and one that is not finite is a
+    ValidationError, as it is when read.
     """
-    lines = [f"{k} = {v if isinstance(v, (str, int)) else f'{v:.12g}'}" for k, v in pairs]
+
+    def text(key, value) -> str:
+        if isinstance(value, (str, int)):
+            return str(value)
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: key {key} is not finite")
+        return f"{value:.12g}"
+
+    lines = [f"{k} = {text(k, v)}" for k, v in pairs]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

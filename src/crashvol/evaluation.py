@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
 from . import arima_garch, series_stats, stochastic_engine
 from .data_ingest import (
@@ -263,9 +262,13 @@ def gaussian_quantiles(
     months, points: np.ndarray, level_vars: np.ndarray, levels
 ) -> stochastic_engine.ForecastQuantiles:
     """Quantile bands from Gaussian forecast distributions around the points."""
+    # ndtri is the standard normal quantile, bit for bit what scipy.stats'
+    # norm.ppf returns; imported here so that importing crashvol loads no scipy
+    from scipy.special import ndtri
+
     lv = tuple(float(x) for x in levels)
     sd = np.sqrt(level_vars)
-    bands = np.array([points + norm.ppf(level) * sd for level in lv])
+    bands = np.array([points + ndtri(level) * sd for level in lv])
     return stochastic_engine.ForecastQuantiles(
         months=tuple(months), median=points.copy(), levels=lv, bands=bands
     )

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashvol import arima_garch
 from crashvol.arima_garch import (
@@ -322,6 +326,65 @@ def test_model_file_round_trip(tmp_path, train_series):
     assert h_file == pytest.approx(h_live, rel=1e-9)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PACF = st.lists(st.floats(-0.99, 0.99), max_size=3)
+
+
+def _model_values(spec, garch, start, tail, h_tail) -> dict:
+    values = {"intercept": spec.intercept, "sigma2": spec.sigma2, "css": spec.css,
+              "start": start, "ar": list(spec.ar_coeffs), "ma": list(spec.ma_coeffs),
+              "tail": list(tail), "resid": list(spec.residuals)}
+    if garch is not None:
+        values.update(omega=garch.omega, alpha=list(garch.alpha_coeffs),
+                      beta=list(garch.beta_coeffs), h=list(h_tail))
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pacf=st.tuples(_PACF, _PACF),
+    d=st.integers(0, 2),
+    scalars=st.tuples(_FINITE, _FINITE, _FINITE),
+    residuals=st.lists(_FINITE, min_size=3, max_size=6),
+    levels=st.lists(_FINITE, min_size=5, max_size=5),
+    start=st.tuples(st.integers(0, 9999), st.integers(1, 12)),
+    garch=st.none() | st.tuples(st.floats(1e-12, 1e6), st.lists(st.floats(0.0, 0.24), max_size=2),
+                                st.lists(st.floats(0.0, 0.24), max_size=2)),
+)
+def test_model_file_write_read_write(pacf, d, scalars, residuals, levels, start, garch):
+    # every stored value reads back at the file's 12 significant digits, and
+    # a plain ARIMA file read back is written again to the same bytes; a
+    # stored variance that overflows is refused when written
+    ar, ma = pacf_to_coef(pacf[0]), -pacf_to_coef(pacf[1])
+    intercept, sigma2, css = scalars
+    spec = ArimaSpec(p=ar.size, d=d, q=ma.size, ar_coeffs=ar, ma_coeffs=ma, intercept=intercept,
+                     residuals=np.array(residuals), sigma2=sigma2, css=css)
+    g = h = None
+    if garch is not None and (garch[1] or garch[2]):
+        omega, alpha, beta = garch
+        g = GarchSpec(p=len(alpha), q=len(beta), omega=omega, alpha_coeffs=np.array(alpha),
+                      beta_coeffs=np.array(beta))
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore", invalid="ignore"):
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        if g is not None:
+            h = garch_variances(g, residuals)[len(residuals) - g.q:]
+            if not np.all(np.isfinite(h)):
+                with pytest.raises(ValidationError, match=r"key garch\.h\.\d+ is not finite"):
+                    write_arima_model(spec, first, start, levels, garch=g)
+                return
+        write_arima_model(spec, first, start, levels, garch=g)
+        back = read_arima_model(first)
+        if g is None:
+            back_spec, _, back_start, back_tail, _ = back
+            write_arima_model(back_spec, second, back_start, back_tail)
+            assert second.read_bytes() == first.read_bytes()
+    sent = _model_values(spec, g, start, levels[len(levels) - spec.p - d:], h)
+    sent["resid"] = residuals[len(residuals) - max(spec.q, g.p if g else 0):]
+    want = {key: v if key == "start" else [float(f"{x:.12g}") for x in v]
+            if isinstance(v, list) else float(f"{v:.12g}") for key, v in sent.items()}
+    assert _model_values(*back) == want
+
+
 def test_model_file_rejects_tampering(tmp_path, train_series):
     x = train_series.rates[train_series.index_of(2010, 1):]
     fit = fit_arima(x, 1, 2, 2)
@@ -348,6 +411,16 @@ def test_select_order_finds_ar1():
     x = _ar1_sample(0.8, 400, seed=13)
     best = select_order(x, 2, 1, 2)
     assert best == (1, 0, 0)
+
+
+@pytest.mark.parametrize("ar,ma", [([1e-320], []), ([], [1e-320]), ([0.5, 1e-320], []),
+                                   ([], [0.4, -1e-320])])
+def test_arima_spec_accepts_subnormal_last_coefficient(ar, ma):
+    # the last coefficient leads the polynomial in B; a subnormal one must not
+    # be divided by (its root, ~1e320, lies far outside the unit circle)
+    spec = ArimaSpec(p=len(ar), d=0, q=len(ma), ar_coeffs=np.array(ar), ma_coeffs=np.array(ma),
+                     intercept=0.0, residuals=np.zeros(3), sigma2=1.0, css=3.0)
+    assert list(spec.ar_coeffs) == ar and list(spec.ma_coeffs) == ma
 
 
 def test_convergence_error_carries_best(monkeypatch, train_series):

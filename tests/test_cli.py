@@ -1,5 +1,9 @@
 import csv
+import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -351,6 +355,71 @@ def test_undecodable_input_file(workdir, capsys, flag, text):
     assert sorted(p.name for p in workdir.iterdir()) == [
         "bad.txt", "dc_2010_2014.csv", "dc_2015_2019.csv", "fc.csv"
     ]
+
+
+@pytest.mark.parametrize("orders,key,error", [
+    ("1,2,2", "ar.1", None),
+    ("0,1,1", "ma.1", None),
+    ("1,2,2", "ma.2", "crashvol: E_VALIDATION: MA polynomial roots inside the unit circle"),
+])
+def test_forecast_from_subnormal_last_coefficient(workdir, capsys, orders, key, error):
+    # a last AR or MA coefficient of 1e-320 is read and root-checked without
+    # dividing by it: the forecast runs, or fails as one E_ line
+    params = workdir / "a.model"
+    assert main(["fit", "--input", str(workdir / "dc_2010_2014.csv"),
+                 "--train-start", "2010-01", "--train-end", "2014-12",
+                 "--model", "arima", "--orders", orders, "--out", str(params)]) == 0
+    lines = params.read_text().splitlines()
+    lines = [f"{key} = 1e-320" if line.startswith(f"{key} = ") else line for line in lines]
+    params.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["forecast", "--params", str(params), "--out", str(workdir / "fc.csv")])
+    err = capsys.readouterr().err
+    if error is None:
+        assert (rc, err) == (0, "")
+        assert (workdir / "fc.csv").exists()
+    else:
+        assert (rc, err) == (1, error + "\n")
+
+
+NUMPY_ONLY_CHILD = """
+import json, sys
+import crashvol, crashvol.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = [scipy_modules()]
+train, test, out = sys.argv[1:]
+for model in ("heston", "vasicek"):
+    rc = crashvol.cli.main([
+        "backtest", "--input", train, "--input", test,
+        "--train-start", "2010-01", "--train-end", "2014-12",
+        "--test-start", "2015-01", "--test-end", "2019-12",
+        "--model", model, "--paths", "200", "--seed", "1", "--out", out,
+    ])
+    seen.append(rc)
+    seen.append(scipy_modules())
+print(json.dumps(seen))
+"""
+
+
+def test_stochastic_path_loads_no_scipy(workdir):
+    # importing the package and running the heston and vasicek backtests
+    # (fit, simulate, score) loads numpy alone; only ARIMA fits need scipy
+    import crashvol
+
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(crashvol.__file__)))
+    pythonpath = os.pathsep.join(filter(None, (pkg_parent, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_CHILD, str(workdir / "dc_2010_2014.csv"),
+         str(workdir / "dc_2015_2019.csv"), str(workdir / "bt.csv")],
+        capture_output=True, text=True, cwd=workdir, env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # backtest prints its summary lines first; the record is the last line
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, [], 0, []]
+    assert (workdir / "bt.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "backtest"])

@@ -174,6 +174,11 @@ def test_gaussian_quantiles_bands():
     assert q.bands[2] == pytest.approx(pts + z75 * np.sqrt(var))
     assert q.bands[1] == pytest.approx(pts - z75 * np.sqrt(var))
     assert q.bands[0] == pytest.approx(pts + norm.ppf(0.05) * np.sqrt(var))
+    # the bands are computed without scipy.stats, and must keep its bytes
+    levels = (0.025, 0.05, 0.25, 0.75, 0.95, 0.975)
+    q = gaussian_quantiles(months, pts, var, levels)
+    for band, level in zip(q.bands, levels):
+        assert np.array_equal(band, pts + norm.ppf(level) * np.sqrt(var)), level
 
 
 def test_backtest_requires_adjacent_windows(full_series):

@@ -1,9 +1,11 @@
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crashvol.data_ingest import ValidationError
@@ -311,6 +313,70 @@ def test_vasicek_params_file_round_trip(tmp_path):
     assert back.kappa_v == pytest.approx(4.9)
     assert back.sigma_v == pytest.approx(0.63)
     assert hist == ()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEG = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _values(params, history) -> dict:
+    values = {"c1": params.c1, "mu": params.mu, "dt": params.dt,
+              **{f"history.{i}": h for i, h in enumerate(history, start=1)}}
+    for s in params.spikes:
+        values.update({f"spike.{s.month}.mean": s.mean_a, f"spike.{s.month}.std": s.std_b})
+    if isinstance(params, HestonParams):
+        values.update(v0=params.v0, theta=params.theta, kappa=params.kappa, xi=params.xi,
+                      rho=params.rho)
+    else:
+        values.update(kappa_v=params.kappa_v, sigma_v=params.sigma_v)
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=st.sampled_from(["heston", "vasicek"]),
+    c1=_POSITIVE,
+    mu=_FINITE,
+    dt=_POSITIVE,
+    variances=st.tuples(_NONNEG, _NONNEG),
+    rates=st.tuples(_NONNEG, _NONNEG),
+    rho=st.floats(-1.0, 1.0),
+    spikes=st.dictionaries(st.integers(1, 12), st.tuples(_FINITE, _NONNEG), max_size=3),
+    start=st.tuples(st.integers(0, 9999), st.integers(1, 12)),
+    scheme=st.sampled_from(["reflect", "truncate"]),
+    history=st.lists(_FINITE, max_size=4),
+)
+def test_params_file_write_read_write(
+    model, c1, mu, dt, variances, rates, rho, spikes, start, scheme, history
+):
+    # any parameter set the constructors accept is written, read back at
+    # the file's 12 significant digits, and written again to the same bytes
+    common = dict(c1=c1, mu=mu, dt=dt, start=start, scheme=scheme,
+                  spikes=tuple(SpikeSpec(m, a, b) for m, (a, b) in spikes.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FellerWarning)
+        try:
+            if model == "heston":
+                p = HestonParams(v0=variances[0], theta=variances[1], kappa=rates[0],
+                                 xi=rates[1], rho=rho, **common)
+            else:
+                p = VasicekParams(kappa_v=rates[0], sigma_v=rates[1], **common)
+        except ValidationError:
+            assume(False)  # outside the model's domain: mu <= -1, or xi or sigma_v overflow
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            write_stochastic_params(p, first, history_tail=history)
+            back, hist = read_stochastic_params(first)
+            write_stochastic_params(back, second, history_tail=hist)
+            assert second.read_bytes() == first.read_bytes()
+    want = {key: float(f"{v:.12g}") for key, v in _values(p, history).items()}
+    if model == "heston":
+        # the file holds volatilities, which the reader squares into variances
+        want.update({key: float(f"{math.sqrt(v):.12g}") ** 2
+                     for key, v in (("v0", p.v0), ("theta", p.theta))})
+    assert _values(back, hist) == want
+    assert (back.start, back.scheme) == (start, scheme)
 
 
 def test_params_file_rejects_unknown_and_duplicate_keys(tmp_path):
