@@ -2,15 +2,17 @@
 
 Usage: python scripts/bench_record.py PARENT_DIR CHANGE_DIR [--out BENCH.json]
 
-Each directory holds the `<workload>-seed<n>-trace0.json` records that
-`perfbench/run.py --trace 0` writes to `.perfbench_out/` of the checkout it
-ran in. A workload and seed run on both sides makes one pair; records with
-no partner are ignored. For every pair the output keeps both sides'
-end-to-end metrics, `attempted`, `failed` and `environment` (which holds
-`speed_ref_s`, the machine-speed reference taken before and after the run).
-Per workload it adds `median_ratio`: for each metric, the median over the
-pairs of change / parent. Below 1 is lower on the change side, whichever
-direction the metric counts as better. Writes JSON to --out, or to stdout.
+Each directory holds the `<workload>-seed<n>-trace<t>.json` records that
+`perfbench/run.py --trace <t>` writes to `.perfbench_out/` of the checkout
+it ran in. A workload, seed and trace mode run on both sides makes one
+pair; records with no partner are ignored. For every pair the output keeps
+both sides' metrics (end-to-end for `--trace 0` under `pairs`, per-layer
+for `--trace 1` under `traced_pairs`), `attempted`, `failed` and
+`environment` (which holds `speed_ref_s`, the machine-speed reference taken
+before and after the run). Per workload it adds `median_ratio` and
+`traced_median_ratio`: for each metric, the median over the pairs of
+change / parent. Below 1 is lower on the change side, whichever direction
+the metric counts as better. Writes JSON to --out, or to stdout.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import sys
 from pathlib import Path
 
 
-def _records(directory: Path) -> dict[tuple[str, int], dict]:
+def _records(directory: Path, trace: int) -> dict[tuple[str, int], dict]:
     records = {}
-    for path in sorted(directory.glob("*-trace0.json")):
+    for path in sorted(directory.glob(f"*-trace{trace}.json")):
         record = json.loads(path.read_text())
         records[(record["workload"], record["seed"])] = record
     return records
@@ -40,25 +42,27 @@ def _side(record: dict) -> dict:
 
 
 def pair_records(parent_dir: Path, change_dir: Path) -> dict:
-    parent, change = _records(parent_dir), _records(change_dir)
     workloads: dict[str, dict] = {}
-    for workload, seed in sorted(parent.keys() & change.keys()):
-        entry = workloads.setdefault(workload, {"units": {}, "pairs": []})
-        for name, m in parent[workload, seed]["metrics"].items():
-            entry["units"][name] = m["unit"]
-        entry["pairs"].append({
-            "seed": seed,
-            "parent": _side(parent[workload, seed]),
-            "change": _side(change[workload, seed]),
-        })
+    for trace, key in ((0, "pairs"), (1, "traced_pairs")):
+        parent, change = _records(parent_dir, trace), _records(change_dir, trace)
+        for workload, seed in sorted(parent.keys() & change.keys()):
+            entry = workloads.setdefault(workload, {"units": {}, "pairs": [], "traced_pairs": []})
+            for name, m in parent[workload, seed]["metrics"].items():
+                entry["units"][name] = m["unit"]
+            entry[key].append({
+                "seed": seed,
+                "parent": _side(parent[workload, seed]),
+                "change": _side(change[workload, seed]),
+            })
     for entry in workloads.values():
-        ratios: dict[str, list[float]] = {}
-        for pair in entry["pairs"]:
-            for name, before in pair["parent"]["metrics"].items():
-                after = pair["change"]["metrics"].get(name)
-                if after is not None and before != 0:
-                    ratios.setdefault(name, []).append(after / before)
-        entry["median_ratio"] = {name: statistics.median(r) for name, r in ratios.items()}
+        for key, out in (("pairs", "median_ratio"), ("traced_pairs", "traced_median_ratio")):
+            ratios: dict[str, list[float]] = {}
+            for pair in entry[key]:
+                for name, before in pair["parent"]["metrics"].items():
+                    after = pair["change"]["metrics"].get(name)
+                    if after is not None and before != 0:
+                        ratios.setdefault(name, []).append(after / before)
+            entry[out] = {name: statistics.median(r) for name, r in ratios.items()}
     return {"workloads": workloads}
 
 

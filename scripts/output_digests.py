@@ -8,7 +8,9 @@ script: diagnose; fit of all four models; forecast from each fit file
 under the model id `heston,v2`; backtest of all four models over
 seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
 one heston forecast and one heston backtest at non-default `--levels`,
-`--low` and `--high`.
+`--low` and `--high`; a heston and a vasicek forecast at seed 2**32 (two
+entropy words) and at seed 10**30 (four words, which reach SeedSequence's
+extra-entropy mixing).
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails.
@@ -64,6 +66,10 @@ def runs(w: str):
            "--out", f"{w}/heston.levels.fc.csv"]
     yield [*backtest, "--model", "heston", "--seed", "1", *levels, "--low", "10", "--high", "90",
            "--out", f"{w}/bt.heston.levels.csv"]
+    for seed in (2**32, 10**30):
+        for model in ("heston", "vasicek"):
+            yield ["forecast", "--params", f"{w}/{model}.params", "--seed", str(seed),
+                   "--out", f"{w}/{model}.seed{seed}.fc.csv"]
 
 
 def main() -> int:

@@ -392,13 +392,21 @@ def forecast_level_variance(model: ArimaSpec, horizon: int, innovation_vars=None
 # flat key = value fitted-model files
 
 def write_arima_model(
-    arima: ArimaSpec, path, start: tuple[int, int], level_tail, garch: GarchSpec | None = None
+    arima: ArimaSpec,
+    path,
+    start: tuple[int, int],
+    level_tail,
+    garch: GarchSpec | None = None,
+    h_tail=None,
 ) -> None:
     """Persist a fitted model with the state needed to forecast from the file.
 
     `level_tail` holds the last p+d training levels; the file also carries
     trailing residuals (and conditional variances when a GARCH layer is
-    present) so h-step forecasts reproduce the in-memory ones exactly.
+    present) so h-step forecasts reproduce the in-memory ones exactly. The
+    variances are recomputed from `arima.residuals` unless `h_tail` (as
+    returned by `read_arima_model`) gives them, so a model read back is
+    written again to the same bytes.
     """
     level_tail = [float(x) for x in level_tail]
     if len(level_tail) < arima.p + arima.d:
@@ -425,7 +433,9 @@ def write_arima_model(
         *indexed("resid.", resid_tail),
     ]
     if garch is not None:
-        h = garch_variances(garch, arima.residuals)
+        h = garch_variances(garch, arima.residuals) if h_tail is None else np.asarray(h_tail)
+        if len(h) < garch.q:
+            raise ValidationError(f"need {garch.q} trailing variances, got {len(h)}")
         pairs += [("garch.p", garch.p), ("garch.q", garch.q), ("garch.omega", garch.omega)]
         pairs += indexed("garch.alpha.", garch.alpha_coeffs)
         pairs += indexed("garch.beta.", garch.beta_coeffs)

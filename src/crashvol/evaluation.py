@@ -319,8 +319,8 @@ def _fit_arima(series, train, test_start, options, with_garch):
 
 
 def _write_arima(state, path) -> None:
-    arima, garch, start, level_tail, _ = state
-    arima_garch.write_arima_model(arima, path, start, level_tail, garch)
+    arima, garch, start, level_tail, h_tail = state
+    arima_garch.write_arima_model(arima, path, start, level_tail, garch, h_tail)
 
 
 def _gaussian_forecast(state, horizon, n_paths, seed, levels):

@@ -16,10 +16,13 @@ next Euler step and the trailing average, so spikes stay transient.
 An Ornstein-Uhlenbeck variant with a deterministic growth target and the
 identical spike machinery serves as a baseline.
 
-Determinism: every path draws from its own substream seeded by
-(master_seed, path_index); within a path and month the draw order is fixed
-(z_c, z_v, then the spike draw where applicable), so results are
-bit-identical for a given seed no matter how paths are batched.
+Determinism: path p draws exactly the normals of
+`np.random.default_rng([seed, p])`, for any seed >= 0; the seeding of all
+paths is computed in one pass (`_draw_buffers`), and
+`test_draw_buffers_match_per_path_generators` pins the equality. Within a
+path and month the draw order is fixed (z_c, z_v, then the spike draw where
+applicable), so results are bit-identical for a given seed no matter how
+paths are batched.
 """
 
 from __future__ import annotations
@@ -241,12 +244,82 @@ def step_rate(c_prev, params: HestonParams, v, dt: float, z_c):
     return _fold(raw, params.scheme)
 
 
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int, n_paths: int) -> np.ndarray:
+    """`SeedSequence([seed, p]).generate_state(4, np.uint64)` for every p at once.
+
+    NumPy's SeedSequence hash (NEP 19) run on uint32 arrays, one lane per
+    path; its hash constants do not depend on the data. Returns
+    (n_paths, 4) uint64 words.
+    """
+    # the entropy is the seed's little-endian uint32 words, then p, padded
+    # with zero words to the pool size of 4
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    entropy = [np.full(n_paths, w, np.uint32) for w in words]
+    entropy.append(np.arange(n_paths, dtype=np.uint32))
+    entropy += [np.zeros(n_paths, np.uint32)] * (4 - len(entropy))
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * 0xCA01F9DD - y * 0x4973F715
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:  # entropy words beyond the pool size
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_const = 0x8B51F9DD
+    state = np.empty((n_paths, 8), np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _draw_buffers(seed: int, n_paths: int, counts: list[int]) -> np.ndarray:
-    """Per-path normal draws, one substream per path, fixed intra-month order."""
+    """Per-path normal draws, one substream per path, fixed intra-month order.
+
+    Row p holds exactly the draws of `np.random.default_rng([seed, p])` for
+    any seed >= 0: the seeding of every path is computed in one pass by
+    `_seed_state`, then one PCG64 is set to each path's seeded state in turn
+    (PCG64's `srandom` step, O'Neill 2014). Pinned by
+    `test_draw_buffers_match_per_path_generators`.
+    """
     total = int(sum(counts))
     buf = np.empty((n_paths, total))
+    gen = np.random.Generator(np.random.PCG64())
+    bit_gen = gen.bit_generator
+    words = _seed_state(seed, n_paths)
     for p in range(n_paths):
-        buf[p] = np.random.default_rng([seed, p]).standard_normal(total)
+        w0, w1, w2, w3 = words[p].tolist()
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(total, out=buf[p])
     return buf
 
 

@@ -353,8 +353,9 @@ def _model_values(spec, garch, start, tail, h_tail) -> dict:
 )
 def test_model_file_write_read_write(pacf, d, scalars, residuals, levels, start, garch):
     # every stored value reads back at the file's 12 significant digits, and
-    # a plain ARIMA file read back is written again to the same bytes; a
-    # stored variance that overflows is refused when written
+    # a file read back is written again to the same bytes (with a GARCH
+    # layer, through the stored variances); a stored variance that
+    # overflows is refused when written
     ar, ma = pacf_to_coef(pacf[0]), -pacf_to_coef(pacf[1])
     intercept, sigma2, css = scalars
     spec = ArimaSpec(p=ar.size, d=d, q=ma.size, ar_coeffs=ar, ma_coeffs=ma, intercept=intercept,
@@ -374,10 +375,9 @@ def test_model_file_write_read_write(pacf, d, scalars, residuals, levels, start,
                 return
         write_arima_model(spec, first, start, levels, garch=g)
         back = read_arima_model(first)
-        if g is None:
-            back_spec, _, back_start, back_tail, _ = back
-            write_arima_model(back_spec, second, back_start, back_tail)
-            assert second.read_bytes() == first.read_bytes()
+        back_spec, back_garch, back_start, back_tail, back_h = back
+        write_arima_model(back_spec, second, back_start, back_tail, back_garch, back_h)
+        assert second.read_bytes() == first.read_bytes()
     sent = _model_values(spec, g, start, levels[len(levels) - spec.p - d:], h)
     sent["resid"] = residuals[len(residuals) - max(spec.q, g.p if g else 0):]
     want = {key: v if key == "start" else [float(f"{x:.12g}") for x in v]

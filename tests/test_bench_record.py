@@ -12,14 +12,15 @@ def _load():
     return module
 
 
-def _write(directory, workload, seed, p50, failed=0):
+def _write(directory, workload, seed, p50, failed=0, trace=0):
     directory.mkdir(exist_ok=True)
+    metric = "stochastic_engine.ns_per_draw" if trace else "op_p50_s"
     record = {
         "workload": workload, "seed": seed, "attempted": 12, "failed": failed,
         "environment": {"python": "3", "speed_ref_s": [0.01, 0.02]},
-        "metrics": {"op_p50_s": {"value": p50, "unit": "s"}},
+        "metrics": {metric: {"value": p50, "unit": "ns" if trace else "s"}},
     }
-    (directory / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+    (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
 def test_pairs_records_by_workload_and_seed(tmp_path):
@@ -38,6 +39,22 @@ def test_pairs_records_by_workload_and_seed(tmp_path):
     assert entry["pairs"][1]["change"]["failed"] == 1
     assert entry["pairs"][0]["parent"]["environment"]["speed_ref_s"] == [0.01, 0.02]
     assert entry["median_ratio"] == {"op_p50_s": 0.25}
+    assert entry["traced_pairs"] == [] and entry["traced_median_ratio"] == {}
+
+
+def test_pairs_traced_records_apart(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "sim-paths", 1, 2.0)
+    _write(change, "sim-paths", 1, 1.0)
+    _write(parent, "sim-paths", 1, 8.0, trace=1)
+    _write(change, "sim-paths", 1, 2.0, trace=1)
+    _write(parent, "cli-cold", 2, 1.0, trace=1)  # no traced partner: left out
+    entry = _load().pair_records(parent, change)["workloads"]["sim-paths"]
+    assert entry["units"] == {"op_p50_s": "s", "stochastic_engine.ns_per_draw": "ns"}
+    assert [p["seed"] for p in entry["traced_pairs"]] == [1]
+    assert entry["traced_pairs"][0]["change"]["metrics"] == {"stochastic_engine.ns_per_draw": 2.0}
+    assert entry["median_ratio"] == {"op_p50_s": 0.5}
+    assert entry["traced_median_ratio"] == {"stochastic_engine.ns_per_draw": 0.25}
 
 
 def test_no_common_run_is_an_error(tmp_path, capsys):

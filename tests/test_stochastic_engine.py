@@ -15,6 +15,7 @@ from crashvol.stochastic_engine import (
     HestonParams,
     SpikeSpec,
     VasicekParams,
+    _draw_buffers,
     feller_bound,
     forecast_quantiles,
     read_stochastic_params,
@@ -136,6 +137,23 @@ def test_path_count_invariance_of_prefix():
     small = simulate_heston(p, 12, 3, seed=5)
     large = simulate_heston(p, 12, 40, seed=5)
     assert np.array_equal(small.rate_paths, large.rate_paths[:3])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**60])
+def test_draw_buffers_match_per_path_generators(seed):
+    # path p draws exactly what default_rng([seed, p]) draws, for one-word
+    # seeds, two-word seeds and seeds long enough to reach SeedSequence's
+    # extra-entropy mixing; this guards against a numpy that changes
+    # SeedSequence or PCG64
+    counts = [2, 3, 2]
+    for n_paths in (1, 7, 1500):
+        want = np.stack([
+            np.random.default_rng([seed, p]).standard_normal(sum(counts))
+            for p in range(n_paths)
+        ])
+        assert _draw_buffers(seed, n_paths, counts).tobytes() == want.tobytes()
+    large = _draw_buffers(seed, 1000, counts)
+    assert large[:300].tobytes() == _draw_buffers(seed, 300, counts).tobytes()
 
 
 def test_result_arrays_read_only():
