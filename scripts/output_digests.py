@@ -10,7 +10,8 @@ seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
 one heston forecast and one heston backtest at non-default `--levels`,
 `--low` and `--high`; a heston and a vasicek forecast at seed 2**32 (two
 entropy words) and at seed 10**30 (four words, which reach SeedSequence's
-extra-entropy mixing).
+extra-entropy mixing); an arima and an arima-garch fit and backtest at each
+of `--orders` 2,1,1,1,0, 0,1,3,1,2 and 1,1,0.
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails.
@@ -70,6 +71,14 @@ def runs(w: str):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", str(seed),
                    "--out", f"{w}/{model}.seed{seed}.fc.csv"]
+    # orders off the default 1,2,2 / 2,1 path: one MA lag and no GARCH lag,
+    # three MA lags and two GARCH lags, no MA filter at all
+    for orders in ("2,1,1,1,0", "0,1,3,1,2", "1,1,0"):
+        for model in ("arima", "arima-garch"):
+            name = f"{model}.{orders.replace(',', '')}"
+            yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model, "--orders", orders,
+                   "--out", f"{w}/{name}.params"]
+            yield [*backtest, "--model", model, "--orders", orders, "--out", f"{w}/bt.{name}.csv"]
 
 
 def main() -> int:

@@ -14,9 +14,9 @@ The optimizer is a Nelder-Mead simplex with 5 deterministic restarts, each
 jittered around the best point so far, capped at 2000 iterations per start
 with an objective-spread tolerance of 1e-10.
 
-scipy (the optimizer and the linear filters) is imported inside the
-functions that call it, so `import crashvol` loads numpy alone and only an
-ARIMA or GARCH fit pays for scipy.
+The module runs on numpy alone: `_nelder_mead` and `_all_pole` (the MA and
+GARCH filters) port scipy's `minimize(method="Nelder-Mead")` and `lfilter`
+operation for operation over Python floats, so fits keep those calls' bytes.
 """
 
 from __future__ import annotations
@@ -65,13 +65,10 @@ def pacf_to_coef(pacf) -> np.ndarray:
     Inputs in (-1, 1) yield a polynomial 1 - sum(a_k B^k) with all roots
     strictly outside the unit circle.
     """
-    r = np.asarray(pacf, dtype=float)
-    a = np.zeros(r.size)
-    for k in range(r.size):
-        prev = a[:k].copy()
-        a[k] = r[k]
-        a[:k] = prev - r[k] * prev[::-1]
-    return a
+    a = []
+    for r in map(float, pacf):
+        a = [x - r * y for x, y in zip(a, reversed(a))] + [r]
+    return np.array(a)
 
 
 def _poly_roots_outside(coefs, sign: float) -> bool:
@@ -86,19 +83,45 @@ def _poly_roots_outside(coefs, sign: float) -> bool:
     return bool(np.all(np.abs(roots) < 1.0))
 
 
+def _all_pole(x, a, z) -> list[float]:
+    """y_t = x_t - sum_i a_i y_{t-1-i} from state z, over Python floats.
+
+    In the order of scipy.signal's lfilter([1], [1, *a], x, zi=z) (direct form
+    II transposed): y = z_0 + x, z_i = z_{i+1} - y*a_i, z_last = -(y*a_last).
+    The outputs equal lfilter's bit for bit, up to the sign of an exact zero.
+    """
+    out = []
+    if len(a) <= 2:
+        # unrolled for the default orders, where a generic loop is slower than
+        # lfilter; order 1 runs as order 2 with a1 = 0 (only zero signs differ)
+        a0, a1 = (*a, 0.0)[:2]
+        z0, z1 = (*z, 0.0)[:2]
+        for xt in x:
+            y = z0 + xt
+            out.append(y)
+            z0 = z1 - y * a0
+            z1 = -(y * a1)
+        return out
+    z = list(z)
+    last = len(a) - 1
+    for xt in x:
+        y = z[0] + xt
+        out.append(y)
+        for i in range(last):
+            z[i] = z[i + 1] - y * a[i]
+        z[last] = -(y * a[last])
+    return out
+
+
 def css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
     """One-step residuals of an ARMA recursion with zero pre-sample terms."""
     x = np.asarray(z, dtype=float)
-    ar = np.asarray(ar, dtype=float)
-    ma = np.asarray(ma, dtype=float)
     rhs = x - intercept
-    if ar.size:
-        rhs = rhs - np.convolve(x, np.concatenate(([0.0], ar)))[: x.size]
-    if ma.size:
-        from scipy.signal import lfilter
-
+    if len(ar):
+        rhs = rhs - np.convolve(x, [0.0, *ar])[: x.size]
+    if len(ma):
         # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
-        return lfilter([1.0], np.concatenate(([1.0], ma)), rhs)
+        return np.array(_all_pole(rhs.tolist(), list(map(float, ma)), [0.0] * len(ma)))
     return rhs
 
 
@@ -123,23 +146,82 @@ class ArimaSpec:
             raise ValidationError("MA polynomial roots inside the unit circle")
 
 
+def _nelder_mead(objective, x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize by the Nelder-Mead simplex (Nelder & Mead, Computer Journal 1965).
+
+    The non-adaptive, unbounded branch of scipy.optimize's
+    minimize(method="Nelder-Mead") with `maxiter` given, over Python floats:
+    the same initial simplex, coefficients (1, 2, 0.5, 0.5), operation order,
+    stopping test and np.argsort reordering, so it returns the same bytes.
+    `objective` receives a list of floats. Returns (fun, x, success, nit, nfev).
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return objective(x)
+
+    def reorder(sim, fsim):
+        idx = np.argsort(fsim).tolist()
+        return [sim[i] for i in idx], [fsim[i] for i in idx]
+
+    def toward(cb, cw):
+        # scipy's moves (1 + c)*xbar - c*worst, rounded the same: negation is exact
+        return [cb * b + cw * w for b, w in zip(xbar, sim[-1])]
+
+    n = len(x0)
+    sim = [[float(v) for v in x0]]
+    for k in range(n):
+        y = list(sim[0])
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim, fsim = reorder(*reorder(sim, [f(x) for x in sim]))  # scipy sorts twice
+    nit = 1
+    while nit < maxiter:
+        best = sim[0]
+        if all(abs(fsim[0] - fx) <= fatol for fx in fsim[1:]) and all(
+            abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
+        ):
+            break
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        xr = toward(2.0, -1.0)
+        fxr = f(xr)
+        if fxr < fsim[0]:  # expand
+            xe = toward(3.0, -2.0)
+            fxe = f(xe)
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:  # reflect
+            new = (xr, fxr)
+        else:  # contract outside or inside, else shrink
+            outside = fxr < fsim[-1]
+            xc = toward(1.5, -0.5) if outside else toward(0.5, 0.5)
+            fxc = f(xc)
+            new = (xc, fxc) if (fxc <= fxr if outside else fxc < fsim[-1]) else None
+        if new:
+            sim[-1], fsim[-1] = new
+        else:
+            for j in range(1, n + 1):
+                sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                fsim[j] = f(sim[j])
+        nit += 1
+        sim, fsim = reorder(sim, fsim)
+    return float(np.min(fsim)), np.array(sim[0]), nit < maxiter, nit, nfev
+
+
 def _multi_start(objective, x0, rng):
     """Nelder-Mead with deterministic restarts jittered around the best point."""
-    from scipy.optimize import minimize
-
     best = None
     converged = False
     for k in range(_N_STARTS):
         start = x0 if k == 0 else best[1] + rng.normal(0.0, 0.3, size=len(x0))
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"maxiter": _MAXITER, "fatol": _FTOL, "xatol": 1e-8},
-        )
-        if best is None or res.fun < best[0]:
-            best = (res.fun, res.x)
-        converged = converged or bool(res.success)
+        fun, x, success, _, _ = _nelder_mead(objective, start, _MAXITER, 1e-8, _FTOL)
+        if best is None or fun < best[0]:
+            best = (fun, x)
+        converged = converged or success
     return best, converged
 
 
@@ -159,10 +241,9 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaSpec:
     zs = z / scale
 
     def unpack(u):
-        c = u[0]
         ar = pacf_to_coef(_BOUNDARY_SQUASH * np.tanh(u[1 : 1 + p])) if p else np.empty(0)
         ma = -pacf_to_coef(_BOUNDARY_SQUASH * np.tanh(u[1 + p :])) if q else np.empty(0)
-        return c, ar, ma
+        return u[0], ar, ma
 
     def objective(u):
         c, ar, ma = unpack(u)
@@ -258,11 +339,9 @@ def _garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
         rhs += a * np.concatenate([np.full(i, m), e2])[: e2.size]
     if len(beta) == 0:
         return rhs
-    from scipy.signal import lfilter, lfiltic
-
-    a_poly = np.concatenate(([1.0], -np.asarray(beta)))
-    zi = lfiltic([1.0], a_poly, np.full(len(beta), m))
-    return lfilter([1.0], a_poly, rhs, zi=zi)[0]
+    # lfiltic's state for pre-sample h = m, summed as it sums: z_k = sum_{i>=k} beta_i*m
+    z = [float(np.sum(np.multiply(beta[k:], m))) for k in range(len(beta))]
+    return np.array(_all_pole(rhs.tolist(), [-b for b in beta], z))
 
 
 def garch_variances(spec: GarchSpec, residuals) -> np.ndarray:
@@ -288,11 +367,10 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
     m = float(e2.mean())
 
     def unpack(u):
-        u = np.clip(u, -60.0, 60.0)
-        omega = math.exp(u[0])
+        u = [min(max(v, -60.0), 60.0) for v in u]
         ex = np.exp(u[1:])
-        w = _BOUNDARY_SQUASH * ex / (1.0 + ex.sum())
-        return omega, w[:p], w[p:]
+        w = (_BOUNDARY_SQUASH * ex / (1.0 + ex.sum())).tolist()
+        return math.exp(u[0]), w[:p], w[p:]
 
     def objective(u):
         h = _garch_recursion(*unpack(u), e2, m)
@@ -310,8 +388,8 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
         p=p,
         q=q,
         omega=float(omega * s2),
-        alpha_coeffs=alpha,
-        beta_coeffs=beta,
+        alpha_coeffs=np.array(alpha, dtype=float),
+        beta_coeffs=np.array(beta, dtype=float),
         nll=float(fun),
     )
     if not converged:

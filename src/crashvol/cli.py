@@ -157,6 +157,9 @@ def _fit_options(args) -> dict:
     orders, garch_orders = _parse_orders(args.orders)
     overrides = {key: getattr(args, key) for key in ("rho", "spike_threshold", "scheme")}
     overrides = {key: value for key, value in overrides.items() if value is not None}
+    for key in ("rho", "spike_threshold"):
+        if key in overrides and not math.isfinite(overrides[key]):
+            raise ValidationError(f"--{key.replace('_', '-')} must be finite, got {overrides[key]}")
     return {"orders": orders, "garch_orders": garch_orders, "overrides": overrides}
 
 
@@ -193,10 +196,12 @@ def cmd_forecast(args) -> int:
 
 def _coverage_band(args) -> tuple[float, float]:
     """--low and --high as levels, checked before any work is done."""
-    low, high = args.low / 100.0, args.high / 100.0
-    if not low < high:
+    for flag, value in (("--low", args.low), ("--high", args.high)):
+        if not 0.0 < value < 100.0:
+            raise ValidationError(f"{flag} {value} must lie strictly between 0 and 100")
+    if not args.low < args.high:
         raise ValidationError(f"--low {args.low} must be below --high {args.high}")
-    return low, high
+    return args.low / 100.0, args.high / 100.0
 
 
 def _write_scores(args, band, quantiles, observed, report, report_path, stem) -> int:

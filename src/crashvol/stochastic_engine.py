@@ -129,7 +129,7 @@ class HestonParams:
                 f"kappa={self.kappa:.6g} does not exceed xi^2/(2*theta)={bound:.6g}; "
                 "the variance process relies on the reflection scheme",
                 FellerWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the __init__ that dataclass generates, to the caller
             )
 
 

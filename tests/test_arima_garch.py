@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crashvol import arima_garch
@@ -430,3 +430,84 @@ def test_convergence_error_carries_best(monkeypatch, train_series):
         fit_arima(x, 1, 2, 2)
     assert exc.value.code == "E_CONVERGENCE"
     assert isinstance(exc.value.best, ArimaSpec)
+
+
+# ---------------------------------------------------------------------------
+# the in-repo kernels give the bytes of the scipy routines they replace
+
+def _objective(kind, center, weights):
+    # the same float operations whether u is a list (the port) or an array (scipy)
+    def bowl(u):
+        acc = 0.0
+        for ui, ci, wi in zip(u, center, weights):
+            d = float(ui) - ci
+            acc += wi * d * d
+        return acc
+
+    if kind == "bowl":
+        return bowl
+    if kind == "steps":  # plateaus: many equal values, so ties in the reordering
+        return lambda u: math.floor(bowl(u))
+    if kind in ("wall", "holes"):  # inf or nan outside a box: ties, inf - inf, nan last
+        outside = math.inf if kind == "wall" else math.nan
+        return lambda u: bowl(u) if all(abs(float(v)) < 2.0 for v in u) else outside
+    return lambda u: bowl(u) + 10.0 * (float(u[-1]) - float(u[0]) ** 2) ** 2  # curved valley
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["bowl", "steps", "wall", "holes", "valley"]),
+    x0=st.lists(st.floats(-3.0, 3.0) | st.just(0.0), min_size=1, max_size=4),
+    center=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    weights=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=4),
+    maxiter=st.integers(1, 400),
+    tol=st.sampled_from([(1e-8, 1e-10), (1e-4, 1e-4), (0.0, 0.0)]),
+)
+# an expansion that ties the reflection, a shrink whose rounding shows, and a
+# nan vertex left in the final simplex
+@example("steps", [-0.74, 1.79, -1.84, -0.66], [1.8, -0.7, 1.3, 0.7], [9.4, 9.9, 7.3, 8.1],
+         38, (1e-8, 1e-10))
+@example("valley", [1.66, 0.44, 0.12], [-0.3, -3.0, -1.2, 0.1], [1.5, 7.7, 2.7, 6.8],
+         51, (1e-8, 1e-10))
+@example("holes", [0.33, 0.87, 1.93], [1.7, 2.2, 2.3, -0.7], [8.0, 7.9, 8.8, 6.4], 1, (1e-8, 1e-10))
+def test_nelder_mead_matches_scipy(kind, x0, center, weights, maxiter, tol):
+    from scipy.optimize import minimize
+
+    xatol, fatol = tol
+    objective = _objective(kind, center, weights)
+    with np.errstate(invalid="ignore"):  # scipy's spread test meets inf - inf
+        res = minimize(objective, np.array(x0), method="Nelder-Mead",
+                       options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+    fun, x, success, nit, nfev = arima_garch._nelder_mead(objective, x0, maxiter, xatol, fatol)
+    assert (success, nit, nfev) == (res.success, res.nit, res.nfev)
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()  # nan too
+    assert x.tobytes() == res.x.tobytes()
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def test_filters_match_lfilter():
+    # the MA inverse filter of css_residuals (zero state) and the GARCH-lag
+    # filter of garch_variances (lfiltic state), against scipy on random
+    # inputs of lengths 1-79 and orders 1-4, some coefficients exactly zero
+    from scipy.signal import lfilter, lfiltic
+
+    rng = np.random.default_rng(11)
+    for trial in range(3000):
+        n, order = int(rng.integers(1, 80)), int(rng.integers(1, 5))
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-4, 4)
+        coefs = rng.uniform(-0.6, 0.6, size=order) * (rng.random(order) > 0.1)
+        c, ar = float(rng.normal()), rng.uniform(-0.5, 0.5, size=int(rng.integers(0, 3)))
+        rhs = x - c - np.convolve(x, np.concatenate(([0.0], ar)))[:n] if ar.size else x - c
+        want = lfilter([1.0], np.concatenate(([1.0], coefs)), rhs)
+        assert _bits(css_residuals(x, c, ar, coefs)) == _bits(want), trial
+
+        beta = np.abs(coefs) / (1.0 + order)
+        e2, m = x**2, float(rng.uniform(0.1, 3.0))
+        rhs = np.full(n, 0.3) + 0.1 * np.concatenate(([m], e2))[:n]
+        a_poly = np.concatenate(([1.0], -beta))
+        want = lfilter([1.0], a_poly, rhs, zi=lfiltic([1.0], a_poly, np.full(order, m)))[0]
+        got = arima_garch._garch_recursion(0.3, [0.1], beta, e2, m)
+        assert _bits(got) == _bits(want), trial

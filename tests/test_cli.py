@@ -382,44 +382,92 @@ def test_forecast_from_subnormal_last_coefficient(workdir, capsys, orders, key, 
         assert (rc, err) == (1, error + "\n")
 
 
-NUMPY_ONLY_CHILD = """
-import json, sys
-import crashvol, crashvol.cli
+NO_SCIPY_CHILD = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+from crashvol.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-seen = [scipy_modules()]
-train, test, out = sys.argv[1:]
-for model in ("heston", "vasicek"):
-    rc = crashvol.cli.main([
-        "backtest", "--input", train, "--input", test,
-        "--train-start", "2010-01", "--train-end", "2014-12",
-        "--test-start", "2015-01", "--test-end", "2019-12",
-        "--model", model, "--paths", "200", "--seed", "1", "--out", out,
-    ])
-    seen.append(rc)
-    seen.append(scipy_modules())
-print(json.dumps(seen))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(argv))
+    except SystemExit as exc:  # --help
+        codes.append(exc.code)
+print(json.dumps(codes))
 """
 
 
-def test_stochastic_path_loads_no_scipy(workdir):
-    # importing the package and running the heston and vasicek backtests
-    # (fit, simulate, score) loads numpy alone; only ARIMA fits need scipy
+def _all_model_runs(data, out):
+    train = ["--input", str(data / "dc_2010_2014.csv"),
+             "--train-start", "2010-01", "--train-end", "2014-12"]
+    runs = []
+    for model in ("heston", "vasicek", "arima", "arima-garch"):
+        runs.append(["fit", *train, "--model", model, "--out", str(out / f"{model}.params")])
+        runs.append(["forecast", "--params", str(out / f"{model}.params"), "--horizon", "12",
+                     "--paths", "200", "--seed", "3", "--out", str(out / f"{model}.fc.csv")])
+        runs.append(["backtest", *train, "--input", str(data / "dc_2015_2019.csv"),
+                     "--test-start", "2015-01", "--test-end", "2019-12", "--model", model,
+                     "--paths", "200", "--seed", "3", "--out", str(out / f"bt.{model}.csv")])
+    return runs
+
+
+def test_every_command_runs_without_scipy(workdir):
+    # a child process in which scipy cannot be imported runs --help and fit,
+    # forecast and backtest of all four models, and writes the bytes that the
+    # same runs write here
     import crashvol
 
+    child, here = workdir / "child", workdir / "here"
+    child.mkdir()
+    here.mkdir()
     pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(crashvol.__file__)))
     pythonpath = os.pathsep.join(filter(None, (pkg_parent, os.environ.get("PYTHONPATH"))))
+    runs = [["--help"], *_all_model_runs(workdir, child)]
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_ONLY_CHILD, str(workdir / "dc_2010_2014.csv"),
-         str(workdir / "dc_2015_2019.csv"), str(workdir / "bt.csv")],
+        [sys.executable, "-c", NO_SCIPY_CHILD, json.dumps(runs)],
         capture_output=True, text=True, cwd=workdir, env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert proc.returncode == 0, proc.stderr
-    # backtest prints its summary lines first; the record is the last line
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, [], 0, []]
-    assert (workdir / "bt.csv").exists()
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
+    for argv in _all_model_runs(workdir, here):
+        assert main(argv) == 0
+    written = {p.name: p.read_bytes() for p in sorted(child.iterdir())}
+    assert len(written) == 4 * 5  # params, forecast, backtest forecast, report, coverage
+    assert written == {p.name: p.read_bytes() for p in sorted(here.iterdir())}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("fit", "--rho", "inf"),
+    ("fit", "--spike-threshold", "nan"),
+    ("backtest", "--spike-threshold", "-inf"),
+    ("backtest", "--low", "nan"),
+    ("backtest", "--low", "0"),
+    ("backtest", "--high", "inf"),
+    ("evaluate", "--high", "100"),
+    ("evaluate", "--low", "-5"),
+])
+def test_bad_float_flags_end_as_one_line(workdir, capsys, command, flag, value):
+    # non-finite floats and coverage percentiles outside (0, 100) fail before
+    # any file is written
+    fc = workdir / "fc.csv"
+    fc.write_text("year,month,median,q25,q75\n2015,1,0.005,0.004,0.006\n")
+    train = ["--input", str(workdir / "dc_2010_2014.csv"),
+             "--train-start", "2010-01", "--train-end", "2014-12", "--model", "heston"]
+    argv = {
+        "fit": ["fit", *train],
+        "backtest": ["backtest", *train, "--input", str(workdir / "dc_2015_2019.csv"),
+                     "--test-start", "2015-01", "--test-end", "2019-12",
+                     "--paths", "50", "--seed", "1"],
+        "evaluate": ["evaluate", "--forecast", str(fc),
+                     "--observed", str(workdir / "dc_2015_2019.csv")],
+    }[command]
+    before = sorted(p.name for p in workdir.iterdir())
+    rc = main([*argv, f"{flag}={value}", "--out", str(workdir / "out.csv")])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1), err
+    assert err.startswith(f"crashvol: E_VALIDATION: {flag}")
+    assert sorted(p.name for p in workdir.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["evaluate", "backtest"])

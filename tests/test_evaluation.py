@@ -174,11 +174,33 @@ def test_gaussian_quantiles_bands():
     assert q.bands[2] == pytest.approx(pts + z75 * np.sqrt(var))
     assert q.bands[1] == pytest.approx(pts - z75 * np.sqrt(var))
     assert q.bands[0] == pytest.approx(pts + norm.ppf(0.05) * np.sqrt(var))
-    # the bands are computed without scipy.stats, and must keep its bytes
+    # the bands are computed without scipy, and must keep its bytes
     levels = (0.025, 0.05, 0.25, 0.75, 0.95, 0.975)
     q = gaussian_quantiles(months, pts, var, levels)
     for band, level in zip(q.bands, levels):
         assert np.array_equal(band, pts + norm.ppf(level) * np.sqrt(var)), level
+
+
+def test_ndtri_port_matches_scipy():
+    # the in-repo Cephes ndtri gives scipy.special.ndtri's bits on every
+    # branch: the central table, both tail tables, and the edges between them
+    from scipy.special import ndtri
+
+    from crashvol.evaluation import _ndtri
+
+    rng = np.random.default_rng(3)
+    edges = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5]
+    for cut in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
+        edges += [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
+    y = np.concatenate([
+        edges,
+        np.arange(1001) / 1000,
+        rng.random(40_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 40_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
+    ])
+    got = np.array([_ndtri(float(v)) for v in y])
+    assert got.view(np.int64).tolist() == ndtri(y).view(np.int64).tolist()
 
 
 def test_backtest_requires_adjacent_windows(full_series):

@@ -89,6 +89,19 @@ def test_feller_warning_fires_only_when_violated():
     assert p2.feller_satisfied
 
 
+def test_feller_warning_points_at_the_caller(train_series):
+    # not at the "<string>" __init__ that dataclass generates
+    from crashvol.evaluation import fit_heston_from_stats
+
+    with pytest.warns(FellerWarning) as direct:
+        _heston(kappa=0.01, xi=0.5)
+    assert direct[0].filename == __file__
+    with pytest.warns(FellerWarning) as fitted:
+        fit_heston_from_stats(train_series, (2010, 1), (2014, 12), (2015, 1))
+    assert Path(fitted[0].filename).name == "evaluation.py"
+    assert Path(fitted[0].filename).is_file()
+
+
 def test_step_arithmetic():
     p = _heston()
     dt = 1.0 / 12
