@@ -11,7 +11,9 @@ one heston forecast and one heston backtest at non-default `--levels`,
 `--low` and `--high`; a heston and a vasicek forecast at seed 2**32 (two
 entropy words) and at seed 10**30 (four words, which reach SeedSequence's
 extra-entropy mixing); an arima and an arima-garch fit and backtest at each
-of `--orders` 2,1,1,1,0, 0,1,3,1,2 and 1,1,0.
+of `--orders` 2,1,1,1,0, 0,1,3,1,2 and 1,1,0; a heston and a vasicek
+forecast at `--paths` 1 and 4999 (one path, and the odd branch of the
+median).
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails.
@@ -79,6 +81,10 @@ def runs(w: str):
             yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model, "--orders", orders,
                    "--out", f"{w}/{name}.params"]
             yield [*backtest, "--model", model, "--orders", orders, "--out", f"{w}/bt.{name}.csv"]
+    for paths in ("1", "4999"):
+        for model in ("heston", "vasicek"):
+            yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", paths,
+                   "--out", f"{w}/{model}.paths{paths}.fc.csv"]
 
 
 def main() -> int:

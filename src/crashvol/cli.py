@@ -3,9 +3,10 @@
 Subcommands: diagnose | fit | forecast | evaluate | backtest. Every
 stochastic run takes an explicit --seed; there are no wall-clock or entropy
 defaults, so identical flags and files always reproduce identical outputs.
-Errors print a single machine-parsable line `crashvol: E_<CODE>: detail` to
-stderr and exit nonzero. The CRASHVOL_LOG environment variable (debug,
-info, warning, error) controls log verbosity.
+Errors, usage errors included, print a single machine-parsable line
+`crashvol: E_<CODE>: detail` to stderr and exit 1; `--help` exits 0. The
+CRASHVOL_LOG environment variable (debug, info, warning, error) controls
+log verbosity.
 """
 
 from __future__ import annotations
@@ -259,8 +260,15 @@ def cmd_backtest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (bad or missing flag) is one E_VALIDATION line, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(f"{message} (see {self.prog} --help)".replace("\n", "\\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crashvol",
         description="Crash-rate statistics, stochastic simulation, and forecast backtesting",
     )
@@ -342,9 +350,8 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CrashvolError as exc:
         print(f"crashvol: {exc.code}: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ An Ornstein-Uhlenbeck variant with a deterministic growth target and the
 identical spike machinery serves as a baseline.
 
 Determinism: path p draws exactly the normals of
-`np.random.default_rng([seed, p])`, for any seed >= 0; the seeding of all
-paths is computed in one pass (`_draw_buffers`), and
+`np.random.default_rng([seed, p])`, for any seed >= 0; the SeedSequence
+words of all paths are computed in one pass and each path's PCG64 is built
+straight from its words (`_draw_buffers`), and
 `test_draw_buffers_match_per_path_generators` pins the equality. Within a
 path and month the draw order is fixed (z_c, z_v, then the spike draw where
 applicable), so results are bit-identical for a given seed no matter how
@@ -27,6 +28,7 @@ paths are batched.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -228,25 +230,58 @@ def feller_bound(xi: float, theta_vol: float) -> float:
     return xi * xi / (2.0 * theta_vol)
 
 
-def _fold(x, scheme: str):
-    return np.abs(x) if scheme == "reflect" else np.maximum(x, 0.0)
+def _fold(x: np.ndarray, scheme: str) -> np.ndarray:
+    """Fold the array x at zero in place (|x|, or max(x, 0) under truncate)."""
+    return np.abs(x, out=x) if scheme == "reflect" else np.maximum(x, 0.0, out=x)
+
+
+# The Euler steps below build each update in place on fresh temporaries.
+# IEEE + and * are commutative but not associative, so every operation of the
+# one-expression form in the docstring is kept with its operands and its
+# grouping; only the side each operand sits on may change. Inputs are never
+# written; scalar inputs give a scalar.
 
 
 def step_variance(v, params: HestonParams, dt: float, z_v):
-    """One Euler step of the variance, folded to stay nonnegative."""
-    raw = v + params.kappa * (params.theta - v) * dt + params.xi * np.sqrt(v * dt) * z_v
-    return _fold(raw, params.scheme)
+    """One Euler step of the variance, folded to stay nonnegative:
+    v + kappa*(theta - v)*dt + xi*sqrt(v*dt)*z_v."""
+    shape = np.broadcast(v, z_v).shape
+    raw = np.subtract(params.theta, v, out=np.empty(shape))
+    raw *= params.kappa
+    raw *= dt
+    raw += v
+    noise = np.multiply(v, dt, out=np.empty(shape))
+    np.sqrt(noise, out=noise)
+    noise *= params.xi
+    noise *= z_v
+    raw += noise
+    return _fold(raw, params.scheme)[()]
 
 
 def step_rate(c_prev, params: HestonParams, v, dt: float, z_c):
-    """One Euler step of the rate; increments scale with c1, not the state."""
-    raw = c_prev + params.mu * params.c1 * dt + np.sqrt(v) * params.c1 * math.sqrt(dt) * z_c
-    return _fold(raw, params.scheme)
+    """One Euler step of the rate; increments scale with c1, not the state:
+    c_prev + mu*c1*dt + sqrt(v)*c1*sqrt(dt)*z_c."""
+    raw = np.sqrt(v, out=np.empty(np.broadcast(c_prev, v, z_c).shape))
+    raw *= params.c1
+    raw *= math.sqrt(dt)
+    raw *= z_c
+    raw += c_prev + params.mu * params.c1 * dt
+    return _fold(raw, params.scheme)[()]
+
+
+def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c):
+    """One Euler step of the baseline toward theta(t + 1) = c1*(1 + mu)^((t + 1)/12):
+    c_prev + kappa_v*(theta - c_prev)*dt + sigma_v*c1*sqrt(dt)*z_c."""
+    theta = params.c1 * _power(1.0 + params.mu, (t + 1) / 12.0, "1 + mu")
+    raw = np.subtract(theta, c_prev, out=np.empty(np.broadcast(c_prev, z_c).shape))
+    raw *= params.kappa_v
+    raw *= dt
+    raw += c_prev
+    raw += params.sigma_v * params.c1 * math.sqrt(dt) * z_c
+    return _fold(raw, params.scheme)[()]
 
 
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _seed_state(seed: int, n_paths: int) -> np.ndarray:
@@ -295,31 +330,53 @@ def _seed_state(seed: int, n_paths: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+@functools.cache
+def _seed_words_type() -> type:
+    """The seed sequence that gives PCG64 one path's precomputed words.
+
+    `PCG64(seed_seq)` asks for `generate_state(4, np.uint64)` and runs its own
+    seeding step (`srandom`, O'Neill 2014) on the words; any other request
+    means a NumPy that seeds PCG64 differently, so it raises. Built on first
+    use, so that commands that simulate nothing never import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"PCG64 seeding asked for {n_words} words of {dtype}, "
+                                 "not 4 uint64")
+            return np.array(self._words, dtype=np.uint64)  # fresh and C-contiguous
+
+    return SeedWords
+
+
 def _draw_buffers(seed: int, n_paths: int, counts: list[int]) -> np.ndarray:
     """Per-path normal draws, one substream per path, fixed intra-month order.
 
     Row p holds exactly the draws of `np.random.default_rng([seed, p])` for
-    any seed >= 0: the seeding of every path is computed in one pass by
-    `_seed_state`, then one PCG64 is set to each path's seeded state in turn
-    (PCG64's `srandom` step, O'Neill 2014). Pinned by
-    `test_draw_buffers_match_per_path_generators`.
+    any seed >= 0: the SeedSequence words of every path are computed in one
+    pass by `_seed_state`, and each path's PCG64 is built straight from its
+    words (`_seed_words_type`), so it runs the same seeding step that
+    `default_rng([seed, p])` runs. Pinned by
+    `test_draw_buffers_match_per_path_generators`. A buffer too large to
+    allocate is a ValidationError.
     """
     total = int(sum(counts))
-    buf = np.empty((n_paths, total))
-    gen = np.random.Generator(np.random.PCG64())
-    bit_gen = gen.bit_generator
+    try:
+        buf = np.empty((n_paths, total))
+    except (MemoryError, ValueError):
+        raise ValidationError(
+            f"draw buffer of {n_paths} paths x {total} draws x 8 bytes "
+            f"({n_paths * total * 8 / 2**30:.3g} GiB) cannot be allocated"
+        ) from None
     words = _seed_state(seed, n_paths)
+    seed_words = _seed_words_type()
     for p in range(n_paths):
-        w0, w1, w2, w3 = words[p].tolist()
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(total, out=buf[p])
+        np.random.Generator(np.random.PCG64(seed_words(words[p]))).standard_normal(out=buf[p])
     return buf
 
 
@@ -363,10 +420,13 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
         var[:, t] = v
         spec = spike_at.get(month)
         if spec is not None:
-            g = spec.mean_a + spec.std_b * buf[:, col]
+            # |c + cbar*(a + b*z)|, in place in the same order
+            g = spec.std_b * buf[:, col]
             col += 1
-            cbar = _trailing_average(base, t, tail_arr)
-            rep[:, t] = _fold(c + cbar * g, params.scheme)
+            g += spec.mean_a
+            g *= _trailing_average(base, t, tail_arr)
+            g += c
+            rep[:, t] = _fold(g, params.scheme)
         else:
             rep[:, t] = c
     for arr in (rep, var, base):
@@ -400,7 +460,8 @@ def simulate_heston(
 
     def step(c, v, t, z):
         z_c = z[:, 0]
-        z_v = rho * z_c + rho_c * z[:, 1]
+        z_v = rho * z_c
+        z_v += rho_c * z[:, 1]
         # the rate update uses the start-of-step variance
         return step_rate(c, params, v, dt, z_c), step_variance(v, params, dt, z_v)
 
@@ -420,12 +481,9 @@ def simulate_vasicek(
     reports the constant instantaneous variance sigma_v^2.
     """
     dt = params.dt
-    sdt = math.sqrt(dt)
 
     def step(c, v, t, z):
-        theta_t = params.c1 * _power(1.0 + params.mu, (t + 1) / 12.0, "1 + mu")
-        raw = c + params.kappa_v * (theta_t - c) * dt + params.sigma_v * params.c1 * sdt * z[:, 0]
-        return _fold(raw, params.scheme), v
+        return _step_vasicek(c, params, t, dt, z[:, 0]), v
 
     return _simulate(
         "vasicek", params, params.sigma_v**2, 1, step, horizon, n_paths, seed, history_tail
@@ -435,8 +493,11 @@ def simulate_vasicek(
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
     """Per-month empirical quantiles (linear interpolation) plus the median."""
     lv = _check_levels(levels)
-    bands = np.quantile(result.rate_paths, lv, axis=0)
-    med = np.median(result.rate_paths, axis=0)
+    # one contiguous row per month, a copy both calls may reorder: order
+    # statistics depend neither on the layout nor on the order within a row
+    by_month = result.rate_paths.T.copy(order="C")
+    bands = np.quantile(by_month, lv, axis=1, overwrite_input=True)
+    med = np.median(by_month, axis=1, overwrite_input=True)
     return ForecastQuantiles(months=tuple(result.months), median=med, levels=lv, bands=bands)
 
 

@@ -437,6 +437,20 @@ def test_every_command_runs_without_scipy(workdir):
     assert written == {p.name: p.read_bytes() for p in sorted(here.iterdir())}
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random adds ~20 ms to a cold start; it loads with the first
+    # simulation, not with the CLI
+    import crashvol
+
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(crashvol.__file__)))
+    pythonpath = os.pathsep.join(filter(None, (pkg_parent, os.environ.get("PYTHONPATH"))))
+    code = "import sys, crashvol.cli; print(sorted(m for m in sys.modules if 'random' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.random" not in proc.stdout, proc.stdout
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("fit", "--rho", "inf"),
     ("fit", "--spike-threshold", "nan"),
@@ -468,6 +482,66 @@ def test_bad_float_flags_end_as_one_line(workdir, capsys, command, flag, value):
     assert (rc, err.count("\n")) == (1, 1), err
     assert err.startswith(f"crashvol: E_VALIDATION: {flag}")
     assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["forecast", "--params", "h.params", "--paths", "abc", "--seed", "1", "--out", "f.csv"],
+     "argument --paths: invalid int value: 'abc' (see crashvol forecast --help)"),
+    (["forecast", "--seed", "1", "--out", "f.csv"],
+     "the following arguments are required: --params (see crashvol forecast --help)"),
+    (["fit", "--input", "dc_2010_2014.csv", "--train-start", "2010-01", "--train-end", "2014-12",
+      "--rho", "-inf", "--out", "h.params"],
+     "argument --rho: expected one argument (see crashvol fit --help)"),
+    (["fit", "--input", "dc_2010_2014.csv", "--train-start", "2010-01", "--train-end", "2014-12",
+      "--model", "garch", "--out", "h.params"],
+     "argument --model: invalid choice: 'garch'"),
+    ([], "the following arguments are required: command (see crashvol --help)"),
+    (["forecast", "--params", "h.params", "--out", "f.csv", "a\nb"],
+     "unrecognized arguments: a\\nb (see crashvol --help)"),
+], ids=["bad-int", "missing-flag", "rho-minus-inf", "bad-choice", "no-command", "extra-arg"])
+def test_usage_errors_end_as_one_line(workdir, capsys, monkeypatch, argv, detail):
+    # argparse's usage errors are one E_VALIDATION line with exit 1, not the
+    # usage block with exit 2, and come before any file is written
+    monkeypatch.chdir(workdir)
+    before = sorted(p.name for p in workdir.iterdir())
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.err.count("\n"), captured.out) == (1, 1, ""), captured.err
+    assert captured.err.startswith(f"crashvol: E_VALIDATION: {detail}")
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["forecast", "--help"], ["fit", "-h"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: crashvol") and captured.err == ""
+
+
+def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
+    # the draw buffer's allocation is faked to fail: no test asks the OS for 201 GiB
+    params = workdir / "h.params"
+    assert main(["fit", "--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
+                 "--train-end", "2014-12", "--model", "heston", "--out", str(params)]) == 0
+    capsys.readouterr()
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if 200_000_000 in np.atleast_1d(shape):
+            raise MemoryError("fake: out of memory")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out = workdir / "f.csv"
+    rc = main(["forecast", "--params", str(params), "--paths", "200000000", "--seed", "1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1), err
+    assert err.startswith("crashvol: E_VALIDATION: draw buffer of 200000000 paths x ")
+    assert " draws x 8 bytes (" in err and err.endswith(" GiB) cannot be allocated\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "backtest"])

@@ -13,9 +13,13 @@ from crashvol.stochastic_engine import (
     FellerWarning,
     ForecastQuantiles,
     HestonParams,
+    SimulationResult,
     SpikeSpec,
     VasicekParams,
     _draw_buffers,
+    _seed_state,
+    _seed_words_type,
+    _step_vasicek,
     feller_bound,
     forecast_quantiles,
     read_stochastic_params,
@@ -111,6 +115,88 @@ def test_step_arithmetic():
     assert c == pytest.approx(
         0.005 + 0.14 * 0.005 * dt - math.sqrt(0.04) * 0.005 * math.sqrt(dt)
     )
+
+
+def _reference_fold(x, scheme):
+    return np.abs(x) if scheme == "reflect" else np.maximum(x, 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["reflect", "truncate"])
+def test_in_place_steps_match_one_expression_forms(scheme):
+    # the in-place steps give the bits of their one-expression forms, and
+    # never write their inputs
+    rng = np.random.default_rng(12)
+    n = 4000
+    scale = 10.0 ** rng.uniform(-6, 1, n)  # magnitudes where rounding differs
+    c = np.abs(rng.standard_normal(n)) * scale
+    v = np.abs(rng.standard_normal(n)) * scale
+    v[:50] = 0.0
+    z = 3.0 * rng.standard_normal(n)  # large shocks drive many raw updates below 0
+    dt = 1.0 / 12
+    hp = _heston(scheme=scheme, v0=0.3, theta=0.07, kappa=1.3, xi=0.9, mu=0.17, c1=0.0071)
+    vp = VasicekParams(c1=0.0071, mu=0.13, kappa_v=3.7, sigma_v=0.9, scheme=scheme)
+    saved = [a.copy() for a in (c, v, z)]
+
+    want_v = _reference_fold(v + hp.kappa * (hp.theta - v) * dt + hp.xi * np.sqrt(v * dt) * z, scheme)
+    want_c = _reference_fold(
+        c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * z, scheme
+    )
+    theta_t = vp.c1 * (1.0 + vp.mu) ** (5 / 12.0)
+    want_o = _reference_fold(
+        c + vp.kappa_v * (theta_t - c) * dt + vp.sigma_v * vp.c1 * math.sqrt(dt) * z, scheme
+    )
+    got = {
+        "variance": (step_variance(v, hp, dt, z), want_v),
+        "rate": (step_rate(c, hp, v, dt, z), want_c),
+        "vasicek": (_step_vasicek(c, vp, 4, dt, z), want_o),
+    }
+    for name, (have, want) in got.items():
+        assert have.tobytes() == want.tobytes(), name
+    # some raw updates fall below zero, so the fold is exercised
+    assert (v + hp.kappa * (hp.theta - v) * dt + hp.xi * np.sqrt(v * dt) * z < 0).any()
+    assert (c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * z < 0).any()
+    for before, after in zip(saved, (c, v, z)):
+        assert before.tobytes() == after.tobytes()
+    # on a strided column of a draw buffer, as the simulator calls them
+    zz = np.stack([z, z[::-1]], axis=1)
+    assert step_rate(c, hp, v, dt, zz[:, 1]).tobytes() == _reference_fold(
+        c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * zz[:, 1], scheme
+    ).tobytes()
+    # scalars in, scalar out
+    for value in (step_variance(0.04, hp, dt, -0.5), step_rate(0.005, hp, 0.04, dt, 1.5),
+                  _step_vasicek(0.005, vp, 0, dt, 0.3)):
+        assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+
+
+def test_seed_words_only_seed_pcg64_as_it_asks():
+    words = _seed_state(11, 3)
+    seeded = _seed_words_type()(words[2])
+    got = seeded.generate_state(4, np.uint64)
+    assert got.tobytes() == words[2].tobytes()
+    assert got.dtype == np.uint64 and got.flags.c_contiguous and not np.shares_memory(got, words)
+    assert (
+        np.random.PCG64(seeded).state == np.random.PCG64(np.random.SeedSequence([11, 2])).state
+    )
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
+                           (4, np.int64), (4, np.float64)):
+        with pytest.raises(ValueError):
+            seeded.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        seeded.generate_state(4)  # the interface's default dtype is uint32
+
+
+def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
+    # the allocation is faked: the oversized buffer is never requested from the OS
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if 200_000_000 in np.atleast_1d(shape):
+            raise MemoryError("fake: out of memory")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(ValidationError, match=r"200000000 paths x 7 draws x 8 bytes \(10.4 GiB\)"):
+        _draw_buffers(3, 200_000_000, [2, 3, 2])
 
 
 def test_fold_schemes():
@@ -283,15 +369,36 @@ def test_vasicek_spike_reconstruction():
 
 
 def test_forecast_quantiles_ordering():
-    res = simulate_heston(_heston(), 12, 400, seed=6)
-    q = forecast_quantiles(res, (0.05, 0.25, 0.75, 0.95))
-    assert isinstance(q, ForecastQuantiles)
-    assert q.levels == (0.05, 0.25, 0.75, 0.95)
-    assert np.all(q.bands[0] <= q.bands[1])
-    assert np.all(q.bands[1] <= q.median + 1e-15)
-    assert np.all(q.median <= q.bands[2] + 1e-15)
-    assert np.all(q.bands[2] <= q.bands[3])
-    assert np.allclose(q.median, np.median(res.rate_paths, axis=0))
+    # one path, and the odd and even branches of the median, equal numpy's
+    # own statistics over the paths axis exactly, under both schemes
+    levels = (0.05, 0.25, 0.75, 0.95)
+    for scheme in ("reflect", "truncate"):
+        hp = _heston(scheme=scheme, xi=0.9)
+        vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0, scheme=scheme)
+        for n_paths in (1, 401, 400):
+            for res in (simulate_heston(hp, 12, n_paths, seed=6),
+                        simulate_vasicek(vp, 12, n_paths, seed=6)):
+                q = forecast_quantiles(res, levels)
+                assert isinstance(q, ForecastQuantiles)
+                assert q.levels == levels
+                assert q.median.shape == (12,) and q.bands.shape == (4, 12)
+                assert np.all(q.bands[0] <= q.bands[1])
+                assert np.all(q.bands[1] <= q.median + 1e-15)
+                assert np.all(q.median <= q.bands[2] + 1e-15)
+                assert np.all(q.bands[2] <= q.bands[3])
+                assert q.median.tobytes() == np.median(res.rate_paths, axis=0).tobytes()
+                want = np.quantile(res.rate_paths, levels, axis=0)
+                assert q.bands.tobytes() == want.tobytes()
+    # numpy's median (a + b)/2 and its quantile lerp at 0.5 differ in the
+    # last bit for some pairs; over 2 paths and 1000 months the median must
+    # still be np.median's
+    paths = np.random.default_rng(0).uniform(0.001, 0.01, (2, 1000))
+    res = SimulationResult(rate_paths=paths, var_paths=paths, base_paths=paths, seed=0,
+                           dt=1 / 12, history_tail=(), start=(2015, 1), model_id="heston")
+    q = forecast_quantiles(res, (0.5,))
+    assert q.median.tobytes() == np.median(paths, axis=0).tobytes()
+    assert q.bands[0].tobytes() == np.quantile(paths, 0.5, axis=0).tobytes()
+    assert (q.median != q.bands[0]).any()
 
 
 def test_forecast_quantiles_level_validation():
