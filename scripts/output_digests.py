@@ -12,8 +12,9 @@ one heston forecast and one heston backtest at non-default `--levels`,
 entropy words) and at seed 10**30 (four words, which reach SeedSequence's
 extra-entropy mixing); an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2 and 1,1,0; a heston and a vasicek
-forecast at `--paths` 1 and 4999 (one path, and the odd branch of the
-median).
+forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
+the median, one 256-path fill block of the draw buffer plus one path, and
+the size of the benchmark's simulations).
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails.
@@ -81,7 +82,7 @@ def runs(w: str):
             yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model, "--orders", orders,
                    "--out", f"{w}/{name}.params"]
             yield [*backtest, "--model", model, "--orders", orders, "--out", f"{w}/bt.{name}.csv"]
-    for paths in ("1", "4999"):
+    for paths in ("1", "4999", "257", "20000"):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", paths,
                    "--out", f"{w}/{model}.paths{paths}.fc.csv"]

@@ -38,6 +38,8 @@ from .data_ingest import (
 
 log = logging.getLogger("crashvol")
 
+_MAX_HORIZON = 1200  # months; the Euler loop is one Python step per month
+
 
 def _parse_ym(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d{4})-(\d{1,2})", text.strip())
@@ -181,6 +183,8 @@ def _check_seed(model_id, seed):
 
 
 def cmd_forecast(args) -> int:
+    if not 1 <= args.horizon <= _MAX_HORIZON:
+        raise ValidationError(f"--horizon {args.horizon} must be 1 to {_MAX_HORIZON} months")
     levels = _parse_levels(args.levels)
     model_id = parse_kv_file(args.params).get("model", "heston")
     model = evaluation.MODELS.get(model_id)
@@ -314,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="forecast from a parameter file")
     p.add_argument("--params", required=True, help="parameter or fitted-model file")
-    p.add_argument("--horizon", type=int, default=60, help="months to forecast (default 60)")
+    p.add_argument("--horizon", type=int, default=60,
+                   help=f"months to forecast, 1 to {_MAX_HORIZON} (default 60)")
     add_forecast_flags(p)
     p.add_argument("--out", required=True, help="forecast CSV to write")
     p.set_defaults(func=cmd_forecast)
@@ -358,6 +363,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"crashvol: E_IO: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # last resort: an allocation that no size check covers
+        detail = " ".join(str(exc).split())
+        print(f"crashvol: E_VALIDATION: out of memory: {detail}", file=sys.stderr)
         return 1
 
 

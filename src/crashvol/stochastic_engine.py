@@ -24,6 +24,11 @@ straight from its words (`_draw_buffers`), and
 path and month the draw order is fixed (z_c, z_v, then the spike draw where
 applicable), so results are bit-identical for a given seed no matter how
 paths are batched.
+
+Layout: the Monte Carlo state is month-major. The draw buffer and the base,
+reported and variance arrays are C-ordered with one row per month (a
+vectorised Euler step reads and writes contiguous rows), and
+`SimulationResult` exposes them as read-only (paths, months) `.T` views.
 """
 
 from __future__ import annotations
@@ -159,7 +164,10 @@ class VasicekParams:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Simulated paths; rows are paths, columns are consecutive months."""
+    """Simulated paths; rows are paths, columns are consecutive months.
+
+    The arrays are read-only `.T` views of month-major storage, so they need
+    not be C-contiguous."""
 
     rate_paths: np.ndarray
     var_paths: np.ndarray
@@ -346,45 +354,64 @@ def _seed_words_type() -> type:
             self._words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(f"PCG64 seeding asked for {n_words} words of {dtype}, "
                                  "not 4 uint64")
-            return np.array(self._words, dtype=np.uint64)  # fresh and C-contiguous
+            return self._words.copy()  # fresh and C-contiguous
 
     return SeedWords
 
 
-def _draw_buffers(seed: int, n_paths: int, counts: list[int]) -> np.ndarray:
+_BLOCK = 256  # paths filled path-major before one transposed copy into the buffer
+
+
+def _allocate(n_paths: int, counts: list[int], n_results: int = 0) -> list[np.ndarray]:
+    """The (draws, paths) draw buffer, the path-major fill block and `n_results`
+    (months, paths) arrays, allocated together before any work is done; a size
+    that cannot be allocated is one ValidationError naming the total bytes."""
+    total, horizon = int(sum(counts)), len(counts)
+    shapes = [(total, n_paths), (min(n_paths, _BLOCK), total), *[(horizon, n_paths)] * n_results]
+    try:
+        return [np.empty(shape) for shape in shapes]
+    except (MemoryError, ValueError):
+        results = f"plus {n_results} arrays of {horizon} months, " if n_results else ""
+        gib = sum(math.prod(shape) for shape in shapes) * 8 / 2**30
+        raise ValidationError(f"draw buffer of {n_paths} paths x {total} draws x 8 bytes "
+                              f"({results}{gib:.3g} GiB) cannot be allocated") from None
+
+
+def _draw_buffers(seed: int, n_paths: int, counts: list[int], buffers=None) -> np.ndarray:
     """Per-path normal draws, one substream per path, fixed intra-month order.
 
-    Row p holds exactly the draws of `np.random.default_rng([seed, p])` for
-    any seed >= 0: the SeedSequence words of every path are computed in one
-    pass by `_seed_state`, and each path's PCG64 is built straight from its
-    words (`_seed_words_type`), so it runs the same seeding step that
-    `default_rng([seed, p])` runs. Pinned by
-    `test_draw_buffers_match_per_path_generators`. A buffer too large to
-    allocate is a ValidationError.
+    Row p of the (paths, draws) result holds exactly the draws of
+    `np.random.default_rng([seed, p])` for any seed >= 0: the SeedSequence
+    words of every path are computed in one pass by `_seed_state`, and each
+    path's PCG64 is built straight from its words (`_seed_words_type`), so it
+    runs the same seeding step that `default_rng([seed, p])` runs. Pinned by
+    `test_draw_buffers_match_per_path_generators`. Storage is month-major:
+    paths are filled a block at a time into a reused path-major block, each
+    block is copied transposed into a C-ordered (draws, paths) buffer, and the
+    result is that buffer's `.T`. `buffers` is the buffer and block of
+    `_allocate(n_paths, counts, ...)`, allocated here when not given.
     """
-    total = int(sum(counts))
-    try:
-        buf = np.empty((n_paths, total))
-    except (MemoryError, ValueError):
-        raise ValidationError(
-            f"draw buffer of {n_paths} paths x {total} draws x 8 bytes "
-            f"({n_paths * total * 8 / 2**30:.3g} GiB) cannot be allocated"
-        ) from None
+    buf, block = buffers if buffers is not None else _allocate(n_paths, counts)
     words = _seed_state(seed, n_paths)
-    seed_words = _seed_words_type()
-    for p in range(n_paths):
-        np.random.Generator(np.random.PCG64(seed_words(words[p]))).standard_normal(out=buf[p])
-    return buf
+    seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
+    for lo in range(0, n_paths, _BLOCK):
+        rows = block[: min(_BLOCK, n_paths - lo)]
+        for i, row in enumerate(rows):
+            generator(pcg64(seed_words(words[lo + i]))).standard_normal(out=row)
+        buf[:, lo : lo + len(rows)] = rows.T
+    return buf.T
 
 
 def _trailing_average(base, t, tail_arr):
     # mean over the latest k simulated base rates (k <= 12, current included)
-    # backfilled from the observed tail up to 12 values total
+    # backfilled from the observed tail up to 12 values total; each path's
+    # window is summed as a contiguous row, the order numpy's pairwise sum
+    # gives a path-major array (a month-major sum(axis=0) differs for k >= 8)
     k = min(t + 1, 12)
-    sim_sum = base[:, t + 1 - k : t + 1].sum(axis=1)
+    sim_sum = base[t + 1 - k : t + 1].T.copy().sum(axis=1)
     b = min(12 - k, tail_arr.size)
     tail_sum = tail_arr[-b:].sum() if b > 0 else 0.0
     return (sim_sum + tail_sum) / (k + b)
@@ -393,9 +420,11 @@ def _trailing_average(base, t, tail_arr):
 def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history_tail):
     """Shared Monte Carlo loop; `step(c, v, t, z)` advances one month.
 
-    `z` holds the month's `draws` normal columns; the step returns the new
-    base rate and the variance to report. In a spike month one more draw
-    follows the step's draws.
+    `z` holds the month's `draws` normal rows, one value per path; the step
+    returns the new base rate and the variance to report. In a spike month
+    one more draw follows the step's draws. State is month-major: the draw
+    buffer and the three result arrays are (months, paths) C arrays, so every
+    step operand and store is a contiguous row.
     """
     _check(horizon >= 1, "horizon >= 1")
     _check(n_paths >= 1, "n_paths >= 1")
@@ -404,37 +433,35 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
     y0, m0 = params.start
     cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
     counts = [draws + 1 if m in spike_at else draws for m in cal_months]
-    buf = _draw_buffers(seed, n_paths, counts)
+    buf, block, base, rep, var = _allocate(n_paths, counts, 3)
+    _draw_buffers(seed, n_paths, counts, (buf, block))
     tail_arr = np.asarray(history_tail, dtype=float)
 
-    base = np.empty((n_paths, horizon))
-    rep = np.empty((n_paths, horizon))
-    var = np.empty((n_paths, horizon))
     c = np.full(n_paths, params.c1)
     v = np.full(n_paths, v0)
-    col = 0
+    row = 0
     for t, month in enumerate(cal_months):
-        c, v = step(c, v, t, buf[:, col : col + draws])
-        col += draws
-        base[:, t] = c
-        var[:, t] = v
+        c, v = step(c, v, t, buf[row : row + draws])
+        row += draws
+        base[t] = c
+        var[t] = v
         spec = spike_at.get(month)
         if spec is not None:
             # |c + cbar*(a + b*z)|, in place in the same order
-            g = spec.std_b * buf[:, col]
-            col += 1
+            g = spec.std_b * buf[row]
+            row += 1
             g += spec.mean_a
             g *= _trailing_average(base, t, tail_arr)
             g += c
-            rep[:, t] = _fold(g, params.scheme)
+            rep[t] = _fold(g, params.scheme)
         else:
-            rep[:, t] = c
+            rep[t] = c
     for arr in (rep, var, base):
         arr.flags.writeable = False
     return SimulationResult(
-        rate_paths=rep,
-        var_paths=var,
-        base_paths=base,
+        rate_paths=rep.T,
+        var_paths=var.T,
+        base_paths=base.T,
         seed=seed,
         dt=params.dt,
         history_tail=tuple(float(x) for x in tail_arr),
@@ -459,9 +486,9 @@ def simulate_heston(
     rho_c = math.sqrt(1.0 - rho * rho)
 
     def step(c, v, t, z):
-        z_c = z[:, 0]
+        z_c = z[0]
         z_v = rho * z_c
-        z_v += rho_c * z[:, 1]
+        z_v += rho_c * z[1]
         # the rate update uses the start-of-step variance
         return step_rate(c, params, v, dt, z_c), step_variance(v, params, dt, z_v)
 
@@ -483,7 +510,7 @@ def simulate_vasicek(
     dt = params.dt
 
     def step(c, v, t, z):
-        return _step_vasicek(c, params, t, dt, z[:, 0]), v
+        return _step_vasicek(c, params, t, dt, z[0]), v
 
     return _simulate(
         "vasicek", params, params.sigma_v**2, 1, step, horizon, n_paths, seed, history_tail
@@ -491,11 +518,14 @@ def simulate_vasicek(
 
 
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
-    """Per-month empirical quantiles (linear interpolation) plus the median."""
+    """Per-month empirical quantiles (linear interpolation) plus the median.
+
+    Each month's row of paths is sorted once, and numpy's own quantile and
+    median then run on the sorted rows: order statistics do not depend on the
+    order within a row, so the values are those of the unsorted paths.
+    """
     lv = _check_levels(levels)
-    # one contiguous row per month, a copy both calls may reorder: order
-    # statistics depend neither on the layout nor on the order within a row
-    by_month = result.rate_paths.T.copy(order="C")
+    by_month = np.sort(result.rate_paths.T, axis=1)  # a copy both calls may reorder
     bands = np.quantile(by_month, lv, axis=1, overwrite_input=True)
     med = np.median(by_month, axis=1, overwrite_input=True)
     return ForecastQuantiles(months=tuple(result.months), median=med, levels=lv, bands=bands)

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -542,6 +543,76 @@ def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
     assert err.startswith("crashvol: E_VALIDATION: draw buffer of 200000000 paths x ")
     assert " draws x 8 bytes (" in err and err.endswith(" GiB) cannot be allocated\n")
     assert not out.exists()
+
+
+def _fit_heston(workdir, capsys):
+    params = workdir / "h.params"
+    assert main(["fit", "--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
+                 "--train-end", "2014-12", "--model", "heston", "--out", str(params)]) == 0
+    capsys.readouterr()
+    return params
+
+
+def test_unallocatable_result_arrays_end_as_one_line(workdir, capsys, monkeypatch):
+    # the draw buffer is allocated, then the first (months, paths) result
+    # array's allocation is faked to fail; nothing large is allocated
+    params = _fit_heston(workdir, capsys)
+    real_empty = np.empty
+    shapes = []
+
+    def empty(shape, *args, **kwargs):
+        shapes.append(tuple(np.atleast_1d(shape)))
+        if shapes[-1] == (13, 5):
+            raise MemoryError("fake: out of memory")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out = workdir / "f.csv"
+    rc = main(["forecast", "--params", str(params), "--horizon", "13", "--paths", "5",
+               "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1), err
+    assert err.startswith("crashvol: E_VALIDATION: draw buffer of 5 paths x ")
+    assert " draws x 8 bytes (plus 3 arrays of 13 months, " in err
+    assert err.endswith(" GiB) cannot be allocated\n")
+    assert shapes[0][1] == 5 and shapes[-1] == (13, 5) and not out.exists()
+
+
+def test_any_memory_error_ends_as_one_line(workdir, capsys, monkeypatch):
+    # an allocation no size check covers (here the sorted copy the quantiles
+    # take) is still one line, with the error's text on that line
+    params = _fit_heston(workdir, capsys)
+
+    def sort(*args, **kwargs):
+        raise MemoryError("fake: unable to allocate\n9.16 MiB")
+
+    monkeypatch.setattr(np, "sort", sort)
+    out = workdir / "f.csv"
+    rc = main(["forecast", "--params", str(params), "--paths", "5", "--seed", "1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and not out.exists()
+    assert err == "crashvol: E_VALIDATION: out of memory: fake: unable to allocate 9.16 MiB\n"
+
+
+@pytest.mark.parametrize("horizon", ["1000000", "0", "-3"])
+def test_forecast_horizon_checked_before_any_work(workdir, capsys, horizon):
+    params = _fit_heston(workdir, capsys)
+    out = workdir / "f.csv"
+    started = time.perf_counter()
+    rc = main(["forecast", "--params", str(params), "--horizon", horizon, "--paths", "1",
+               "--seed", "1", "--out", str(out)])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert (rc, err) == (1, f"crashvol: E_VALIDATION: --horizon {horizon} must be 1 to 1200 months\n")
+    assert elapsed < 1.0 and not out.exists()
+    # the limit itself is a forecast, and --help states it
+    assert main(["forecast", "--params", str(params), "--horizon", "1200", "--paths", "1",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 1200
+    with pytest.raises(SystemExit):
+        main(["forecast", "--help"])
+    assert "1 to 1200" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["evaluate", "backtest"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crashvol.data_ingest import ValidationError
+from crashvol.data_ingest import ValidationError, add_months
 from crashvol.stochastic_engine import (
     FellerWarning,
     ForecastQuantiles,
@@ -17,9 +17,11 @@ from crashvol.stochastic_engine import (
     SpikeSpec,
     VasicekParams,
     _draw_buffers,
+    _fold,
     _seed_state,
     _seed_words_type,
     _step_vasicek,
+    _trailing_average,
     feller_bound,
     forecast_quantiles,
     read_stochastic_params,
@@ -177,6 +179,7 @@ def test_seed_words_only_seed_pcg64_as_it_asks():
     assert (
         np.random.PCG64(seeded).state == np.random.PCG64(np.random.SeedSequence([11, 2])).state
     )
+    assert seeded.generate_state(4, np.dtype("uint64")).tobytes() == words[2].tobytes()
     for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
                            (4, np.int64), (4, np.float64)):
         with pytest.raises(ValueError):
@@ -259,6 +262,151 @@ def test_result_arrays_read_only():
     res = simulate_heston(_heston(), 3, 2, seed=1)
     with pytest.raises(ValueError):
         res.rate_paths[0, 0] = 1.0
+    # the (paths, months) arrays are views of month-major storage; none can
+    # be written, nor made writeable
+    for arr in (res.rate_paths, res.var_paths, res.base_paths):
+        assert arr.shape == (2, 3) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1, 2] = 1.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
+def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
+    # the result arrays' allocation is faked to fail after the draw buffer's
+    # succeeded; it must fail before any path is drawn, as one ValidationError
+    real_empty = np.empty
+    shapes = []
+
+    def empty(shape, *args, **kwargs):
+        shapes.append(tuple(np.atleast_1d(shape)))
+        if shapes[-1] == (13, 5):
+            raise MemoryError("fake: out of memory")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(ValidationError, match=r"^draw buffer of 5 paths x 26 draws x 8 bytes "
+                                              r"\(plus 3 arrays of 13 months, [0-9.e-]+ GiB\) "
+                                              r"cannot be allocated$"):
+        simulate_heston(_heston(), 13, 5, seed=1)
+    assert shapes == [(26, 5), (5, 26), (13, 5)]  # draw buffer, fill block, first result
+
+
+# The path-major simulator loop that the month-major one replaced, kept as
+# written, with its steps and trailing average: the layout must not change a
+# byte. Its draws are the pinned (paths, draws) bytes of `_draw_buffers`.
+
+def _path_major_trailing_average(base, t, tail_arr):
+    # mean over the latest k simulated base rates (k <= 12, current included)
+    # backfilled from the observed tail up to 12 values total
+    k = min(t + 1, 12)
+    sim_sum = base[:, t + 1 - k : t + 1].sum(axis=1)
+    b = min(12 - k, tail_arr.size)
+    tail_sum = tail_arr[-b:].sum() if b > 0 else 0.0
+    return (sim_sum + tail_sum) / (k + b)
+
+
+def _path_major_simulate(params, v0, draws, step, horizon, n_paths, seed, history_tail):
+    spike_at = {s.month: s for s in params.spikes}
+    y0, m0 = params.start
+    cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
+    counts = [draws + 1 if m in spike_at else draws for m in cal_months]
+    buf = np.ascontiguousarray(_draw_buffers(seed, n_paths, counts))
+    tail_arr = np.asarray(history_tail, dtype=float)
+
+    base = np.empty((n_paths, horizon))
+    rep = np.empty((n_paths, horizon))
+    var = np.empty((n_paths, horizon))
+    c = np.full(n_paths, params.c1)
+    v = np.full(n_paths, v0)
+    col = 0
+    for t, month in enumerate(cal_months):
+        c, v = step(c, v, t, buf[:, col : col + draws])
+        col += draws
+        base[:, t] = c
+        var[:, t] = v
+        spec = spike_at.get(month)
+        if spec is not None:
+            # |c + cbar*(a + b*z)|, in place in the same order
+            g = spec.std_b * buf[:, col]
+            col += 1
+            g += spec.mean_a
+            g *= _path_major_trailing_average(base, t, tail_arr)
+            g += c
+            rep[:, t] = _fold(g, params.scheme)
+        else:
+            rep[:, t] = c
+    return rep, var, base
+
+
+def _path_major_heston(params, horizon, n_paths, seed, history_tail):
+    dt = params.dt
+    rho = params.rho
+    rho_c = math.sqrt(1.0 - rho * rho)
+
+    def step(c, v, t, z):
+        z_c = z[:, 0]
+        z_v = rho * z_c
+        z_v += rho_c * z[:, 1]
+        # the rate update uses the start-of-step variance
+        return step_rate(c, params, v, dt, z_c), step_variance(v, params, dt, z_v)
+
+    return _path_major_simulate(params, params.v0, 2, step, horizon, n_paths, seed, history_tail)
+
+
+def _path_major_vasicek(params, horizon, n_paths, seed, history_tail):
+    dt = params.dt
+
+    def step(c, v, t, z):
+        return _step_vasicek(c, params, t, dt, z[:, 0]), v
+
+    return _path_major_simulate(
+        params, params.sigma_v**2, 1, step, horizon, n_paths, seed, history_tail
+    )
+
+
+@pytest.mark.parametrize("scheme", ["reflect", "truncate"])
+@pytest.mark.parametrize("model", ["heston", "vasicek"])
+def test_month_major_simulation_matches_path_major_loop(model, scheme):
+    # spikes in November, March and August from a November start: horizon 13
+    # holds two of them, 60 holds fifteen; a 7-month tail is backfilled in
+    # part, so windows of 1 to 12 months meet with and without a tail
+    spikes = (SpikeSpec(11, 0.3, 0.2), SpikeSpec(3, -0.1, 0.4), SpikeSpec(8, 0.05, 0.02))
+    common = dict(c1=0.005, mu=0.14, spikes=spikes, start=(2014, 11), scheme=scheme)
+    if model == "heston":
+        params = HestonParams(v0=0.04, theta=0.3, kappa=0.8, xi=0.9, rho=-0.5, **common)
+        simulate, reference = simulate_heston, _path_major_heston
+    else:
+        params = VasicekParams(kappa_v=0.5, sigma_v=2.0, **common)
+        simulate, reference = simulate_vasicek, _path_major_vasicek
+    tail = (0.0041, 0.0052, 0.0047, 0.0061, 0.0039, 0.0058, 0.0049)
+    for seed in (0, 2**40 + 5):
+        for n_paths in (1, 2, 257, 401):
+            for horizon in (1, 13, 60):
+                for history_tail in ((), tail):
+                    res = simulate(params, horizon, n_paths, seed, history_tail)
+                    want = reference(params, horizon, n_paths, seed, history_tail)
+                    for got, arr in zip((res.rate_paths, res.var_paths, res.base_paths), want):
+                        assert got.shape == arr.shape
+                        assert got.tobytes() == arr.tobytes(), (seed, n_paths, horizon)
+
+
+def test_trailing_average_sums_each_window_path_major():
+    # windows of k = 1..12 months over values spanning 16 decades, where the
+    # order of summation shows in the last bit
+    rng = np.random.default_rng(4)
+    paths = 10.0 ** rng.uniform(-8.0, 8.0, (257, 30))
+    month_major = np.ascontiguousarray(paths.T)
+    order_shows = False
+    for tail in ((), (0.004, 3.0e5, 0.006)):
+        tail_arr = np.asarray(tail, dtype=float)
+        for t in range(paths.shape[1]):
+            got = _trailing_average(month_major, t, tail_arr)
+            assert got.tobytes() == _path_major_trailing_average(paths, t, tail_arr).tobytes(), t
+            k = min(t + 1, 12)
+            by_row = month_major[t + 1 - k : t + 1].sum(axis=0)
+            order_shows |= by_row.tobytes() != paths[:, t + 1 - k : t + 1].sum(axis=1).tobytes()
+    assert order_shows  # a month-major sum(axis=0) would give other bytes here
 
 
 def test_spike_draw_reconstruction():
@@ -389,6 +537,11 @@ def test_forecast_quantiles_ordering():
                 assert q.median.tobytes() == np.median(res.rate_paths, axis=0).tobytes()
                 want = np.quantile(res.rate_paths, levels, axis=0)
                 assert q.bands.tobytes() == want.tobytes()
+    # the size sim-paths runs: 20000 paths, each month's row sorted first
+    res = simulate_heston(_heston(xi=0.9, spikes=(SpikeSpec(3, 0.2, 0.3),)), 14, 20000, seed=6)
+    q = forecast_quantiles(res, levels)
+    assert q.median.tobytes() == np.median(res.rate_paths, axis=0).tobytes()
+    assert q.bands.tobytes() == np.quantile(res.rate_paths, levels, axis=0).tobytes()
     # numpy's median (a + b)/2 and its quantile lerp at 0.5 differ in the
     # last bit for some pairs; over 2 paths and 1000 months the median must
     # still be np.median's
