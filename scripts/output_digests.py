@@ -11,7 +11,7 @@ one heston forecast and one heston backtest at non-default `--levels`,
 `--low` and `--high`; a heston and a vasicek forecast at seed 2**32 (two
 entropy words) and at seed 10**30 (four words, which reach SeedSequence's
 extra-entropy mixing); an arima and an arima-garch fit and backtest at each
-of `--orders` 2,1,1,1,0, 0,1,3,1,2 and 1,1,0; a heston and a vasicek
+of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
 the median, one 256-path fill block of the draw buffer plus one path, and
 the size of the benchmark's simulations).
@@ -75,8 +75,9 @@ def runs(w: str):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", str(seed),
                    "--out", f"{w}/{model}.seed{seed}.fc.csv"]
     # orders off the default 1,2,2 / 2,1 path: one MA lag and no GARCH lag,
-    # three MA lags and two GARCH lags, no MA filter at all
-    for orders in ("2,1,1,1,0", "0,1,3,1,2", "1,1,0"):
+    # three MA lags and two GARCH lags, no MA filter at all, three AR lags
+    # (np.convolve's branch) and three ARCH lags
+    for orders in ("2,1,1,1,0", "0,1,3,1,2", "1,1,0", "3,1,0,3,2"):
         for model in ("arima", "arima-garch"):
             name = f"{model}.{orders.replace(',', '')}"
             yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model, "--orders", orders,

@@ -17,10 +17,15 @@ with an objective-spread tolerance of 1e-10.
 The module runs on numpy alone: `_nelder_mead` and `_all_pole` (the MA and
 GARCH filters) port scipy's `minimize(method="Nelder-Mead")` and `lfilter`
 operation for operation over Python floats, so fits keep those calls' bytes.
+The fit objectives also make one pass over Python floats per evaluation.
+What stays in numpy is what numpy rounds its own way: `np.tanh`, `np.exp`
+and `np.log` (its own kernels, not libm), `np.sum` and `e @ e` (pairwise and
+BLAS summation orders), and `np.convolve` for three or more AR lags.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -65,10 +70,15 @@ def pacf_to_coef(pacf) -> np.ndarray:
     Inputs in (-1, 1) yield a polynomial 1 - sum(a_k B^k) with all roots
     strictly outside the unit circle.
     """
+    return np.array(_durbin_levinson(map(float, pacf)))
+
+
+def _durbin_levinson(pacf) -> list[float]:
+    # pacf_to_coef over Python floats, private so tracers do not wrap the objective
     a = []
-    for r in map(float, pacf):
+    for r in pacf:
         a = [x - r * y for x, y in zip(a, reversed(a))] + [r]
-    return np.array(a)
+    return a
 
 
 def _poly_roots_outside(coefs, sign: float) -> bool:
@@ -88,14 +98,21 @@ def _all_pole(x, a, z) -> list[float]:
 
     In the order of scipy.signal's lfilter([1], [1, *a], x, zi=z) (direct form
     II transposed): y = z_0 + x, z_i = z_{i+1} - y*a_i, z_last = -(y*a_last).
-    The outputs equal lfilter's bit for bit, up to the sign of an exact zero.
+    For finite values the outputs equal lfilter's bit for bit, up to the sign
+    of an exact zero.
     """
     out = []
-    if len(a) <= 2:
-        # unrolled for the default orders, where a generic loop is slower than
-        # lfilter; order 1 runs as order 2 with a1 = 0 (only zero signs differ)
-        a0, a1 = (*a, 0.0)[:2]
-        z0, z1 = (*z, 0.0)[:2]
+    # orders 1 and 2 (the defaults) unrolled: the generic loop below is slower
+    if len(a) == 1:
+        a0, z0 = a[0], z[0]
+        for xt in x:
+            y = z0 + xt
+            out.append(y)
+            z0 = -(y * a0)
+        return out
+    if len(a) == 2:
+        a0, a1 = a
+        z0, z1 = z
         for xt in x:
             y = z0 + xt
             out.append(y)
@@ -116,13 +133,33 @@ def _all_pole(x, a, z) -> list[float]:
 def css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
     """One-step residuals of an ARMA recursion with zero pre-sample terms."""
     x = np.asarray(z, dtype=float)
-    rhs = x - intercept
-    if len(ar):
-        rhs = rhs - np.convolve(x, [0.0, *ar])[: x.size]
-    if len(ma):
-        # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
-        return np.array(_all_pole(rhs.tolist(), list(map(float, ma)), [0.0] * len(ma)))
-    return rhs
+    return _residuals(x, _delays(x, 2, 0.0), float(intercept), [*map(float, ar)], [*map(float, ma)])
+
+
+def _delays(x, k: int, fill: float) -> list[list[float]]:
+    # x as Python floats delayed by 0..k months, pre-sample values `fill`
+    xl = x.tolist()
+    return [([fill] * i + xl)[: len(xl)] for i in range(k + 1)]
+
+
+def _residuals(x, lags, c, ar, ma) -> np.ndarray:
+    # css_residuals over _delays(x, 2, 0.0), private so tracers do not wrap the
+    # objective. np.convolve(x, [0, *ar]) sums at most two non-zero products for
+    # p <= 2, which any order rounds alike; a longer BLAS dot rounds in no order
+    # a Python sum reproduces, so it stays
+    xl, l1, l2 = lags
+    if len(ar) > 2:
+        rhs = ((x - c) - np.convolve(x, [0.0, *ar])[: x.size]).tolist()
+    elif len(ar) == 2:
+        a1, a2 = ar
+        rhs = [(v - c) - (a1 * y1 + a2 * y2) for v, y1, y2 in zip(xl, l1, l2)]
+    elif ar:
+        a1 = ar[0]
+        rhs = [(v - c) - a1 * y1 for v, y1 in zip(xl, l1)]
+    else:
+        rhs = [v - c for v in xl]
+    # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
+    return np.array(_all_pole(rhs, ma, [0.0] * len(ma)) if ma else rhs)
 
 
 @dataclass(frozen=True)
@@ -201,13 +238,19 @@ def _nelder_mead(objective, x0, maxiter: int, xatol: float, fatol: float):
             xc = toward(1.5, -0.5) if outside else toward(0.5, 0.5)
             fxc = f(xc)
             new = (xc, fxc) if (fxc <= fxr if outside else fxc < fsim[-1]) else None
+        nit += 1
         if new:
+            rest, (x, fx) = fsim[:-1], new
+            if fx == fx and fx not in rest and all(a < b for a, b in zip([-math.inf, *rest], rest)):
+                # no nan and no tie: the one sorted order, which np.argsort gives too
+                k = bisect.bisect(rest, fx)
+                sim[k:], fsim[k:] = [x, *sim[k:-1]], [fx, *rest[k:]]
+                continue
             sim[-1], fsim[-1] = new
         else:
             for j in range(1, n + 1):
                 sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                 fsim[j] = f(sim[j])
-        nit += 1
         sim, fsim = reorder(sim, fsim)
     return float(np.min(fsim)), np.array(sim[0]), nit < maxiter, nit, nfev
 
@@ -239,15 +282,14 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaSpec:
     if scale == 0.0:
         scale = 1.0
     zs = z / scale
+    lags = _delays(zs, 2, 0.0)
 
     def unpack(u):
-        ar = pacf_to_coef(_BOUNDARY_SQUASH * np.tanh(u[1 : 1 + p])) if p else np.empty(0)
-        ma = -pacf_to_coef(_BOUNDARY_SQUASH * np.tanh(u[1 + p :])) if q else np.empty(0)
-        return u[0], ar, ma
+        r = (_BOUNDARY_SQUASH * np.tanh(u[1:])).tolist()
+        return u[0], _durbin_levinson(r[:p]), [-a for a in _durbin_levinson(r[p:])]
 
     def objective(u):
-        c, ar, ma = unpack(u)
-        e = css_residuals(zs, c, ar, ma)
+        e = _residuals(zs, lags, *unpack(u))
         return float(e @ e)
 
     x0 = np.zeros(1 + p + q)
@@ -261,8 +303,8 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaSpec:
         p=p,
         d=d,
         q=q,
-        ar_coeffs=ar,
-        ma_coeffs=ma,
+        ar_coeffs=np.array(ar),
+        ma_coeffs=np.array(ma),
         intercept=float(c * scale),
         residuals=resid,
         sigma2=css / z.size,
@@ -332,16 +374,30 @@ class GarchSpec:
 
 def _garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
     # h_t = omega + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with every
-    # pre-sample e2 and h taken as m; private, so tracers do not wrap the
-    # objective kernel
-    rhs = np.full(e2.size, omega)
-    for i, a in enumerate(alpha, start=1):
-        rhs += a * np.concatenate([np.full(i, m), e2])[: e2.size]
-    if len(beta) == 0:
+    # pre-sample e2 and h taken as m
+    delays = _delays(e2, len(alpha), m)
+    return np.array(_garch_h(omega, [*map(float, alpha)], [*map(float, beta)], delays, m))
+
+
+def _garch_h(omega, alpha, beta, delays, m) -> list[float]:
+    # _garch_recursion over _delays(e2, p, m), private so tracers do not wrap the
+    # objective: each ARCH sum in the order of rhs += alpha_i * (e2 delayed i
+    # months), then the GARCH lags' filter
+    if len(alpha) == 2:  # the default order in one pass
+        a1, a2 = alpha
+        rhs = [omega + a1 * y1 + a2 * y2 for y1, y2 in zip(delays[1], delays[2])]
+    else:
+        rhs = [omega] * len(delays[0])
+        for a, lag in zip(alpha, delays[1:]):
+            rhs = [r + a * y for r, y in zip(rhs, lag)]
+    if not beta:
         return rhs
-    # lfiltic's state for pre-sample h = m, summed as it sums: z_k = sum_{i>=k} beta_i*m
-    z = [float(np.sum(np.multiply(beta[k:], m))) for k in range(len(beta))]
-    return np.array(_all_pole(rhs.tolist(), [-b for b in beta], z))
+    # lfiltic's state for pre-sample h = m, summed as it sums: z_k = sum_{i>=k} beta_i*m;
+    # np.sum of one or two terms is that term or their sum
+    bm = [b * m for b in beta]
+    z = [bm[k] if k == len(bm) - 1 else bm[k] + bm[k + 1] if k == len(bm) - 2
+         else float(np.sum(bm[k:])) for k in range(len(bm))]
+    return _all_pole(rhs, [-b for b in beta], z)
 
 
 def garch_variances(spec: GarchSpec, residuals) -> np.ndarray:
@@ -365,15 +421,17 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
     es = e / math.sqrt(s2)
     e2 = es**2
     m = float(e2.mean())
+    delays = _delays(e2, p, m)
 
     def unpack(u):
-        u = [min(max(v, -60.0), 60.0) for v in u]
+        u = [-60.0 if v < -60.0 else 60.0 if v > 60.0 else v for v in u]
         ex = np.exp(u[1:])
-        w = (_BOUNDARY_SQUASH * ex / (1.0 + ex.sum())).tolist()
+        total = 1.0 + float(ex.sum())
+        w = [_BOUNDARY_SQUASH * v / total for v in ex.tolist()]
         return math.exp(u[0]), w[:p], w[p:]
 
     def objective(u):
-        h = _garch_recursion(*unpack(u), e2, m)
+        h = np.array(_garch_h(*unpack(u), delays, m))
         return float(np.sum(np.log(h) + e2 / h))
 
     # start near omega = 0.1*var, total ARCH weight 0.1, total GARCH weight 0.8

@@ -409,9 +409,13 @@ def _trailing_average(base, t, tail_arr):
     # mean over the latest k simulated base rates (k <= 12, current included)
     # backfilled from the observed tail up to 12 values total; each path's
     # window is summed as a contiguous row, the order numpy's pairwise sum
-    # gives a path-major array (a month-major sum(axis=0) differs for k >= 8)
+    # gives a path-major array (a month-major sum(axis=0) differs for k >= 8);
+    # rows are copied 2048 paths at a time so the copy stays small
     k = min(t + 1, 12)
-    sim_sum = base[t + 1 - k : t + 1].T.copy().sum(axis=1)
+    window = base[t + 1 - k : t + 1]
+    sim_sum = np.concatenate(
+        [window[:, lo : lo + 2048].T.copy().sum(axis=1) for lo in range(0, window.shape[1], 2048)]
+    )
     b = min(12 - k, tail_arr.size)
     tail_sum = tail_arr[-b:].sum() if b > 0 else 0.0
     return (sim_sum + tail_sum) / (k + b)

@@ -511,3 +511,279 @@ def test_filters_match_lfilter():
         want = lfilter([1.0], a_poly, rhs, zi=lfiltic([1.0], a_poly, np.full(order, m)))[0]
         got = arima_garch._garch_recursion(0.3, [0.1], beta, e2, m)
         assert _bits(got) == _bits(want), trial
+
+
+# ---------------------------------------------------------------------------
+# the fit objectives over plain floats give the bytes of the numpy objectives
+# they replaced; the references below are those objectives and the kernels
+# they called, kept as written
+
+def _reference_all_pole(x, a, z) -> list[float]:
+    out = []
+    if len(a) <= 2:
+        # unrolled for the default orders, where a generic loop is slower than
+        # lfilter; order 1 runs as order 2 with a1 = 0 (only zero signs differ)
+        a0, a1 = (*a, 0.0)[:2]
+        z0, z1 = (*z, 0.0)[:2]
+        for xt in x:
+            y = z0 + xt
+            out.append(y)
+            z0 = z1 - y * a0
+            z1 = -(y * a1)
+        return out
+    z = list(z)
+    last = len(a) - 1
+    for xt in x:
+        y = z[0] + xt
+        out.append(y)
+        for i in range(last):
+            z[i] = z[i + 1] - y * a[i]
+        z[last] = -(y * a[last])
+    return out
+
+
+def _reference_pacf_to_coef(pacf) -> np.ndarray:
+    a = []
+    for r in map(float, pacf):
+        a = [x - r * y for x, y in zip(a, reversed(a))] + [r]
+    return np.array(a)
+
+
+def _reference_css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
+    x = np.asarray(z, dtype=float)
+    rhs = x - intercept
+    if len(ar):
+        rhs = rhs - np.convolve(x, [0.0, *ar])[: x.size]
+    if len(ma):
+        # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
+        return np.array(_reference_all_pole(rhs.tolist(), list(map(float, ma)), [0.0] * len(ma)))
+    return rhs
+
+
+def _reference_garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
+    rhs = np.full(e2.size, omega)
+    for i, a in enumerate(alpha, start=1):
+        rhs += a * np.concatenate([np.full(i, m), e2])[: e2.size]
+    if len(beta) == 0:
+        return rhs
+    # lfiltic's state for pre-sample h = m, summed as it sums: z_k = sum_{i>=k} beta_i*m
+    z = [float(np.sum(np.multiply(beta[k:], m))) for k in range(len(beta))]
+    return np.array(_reference_all_pole(rhs.tolist(), [-b for b in beta], z))
+
+
+def _reference_arima_objective(series, p, d, q):
+    _BOUNDARY_SQUASH = arima_garch._BOUNDARY_SQUASH
+    x = np.asarray(series, dtype=float)
+    z = difference(x, d)
+    scale = float(np.std(z))
+    if scale == 0.0:
+        scale = 1.0
+    zs = z / scale
+
+    def unpack(u):
+        ar = _reference_pacf_to_coef(_BOUNDARY_SQUASH * np.tanh(u[1 : 1 + p])) if p else np.empty(0)
+        ma = -_reference_pacf_to_coef(_BOUNDARY_SQUASH * np.tanh(u[1 + p :])) if q else np.empty(0)
+        return u[0], ar, ma
+
+    def objective(u):
+        c, ar, ma = unpack(u)
+        e = _reference_css_residuals(zs, c, ar, ma)
+        return float(e @ e)
+
+    return objective
+
+
+def _reference_garch_objective(residuals, p, q):
+    _BOUNDARY_SQUASH = arima_garch._BOUNDARY_SQUASH
+    e = np.asarray(residuals, dtype=float)
+    s2 = float(np.var(e))
+    es = e / math.sqrt(s2)
+    e2 = es**2
+    m = float(e2.mean())
+
+    def unpack(u):
+        u = [min(max(v, -60.0), 60.0) for v in u]
+        ex = np.exp(u[1:])
+        w = (_BOUNDARY_SQUASH * ex / (1.0 + ex.sum())).tolist()
+        return math.exp(u[0]), w[:p], w[p:]
+
+    def objective(u):
+        h = _reference_garch_recursion(*unpack(u), e2, m)
+        return float(np.sum(np.log(h) + e2 / h))
+
+    return objective
+
+
+class _Captured(Exception):
+    pass
+
+
+def _objective_of(monkeypatch, fit, *args):
+    # the closure a fit hands to the optimizer
+    def capture(objective, x0, rng):
+        raise _Captured(objective)
+
+    with monkeypatch.context() as m, pytest.raises(_Captured) as exc:
+        m.setattr(arima_garch, "_multi_start", capture)
+        fit(*args)
+    return exc.value.args[0]
+
+
+def _same(a, b):
+    # equal float bits, any nan equal to any nan
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _points(rng, size, count):
+    # random points with exact zeros, tanh saturated (|u| > 19), the GARCH
+    # clip edges at +-60 and beyond, and nan
+    edges = [0.0, -0.0, 19.5, -25.0, 60.0, -60.0, 60.5, -61.0, 1e3, -1e5, math.nan]
+    for k in range(count):
+        u = rng.normal(0.0, [1.0, 5.0, 30.0][k % 3], size)
+        for i in np.flatnonzero(rng.random(size) < 0.25):
+            u[i] = edges[rng.integers(len(edges))]
+        yield u.tolist()
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_arima_objective_matches_reference(monkeypatch, train_series, d):
+    rng = np.random.default_rng(20 + d)
+    noise = np.cumsum(rng.normal(size=50)) * 1e-3
+    for series in (train_series.rates, noise):
+        for p in range(4):
+            for q in range(4):
+                got = _objective_of(monkeypatch, fit_arima, series, p, d, q)
+                want = _reference_arima_objective(series, p, d, q)
+                with np.errstate(all="ignore"):
+                    for u in _points(rng, 1 + p + q, 40):
+                        assert _same(got(u), want(u)), (p, d, q, u)
+
+
+@pytest.mark.parametrize("p,q", [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)])
+def test_garch_objective_matches_reference(monkeypatch, train_series, p, q):
+    rng = np.random.default_rng(30 + 4 * p + q)
+    residuals = fit_arima(train_series.rates, 1, 2, 2).residuals
+    for resid in (residuals, rng.standard_t(4, size=45)):
+        got = _objective_of(monkeypatch, fit_garch, resid, p, q)
+        want = _reference_garch_objective(resid, p, q)
+        with np.errstate(all="ignore"):
+            for u in _points(rng, 1 + p + q, 60):
+                assert _same(got(u), want(u)), (p, q, u)
+
+
+def test_residuals_and_variances_match_reference():
+    # the public css_residuals and the GARCH recursion behind garch_variances,
+    # at AR orders 0-4 (np.convolve from three lags) and GARCH orders up to (3, 4)
+    rng = np.random.default_rng(12)
+    for trial in range(600):
+        n = int(rng.integers(1, 70))
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+        ar = rng.uniform(-0.5, 0.5, size=int(rng.integers(0, 5)))
+        ma = rng.uniform(-0.5, 0.5, size=int(rng.integers(0, 4)))
+        c = float(rng.normal())
+        want = _reference_css_residuals(x, c, ar, ma)
+        assert _bits(css_residuals(x, c, ar, ma)) == _bits(want), trial
+
+        alpha = rng.uniform(0.0, 0.3, size=int(rng.integers(0, 4)))
+        beta = rng.uniform(0.0, 0.2, size=int(rng.integers(0, 5)))
+        e2, m = x**2, float(rng.uniform(0.1, 3.0))
+        want = _reference_garch_recursion(0.3, alpha, beta, e2, m)
+        assert _bits(arima_garch._garch_recursion(0.3, alpha, beta, e2, m)) == _bits(want), trial
+
+
+def test_one_tanh_call_matches_two_slices():
+    # the ARIMA objective squashes all partial autocorrelations in one np.tanh
+    # call where it made one call per polynomial
+    rng = np.random.default_rng(13)
+    squash = arima_garch._BOUNDARY_SQUASH
+    for trial in range(400):
+        u = next(_points(rng, int(rng.integers(1, 40)), 1))
+        whole = (squash * np.tanh(u)).tolist()
+        for s in range(len(u) + 1):
+            parts = [*(squash * np.tanh(u[:s])).tolist(), *(squash * np.tanh(u[s:])).tolist()]
+            assert all(map(_same, whole, parts)), (trial, s)
+
+
+def test_objectives_call_no_public_kernel(monkeypatch, train_series):
+    # tracers wrap every public function; a fit may call the public kernels a
+    # fixed number of times, never once per objective evaluation
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    x = train_series.rates
+    counts = []
+    for maxiter in (2000, 2):
+        calls = {"css_residuals": 0, "pacf_to_coef": 0, "garch_variances": 0}
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(arima_garch, name, counted(getattr(arima_garch, name)))
+            m.setattr(arima_garch, "_MAXITER", maxiter)
+            try:
+                fit_garch(fit_arima(x, 1, 2, 2).residuals, 2, 1)
+            except ConvergenceError:
+                pass
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert all(n <= 1 for n in counts[0].values())
+
+
+def test_default_fits_keep_their_optimizer_path(monkeypatch, train_series):
+    # (nit, nfev) of every start of the default fits on the 2010-2014 fixture
+    path = []
+    nelder_mead = arima_garch._nelder_mead
+
+    def record(*args):
+        result = nelder_mead(*args)
+        path.append(result[3:])
+        return result
+
+    monkeypatch.setattr(arima_garch, "_nelder_mead", record)
+    fit_garch(fit_arima(train_series.rates, 1, 2, 2).residuals, 2, 1)
+    assert path == [(407, 687), (366, 630), (574, 961), (350, 601), (354, 589),
+                    (212, 413), (114, 269), (106, 264), (112, 256), (107, 260)]
+
+
+@pytest.mark.parametrize("x0,center,weights,tie", [
+    # a new vertex's value equals that of a vertex other than the best
+    ([-0.15, -0.66, -0.4, -1.91], [1.2, 1.2, -2.0, -1.5], [8.8, 4.0, 7.3, 6.7], "new"),
+    # the vertices kept from the last step already hold two equal values
+    ([-0.06, -0.24, -0.43, -2.99], [-2.9, -0.1, -0.3, -1.0], [1.3, 3.7, 6.8, 8.2], "kept"),
+])
+def test_nelder_mead_ties_fall_back_to_argsort(monkeypatch, x0, center, weights, tie):
+    # a tie leaves np.argsort's order of equal values to decide the simplex, so
+    # the step re-sorts with np.argsort instead of inserting the new vertex
+    from scipy.optimize import minimize
+
+    objective = _objective("steps", center, weights)
+    res = minimize(objective, np.array(x0), method="Nelder-Mead",
+                   options={"maxiter": 40, "xatol": 1e-8, "fatol": 1e-10})
+    sorts, nfev = [], [0]
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argsort(self, a):
+            sorts.append((list(a), nfev[0]))
+            return np.argsort(a)
+
+    def counted(u):
+        nfev[0] += 1
+        return objective(u)
+
+    with monkeypatch.context() as m:
+        m.setattr(arima_garch, "np", CountingNumpy())
+        fun, x, success, nit, n = arima_garch._nelder_mead(counted, x0, 40, 1e-8, 1e-10)
+    assert (success, nit, n) == (res.success, res.nit, res.nfev)
+    assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+    assert x.tobytes() == res.x.tobytes()
+    # the re-sorts after a step of one or two evaluations (not a shrink, which
+    # makes n + 2) met the tie
+    steps = [f for (f, k), (_, before) in zip(sorts[2:], sorts[1:]) if k - before <= 2]
+    if tie == "new":
+        assert any(f[-1] in f[1:-1] for f in steps)
+    else:
+        assert any(f[-1] not in f[:-1] and len(set(f[:-1])) < len(f) - 1 for f in steps)

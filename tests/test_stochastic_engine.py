@@ -409,6 +409,17 @@ def test_trailing_average_sums_each_window_path_major():
     assert order_shows  # a month-major sum(axis=0) would give other bytes here
 
 
+def test_trailing_average_in_blocks_of_paths():
+    # the window is copied 2048 paths at a time: two full blocks and a part
+    rng = np.random.default_rng(5)
+    paths = 10.0 ** rng.uniform(-8.0, 8.0, (4500, 14))
+    month_major = np.ascontiguousarray(paths.T)
+    tail_arr = np.array([0.004, 3.0e5, 0.006])
+    for t in range(paths.shape[1]):
+        got = _trailing_average(month_major, t, tail_arr)
+        assert got.tobytes() == _path_major_trailing_average(paths, t, tail_arr).tobytes(), t
+
+
 def test_spike_draw_reconstruction():
     # first forecast month is a spike month; rebuild it from the raw substream
     spikes = (SpikeSpec(1, -0.173, 0.125),)
