@@ -21,12 +21,18 @@ The fit objectives also make one pass over Python floats per evaluation.
 What stays in numpy is what numpy rounds its own way: `np.tanh`, `np.exp`
 and `np.log` (its own kernels, not libm), `np.sum` and `e @ e` (pairwise and
 BLAS summation orders), and `np.convolve` for three or more AR lags.
+
+`fit_arima` and `fit_garch` each keep the outcome of their last 64 fits, an
+LRU keyed on the input's float64 bytes and shape and the orders, so a repeated
+fit returns the same read-only spec without running the optimizer again.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,11 @@ _JITTER_SEED = 777
 # slightly so boundary optima keep roots outside the unit circle and
 # alpha+beta strictly below 1
 _BOUNDARY_SQUASH = 1.0 - 1e-6
+# entries per fit cache: a full select_order(x, 2, 2, 2) grid (27 fits) and its
+# follow-up fits stay resident. An entry holds the input's bytes and a spec with
+# its residuals: ~2.5 KB at 60 months, growing 16 bytes per observation, so a
+# full cache holds ~160 KB for monthly series and ~1 MB per 1000 observations
+_FIT_CACHE_SIZE = 64
 
 
 def difference(series, d: int) -> np.ndarray:
@@ -277,7 +288,19 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaSpec:
         raise InsufficientDataError(
             f"series of {x.size} too short for ARIMA({p},{d},{q}), floor {p + q + d + 2}"
         )
-    z = difference(x, d)
+    spec, converged = _arima_outcome(x.tobytes(), x.shape, *map(operator.index, (p, d, q)))
+    if not converged:
+        raise ConvergenceError(
+            f"ARIMA({p},{d},{q}) fit did not converge within {_MAXITER} iterations per start",
+            best=spec,
+        )
+    return spec
+
+
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _arima_outcome(data: bytes, shape, p: int, d: int, q: int):
+    # fit_arima's outcome (spec, converged) for its checked input
+    z = difference(np.frombuffer(data).reshape(shape), d)
     scale = float(np.std(z))
     if scale == 0.0:
         scale = 1.0
@@ -303,19 +326,21 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaSpec:
         p=p,
         d=d,
         q=q,
-        ar_coeffs=np.array(ar),
-        ma_coeffs=np.array(ma),
+        ar_coeffs=_frozen(ar),
+        ma_coeffs=_frozen(ma),
         intercept=float(c * scale),
-        residuals=resid,
+        residuals=_frozen(resid),
         sigma2=css / z.size,
         css=css,
     )
-    if not converged:
-        raise ConvergenceError(
-            f"ARIMA({p},{d},{q}) fit did not converge within {_MAXITER} iterations per start",
-            best=spec,
-        )
-    return spec
+    return spec, converged
+
+
+def _frozen(values) -> np.ndarray:
+    # a read-only float array, so no caller can change a cached spec
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def forecast_arima(model: ArimaSpec, last_observations, horizon: int) -> np.ndarray:
@@ -415,9 +440,22 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
     e = np.asarray(residuals, dtype=float)
     if e.size < p + q + 2:
         raise InsufficientDataError(f"need more than {p + q + 1} residuals")
-    s2 = float(np.var(e))
-    if s2 == 0.0:
+    if float(np.var(e)) == 0.0:
         raise ValidationError("degenerate residuals with zero variance")
+    spec, converged = _garch_outcome(e.tobytes(), e.shape, *map(operator.index, (p, q)))
+    if not converged:
+        raise ConvergenceError(
+            f"GARCH({p},{q}) fit did not converge within {_MAXITER} iterations per start",
+            best=spec,
+        )
+    return spec
+
+
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _garch_outcome(data: bytes, shape, p: int, q: int):
+    # fit_garch's outcome (spec, converged) for its checked input
+    e = np.frombuffer(data).reshape(shape)
+    s2 = float(np.var(e))
     es = e / math.sqrt(s2)
     e2 = es**2
     m = float(e2.mean())
@@ -446,16 +484,11 @@ def fit_garch(residuals, p: int, q: int) -> GarchSpec:
         p=p,
         q=q,
         omega=float(omega * s2),
-        alpha_coeffs=np.array(alpha, dtype=float),
-        beta_coeffs=np.array(beta, dtype=float),
+        alpha_coeffs=_frozen(alpha),
+        beta_coeffs=_frozen(beta),
         nll=float(fun),
     )
-    if not converged:
-        raise ConvergenceError(
-            f"GARCH({p},{q}) fit did not converge within {_MAXITER} iterations per start",
-            best=spec,
-        )
-    return spec
+    return spec, converged
 
 
 def forecast_garch_variance(

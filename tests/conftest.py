@@ -1,11 +1,11 @@
-"""Shared fixtures: bundled series and a writable scratch series factory."""
+"""Shared fixtures: bundled series, and cold ARIMA/GARCH fit caches per test."""
 
 import sys
 from importlib.resources import files
 
 import pytest
 
-from crashvol import merge_series, parse_monthly_csv
+from crashvol import arima_garch, merge_series, parse_monthly_csv
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -18,6 +18,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance verdicts", sep="-")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def cold_fit_caches():
+    # every test starts with no memoised fit, as if it ran alone
+    arima_garch._arima_outcome.cache_clear()
+    arima_garch._garch_outcome.cache_clear()
 
 
 def data_path(name: str) -> str:

@@ -716,6 +716,7 @@ def test_objectives_call_no_public_kernel(monkeypatch, train_series):
     x = train_series.rates
     counts = []
     for maxiter in (2000, 2):
+        _clear_fit_caches()  # a memoised fit would call nothing
         calls = {"css_residuals": 0, "pacf_to_coef": 0, "garch_variances": 0}
         with monkeypatch.context() as m:
             for name in calls:
@@ -728,6 +729,8 @@ def test_objectives_call_no_public_kernel(monkeypatch, train_series):
         counts.append(calls)
     assert counts[0] == counts[1]
     assert all(n <= 1 for n in counts[0].values())
+    # the ARIMA fit really ran in each pass: it forms its final residuals once
+    assert [c["css_residuals"] for c in counts] == [1, 1]
 
 
 def test_default_fits_keep_their_optimizer_path(monkeypatch, train_series):
@@ -744,6 +747,152 @@ def test_default_fits_keep_their_optimizer_path(monkeypatch, train_series):
     fit_garch(fit_arima(train_series.rates, 1, 2, 2).residuals, 2, 1)
     assert path == [(407, 687), (366, 630), (574, 961), (350, 601), (354, 589),
                     (212, 413), (114, 269), (106, 264), (112, 256), (107, 260)]
+
+
+# ---------------------------------------------------------------------------
+# fits are memoised on their exact input bytes, shape and orders
+
+def _counted_starts(monkeypatch):
+    # the number of Nelder-Mead starts run so far
+    starts = []
+    nelder_mead = arima_garch._nelder_mead
+
+    def counted(*args):
+        starts.append(1)
+        return nelder_mead(*args)
+
+    monkeypatch.setattr(arima_garch, "_nelder_mead", counted)
+    return starts
+
+
+def _spec_bits(spec):
+    return {k: _bits(v) if isinstance(v, np.ndarray) else v for k, v in vars(spec).items()}
+
+
+def _clear_fit_caches():
+    arima_garch._arima_outcome.cache_clear()
+    arima_garch._garch_outcome.cache_clear()
+
+
+def test_fit_cache_hit_gives_the_bytes_of_a_cold_fit(monkeypatch, train_series):
+    x = train_series.rates
+    fit_garch(fit_arima(x, 1, 2, 2).residuals, 2, 1)
+    starts = _counted_starts(monkeypatch)
+    arima = fit_arima(x, 1, 2, 2)
+    garch = fit_garch(arima.residuals, 2, 1)
+    assert starts == []
+    _clear_fit_caches()
+    cold = fit_arima(x, 1, 2, 2)
+    cold_garch = fit_garch(cold.residuals, 2, 1)
+    assert len(starts) == 2 * arima_garch._N_STARTS
+    assert _spec_bits(arima) == _spec_bits(cold)
+    assert _spec_bits(garch) == _spec_bits(cold_garch)
+
+
+def test_fitted_spec_arrays_are_read_only(train_series):
+    arima = fit_arima(train_series.rates, 1, 2, 2)
+    garch = fit_garch(arima.residuals, 2, 1)
+    arrays = [arima.ar_coeffs, arima.ma_coeffs, arima.residuals,
+              garch.alpha_coeffs, garch.beta_coeffs]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("order", [(1, 0, 1), (1, 2, 2)])
+def test_fit_cache_sees_a_changed_input(monkeypatch, train_series, order):
+    # d = 0 fits the caller's array itself: changing it in place is a new key
+    x = np.array(train_series.rates)
+    e = np.array(fit_arima(x, *order).residuals)
+    old = fit_arima(x, *order)
+    old_garch = fit_garch(e, 2, 1)
+    before, before_garch = _spec_bits(old), _spec_bits(old_garch)
+    starts = _counted_starts(monkeypatch)
+    x[5] += 0.25
+    e[5] += 0.25
+    new = fit_arima(x, *order)
+    new_garch = fit_garch(e, 2, 1)
+    assert len(starts) == 2 * arima_garch._N_STARTS
+    assert _spec_bits(new) != before and _spec_bits(new_garch) != before_garch
+    assert _spec_bits(old) == before and _spec_bits(old_garch) == before_garch
+
+
+def test_fit_cache_keys_orders_as_ints(monkeypatch, train_series):
+    # a float order equal to a cached int order is still a TypeError, not a hit
+    x = train_series.rates
+    spec = fit_arima(x, 1, 2, 2)
+    garch = fit_garch(spec.residuals, 2, 1)
+    with pytest.raises(TypeError):
+        fit_arima(x, 1.0, 2, 2)
+    with pytest.raises(TypeError):
+        fit_garch(spec.residuals, 2.0, 1)
+    starts = _counted_starts(monkeypatch)
+    assert fit_arima(x, *np.array([1, 2, 2])) is spec
+    assert fit_garch(spec.residuals, np.int64(2), np.int64(1)) is garch
+    assert starts == []
+
+
+def test_non_converged_fit_raises_on_miss_and_hit(monkeypatch, train_series):
+    x = train_series.rates
+    monkeypatch.setattr(arima_garch, "_MAXITER", 2)
+    e = np.random.default_rng(5).standard_normal(60)
+    for fit, args, spec_type in [(fit_arima, (x, 1, 2, 2), ArimaSpec),
+                                 (fit_garch, (e, 2, 1), GarchSpec)]:
+        starts = _counted_starts(monkeypatch)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as exc:
+                fit(*args)
+            errors.append(exc.value)
+        miss, hit = errors
+        assert len(starts) == arima_garch._N_STARTS
+        assert miss is not hit and hit.__context__ is None
+        assert isinstance(hit.best, spec_type) and hit.best is miss.best
+        assert str(hit) == str(miss) and hit.code == "E_CONVERGENCE"
+
+
+@pytest.mark.parametrize("fit,args,error,match", [
+    (fit_arima, (np.arange(10.0), -1, 1, 1), ValidationError, "nonnegative"),
+    (fit_arima, (np.arange(10.0), -1.0, 1, 1), ValidationError, "nonnegative"),
+    (fit_arima, (np.arange(4.0), 1, 1, 1), InsufficientDataError, "too short"),
+    (fit_garch, (np.arange(10.0), 0, 0), ValidationError, "at least one"),
+    (fit_garch, (np.arange(10.0), 1, -1), ValidationError, "nonnegative"),
+    (fit_garch, (np.arange(3.0), 1, 1), InsufficientDataError, "need more than"),
+    (fit_garch, (np.full(20, 0.25), 2, 1), ValidationError, "zero variance"),
+], ids=["negative", "negative-float", "short", "no-lags", "negative", "short", "zero-variance"])
+def test_fit_argument_errors_come_before_the_cache(fit, args, error, match):
+    # bad arguments raise the same error on every call and are never cached
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            fit(*args)
+    for cached in (arima_garch._arima_outcome, arima_garch._garch_outcome):
+        assert cached.cache_info().currsize == 0
+
+
+def test_select_order_leaves_its_fits_resident(monkeypatch, train_series):
+    x = train_series.rates
+    order = select_order(x, 2, 2, 2)
+    starts = _counted_starts(monkeypatch)
+    fit_arima(x, *order)
+    assert starts == []
+
+
+def test_fit_cache_is_bounded():
+    bound = arima_garch._FIT_CACHE_SIZE
+    rng = np.random.default_rng(11)
+    series = [rng.standard_normal(12) for _ in range(bound + 6)]
+    for x in series:
+        fit_arima(x, 0, 0, 0)
+        fit_garch(x, 1, 0)
+    for cached in (arima_garch._arima_outcome, arima_garch._garch_outcome):
+        info = cached.cache_info()
+        assert info.maxsize == bound and info.currsize == bound and info.misses == bound + 6
+    # the oldest fits were evicted, the newest stay
+    fit_arima(series[-1], 0, 0, 0)
+    fit_arima(series[0], 0, 0, 0)
+    info = arima_garch._arima_outcome.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, bound + 7, bound)
 
 
 @pytest.mark.parametrize("x0,center,weights,tie", [

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
@@ -797,3 +799,77 @@ def test_forecast_csv_round_trip(percents, start, horizon, seed):
     want = np.array([[float(f"{v:.10g}") for v in row] for row in values]).reshape(rows, horizon)
     assert np.array_equal(back.median, want[0])
     assert np.array_equal(back.bands, want[1:])
+
+
+# ---------------------------------------------------------------------------
+# cli.main over mutated argv
+
+_MUTANTS = ["", "nan", "inf", "-1", "0", "\u00e9t\u00e9", "\u0663", str(2**64 + 1), str(2**70)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # the bundled CSVs and one parameter file per kind, fitted once
+    root = tmp_path_factory.mktemp("fuzz")
+    for name in ("dc_2010_2014.csv", "dc_2015_2019.csv"):
+        shutil.copy(str(files("crashvol") / "data" / name), root / name)
+    train = ["--input", str(root / "dc_2010_2014.csv"),
+             "--train-start", "2010-01", "--train-end", "2014-12"]
+    for model in ("heston", "arima-garch"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fit", *train, "--model", model, "--out", str(root / model)]) == 0
+    return root
+
+
+def _fuzz_flags(data, root, command):
+    # [flag, value] pairs of a valid call; --paths and --horizon stay small
+    model = data.draw(st.sampled_from(list(cli.evaluation.MODEL_IDS)))
+    fit = [["--input", str(root / "dc_2010_2014.csv")], ["--train-start", "2010-01"],
+           ["--train-end", "2014-12"], ["--model", model],
+           ["--orders", data.draw(st.sampled_from(["1,2,2", "0,1,1", "1,1,0,1,1"]))]]
+    if model in ("heston", "vasicek"):
+        fit += data.draw(st.lists(st.sampled_from(
+            [["--rho", "-0.3"], ["--spike-threshold", "0.1"], ["--scheme", "truncate"]]),
+            unique_by=lambda f: f[0], max_size=3))
+    sim = [["--paths", str(data.draw(st.integers(1, 300)))],
+           ["--seed", str(data.draw(st.integers(0, 2**32)))], ["--levels", "5,25,75,95"]]
+    if command == "fit":
+        return [*fit, ["--out", "out.params"]]
+    if command == "forecast":
+        params = root / data.draw(st.sampled_from(["heston", "arima-garch"]))
+        return [["--params", str(params)], ["--horizon", str(data.draw(st.integers(1, 300)))],
+                *sim, ["--out", "out.csv"]]
+    test = [["--input", str(root / "dc_2015_2019.csv")], ["--test-start", "2015-01"],
+            ["--test-end", data.draw(st.sampled_from(["2015-12", "2019-12"]))]]
+    return [*fit, *test, *sim, ["--low", "25"], ["--high", "75"], ["--out", "out.csv"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["fit", "forecast", "backtest"]), data=st.data())
+def test_mutated_argv_ends_in_files_or_one_error_line(fuzz_dir, command, data):
+    # one value replaced by a hostile one, or one flag given twice: the call
+    # either writes its files with exit 0 or prints one E_ line with exit 1
+    flags = _fuzz_flags(data, fuzz_dir, command)
+    k = data.draw(st.integers(0, len(flags) - 1))
+    mutant = data.draw(st.sampled_from([None, *_MUTANTS]))
+    if mutant is None:
+        flags.insert(k, list(flags[k]))
+    else:
+        flags[k] = [flags[k][0], mutant]
+    argv = [command, *(part for flag in flags for part in flag)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as m:
+        m.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+        except SystemExit as exc:  # argparse's own exit 2 must never escape
+            pytest.fail(f"SystemExit({exc.code}) from {argv}")
+        written = sorted(os.listdir(tmp))
+    err = err.getvalue()
+    if rc == 0:
+        out = dict(flags)["--out"]
+        want = [out, f"{cli._stem(out)}.report.csv"] if command == "backtest" else [out]
+        assert set(want) <= set(written), (argv, written)
+    else:
+        assert rc == 1 and err.count("\n") == 1 and err.startswith("crashvol: E_"), (argv, err)
