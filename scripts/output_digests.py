@@ -13,8 +13,8 @@ entropy words) and at seed 10**30 (four words, which reach SeedSequence's
 extra-entropy mixing); an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
-the median, one 256-path fill block of the draw buffer plus one path, and
-the size of the benchmark's simulations).
+the median, a few hundred paths, and the size of the benchmark's
+simulations).
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails.

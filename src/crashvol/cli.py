@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,17 @@ def _parse_ym(text: str) -> tuple[int, int]:
     if not 1 <= month <= 12:
         raise ValidationError(f"month {month} outside 1..12 in {text!r}")
     return year, month
+
+
+def _path_count(text: str) -> int:
+    """--paths: an int of at least 1, checked as the flag is parsed."""
+    try:
+        n_paths = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n_paths < 1:
+        raise argparse.ArgumentTypeError(f"{n_paths} must be at least 1")
+    return n_paths
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=("reflect", "truncate"), default=None)
 
     def add_forecast_flags(p):
-        p.add_argument("--paths", type=int, default=5000)
+        p.add_argument("--paths", type=_path_count, default=5000, help="at least 1 (default 5000)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--levels", default="5,25,75,95", help="quantile percentages")
 
@@ -355,6 +367,24 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
+    feller = []  # a FellerWarning is one WARNING line after a success, none after an error
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def showwarning(message, category, *where):
+            if issubclass(category, stochastic_engine.FellerWarning):
+                feller.append(message)
+            else:
+                show(message, category, *where)
+
+        warnings.showwarning = showwarning
+        status = _run(argv)
+    if status == 0 and feller:
+        log.warning("%s", feller[0])
+    return status
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -16,24 +16,22 @@ next Euler step and the trailing average, so spikes stay transient.
 An Ornstein-Uhlenbeck variant with a deterministic growth target and the
 identical spike machinery serves as a baseline.
 
-Determinism: path p draws exactly the normals of
-`np.random.default_rng([seed, p])`, for any seed >= 0; the SeedSequence
-words of all paths are computed in one pass and each path's PCG64 is built
-straight from its words (`_draw_buffers`), and
-`test_draw_buffers_match_per_path_generators` pins the equality. Within a
-path and month the draw order is fixed (z_c, z_v, then the spike draw where
-applicable), so results are bit-identical for a given seed no matter how
-paths are batched.
+Determinism (random stream v2): draw row r, the r-th normal of every path
+(months in order; within a month z_c, z_v, then any spike draw), is the
+first `n_paths` values of `np.random.default_rng([seed, r]).standard_normal`
+for any seed >= 0, and path p is column p of every row. A fill of k values
+equals the first k values of any longer fill, so path p depends neither on
+`n_paths` nor on the other paths: a given seed gives bit-identical paths
+however many run.
 
-Layout: the Monte Carlo state is month-major. The draw buffer and the base,
-reported and variance arrays are C-ordered with one row per month (a
-vectorised Euler step reads and writes contiguous rows), and
-`SimulationResult` exposes them as read-only (paths, months) `.T` views.
+Layout: the state is month-major. One small buffer holds the current
+month's draw rows; the base, reported and variance arrays hold one C-ordered
+row per month, so a vectorised Euler step reads and writes contiguous rows,
+and `SimulationResult` exposes them as read-only (paths, months) `.T` views.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import warnings
@@ -289,120 +287,17 @@ def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c):
     return _fold(raw, params.scheme)[()]
 
 
-_MASK32 = (1 << 32) - 1
-
-
-def _seed_state(seed: int, n_paths: int) -> np.ndarray:
-    """`SeedSequence([seed, p]).generate_state(4, np.uint64)` for every p at once.
-
-    NumPy's SeedSequence hash (NEP 19) run on uint32 arrays, one lane per
-    path; its hash constants do not depend on the data. Returns
-    (n_paths, 4) uint64 words.
-    """
-    # the entropy is the seed's little-endian uint32 words, then p, padded
-    # with zero words to the pool size of 4
-    words = [seed & _MASK32]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & _MASK32)
-    entropy = [np.full(n_paths, w, np.uint32) for w in words]
-    entropy.append(np.arange(n_paths, dtype=np.uint32))
-    entropy += [np.zeros(n_paths, np.uint32)] * (4 - len(entropy))
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * 0xCA01F9DD - y * 0x4973F715
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:  # entropy words beyond the pool size
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hash_const = 0x8B51F9DD
-    state = np.empty((n_paths, 8), np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const
-        state[:, i] = value ^ value >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _seed_words_type() -> type:
-    """The seed sequence that gives PCG64 one path's precomputed words.
-
-    `PCG64(seed_seq)` asks for `generate_state(4, np.uint64)` and runs its own
-    seeding step (`srandom`, O'Neill 2014) on the words; any other request
-    means a NumPy that seeds PCG64 differently, so it raises. Built on first
-    use, so that commands that simulate nothing never import numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError(f"PCG64 seeding asked for {n_words} words of {dtype}, "
-                                 "not 4 uint64")
-            return self._words.copy()  # fresh and C-contiguous
-
-    return SeedWords
-
-
-_BLOCK = 256  # paths filled path-major before one transposed copy into the buffer
-
-
-def _allocate(n_paths: int, counts: list[int], n_results: int = 0) -> list[np.ndarray]:
-    """The (draws, paths) draw buffer, the path-major fill block and `n_results`
-    (months, paths) arrays, allocated together before any work is done; a size
-    that cannot be allocated is one ValidationError naming the total bytes."""
-    total, horizon = int(sum(counts)), len(counts)
-    shapes = [(total, n_paths), (min(n_paths, _BLOCK), total), *[(horizon, n_paths)] * n_results]
+def _allocate(n_paths: int, rows: int, horizon: int) -> list[np.ndarray]:
+    """The (rows, paths) month buffer of draws and the three (months, paths)
+    result arrays, allocated together before anything is drawn; a size that
+    cannot be allocated is one ValidationError naming the total bytes."""
+    shapes = [(rows, n_paths), *[(horizon, n_paths)] * 3]
     try:
         return [np.empty(shape) for shape in shapes]
     except (MemoryError, ValueError):
-        results = f"plus {n_results} arrays of {horizon} months, " if n_results else ""
         gib = sum(math.prod(shape) for shape in shapes) * 8 / 2**30
-        raise ValidationError(f"draw buffer of {n_paths} paths x {total} draws x 8 bytes "
-                              f"({results}{gib:.3g} GiB) cannot be allocated") from None
-
-
-def _draw_buffers(seed: int, n_paths: int, counts: list[int], buffers=None) -> np.ndarray:
-    """Per-path normal draws, one substream per path, fixed intra-month order.
-
-    Row p of the (paths, draws) result holds exactly the draws of
-    `np.random.default_rng([seed, p])` for any seed >= 0: the SeedSequence
-    words of every path are computed in one pass by `_seed_state`, and each
-    path's PCG64 is built straight from its words (`_seed_words_type`), so it
-    runs the same seeding step that `default_rng([seed, p])` runs. Pinned by
-    `test_draw_buffers_match_per_path_generators`. Storage is month-major:
-    paths are filled a block at a time into a reused path-major block, each
-    block is copied transposed into a C-ordered (draws, paths) buffer, and the
-    result is that buffer's `.T`. `buffers` is the buffer and block of
-    `_allocate(n_paths, counts, ...)`, allocated here when not given.
-    """
-    buf, block = buffers if buffers is not None else _allocate(n_paths, counts)
-    words = _seed_state(seed, n_paths)
-    seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
-    for lo in range(0, n_paths, _BLOCK):
-        rows = block[: min(_BLOCK, n_paths - lo)]
-        for i, row in enumerate(rows):
-            generator(pcg64(seed_words(words[lo + i]))).standard_normal(out=row)
-        buf[:, lo : lo + len(rows)] = rows.T
-    return buf.T
+        raise ValidationError(f"{n_paths} paths: a buffer of {rows} draws and 3 arrays of "
+                              f"{horizon} months ({gib:.3g} GiB) cannot be allocated") from None
 
 
 def _trailing_average(base, t, tail_arr):
@@ -426,34 +321,33 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
 
     `z` holds the month's `draws` normal rows, one value per path; the step
     returns the new base rate and the variance to report. In a spike month
-    one more draw follows the step's draws. State is month-major: the draw
-    buffer and the three result arrays are (months, paths) C arrays, so every
-    step operand and store is a contiguous row.
+    one more draw follows the step's draws. Each month's rows of random
+    stream v2 are filled into one reused buffer just before its step, and
+    the three result arrays are (months, paths) C arrays, so every step
+    operand and store is a contiguous row.
     """
     _check(horizon >= 1, "horizon >= 1")
     _check(n_paths >= 1, "n_paths >= 1")
     _check(seed >= 0, "seed >= 0")
     spike_at = {s.month: s for s in params.spikes}
-    y0, m0 = params.start
-    cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
-    counts = [draws + 1 if m in spike_at else draws for m in cal_months]
-    buf, block, base, rep, var = _allocate(n_paths, counts, 3)
-    _draw_buffers(seed, n_paths, counts, (buf, block))
+    cal_months = [add_months(*params.start, k)[1] for k in range(horizon)]
+    z, base, rep, var = _allocate(n_paths, draws + bool(spike_at), horizon)
     tail_arr = np.asarray(history_tail, dtype=float)
 
     c = np.full(n_paths, params.c1)
     v = np.full(n_paths, v0)
     row = 0
     for t, month in enumerate(cal_months):
-        c, v = step(c, v, t, buf[row : row + draws])
-        row += draws
+        spec = spike_at.get(month)
+        for out in z[: draws + (spec is not None)]:
+            np.random.default_rng([seed, row]).standard_normal(out=out)
+            row += 1
+        c, v = step(c, v, t, z[:draws])
         base[t] = c
         var[t] = v
-        spec = spike_at.get(month)
         if spec is not None:
             # |c + cbar*(a + b*z)|, in place in the same order
-            g = spec.std_b * buf[row]
-            row += 1
+            g = spec.std_b * z[draws]
             g += spec.mean_a
             g *= _trailing_average(base, t, tail_arr)
             g += c

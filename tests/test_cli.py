@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from crashvol import cli
 from crashvol.cli import main
 from crashvol.data_ingest import ValidationError, add_months
-from crashvol.stochastic_engine import ForecastQuantiles
+from crashvol.stochastic_engine import FellerWarning, ForecastQuantiles, read_stochastic_params
 
 
 @pytest.fixture()
@@ -524,7 +525,7 @@ def test_help_still_exits_zero(capsys, argv):
 
 
 def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
-    # the draw buffer's allocation is faked to fail: no test asks the OS for 201 GiB
+    # the buffers' allocation is faked to fail: no test asks the OS for 273 GiB
     params = workdir / "h.params"
     assert main(["fit", "--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
                  "--train-end", "2014-12", "--model", "heston", "--out", str(params)]) == 0
@@ -542,9 +543,56 @@ def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
                "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
-    assert err.startswith("crashvol: E_VALIDATION: draw buffer of 200000000 paths x ")
-    assert " draws x 8 bytes (" in err and err.endswith(" GiB) cannot be allocated\n")
+    assert err.startswith("crashvol: E_VALIDATION: 200000000 paths: a buffer of ")
+    assert " draws and 3 arrays of 60 months (" in err
+    assert err.endswith(" GiB) cannot be allocated\n")
     assert not out.exists()
+
+
+def test_feller_warning_is_one_log_line_or_none(workdir, capsys, caplog):
+    # FellerWarning is re-enabled here (pytest's settings ignore it) and shown
+    # on stderr as Python shows it outside pytest: the default heston
+    # calibration raises it, a command that fails after it prints only its E_
+    # line, and one that succeeds logs it once
+    train = ["--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
+             "--train-end", "2014-12", "--model", "heston"]
+    params = workdir / "h.params"
+    forecast = ["forecast", "--params", str(params), "--seed", "1"]
+    backtest = ["backtest", *train, "--input", str(workdir / "dc_2015_2019.csv"),
+                "--test-start", "2015-01", "--test-end", "2019-12", "--seed", "1"]
+    missing = workdir / "missing"
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", FellerWarning)
+        warnings.showwarning = to_stderr
+        for argv in (["fit", *train, "--out", str(params)],
+                     [*forecast, "--paths", "10", "--out", str(workdir / "f.csv")],
+                     [*backtest, "--paths", "10", "--out", str(workdir / "bt.csv")]):
+            caplog.clear()
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            warned = [r for r in caplog.records if r.levelname == "WARNING"]
+            assert len(warned) <= 1 and err.count("\n") <= 1 and "FellerWarning" not in err, err
+            assert [r.getMessage() for r in warned if "does not exceed" in r.getMessage()], argv[0]
+        failures = {
+            "paths": ([*forecast, "--paths", "-1", "--out", "f.csv"],
+                      "E_VALIDATION: argument --paths: -1 must be at least 1"),
+            "forecast": ([*forecast, "--paths", "10", "--out", str(missing / "f.csv")], "E_IO: "),
+            "backtest": ([*backtest, "--paths", "10", "--out", str(missing / "bt.csv")], "E_IO: "),
+            "backtest-paths": ([*backtest, "--paths", "0", "--out", "bt.csv"],
+                               "E_VALIDATION: argument --paths: 0 must be at least 1"),
+        }
+        for name, (argv, detail) in failures.items():
+            caplog.clear()
+            assert main(argv) == 1, name
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(f"crashvol: {detail}"), (name, err)
+            assert not [r for r in caplog.records if r.levelname == "WARNING"], name
+        with pytest.warns(FellerWarning):  # the library still warns
+            read_stochastic_params(params)
 
 
 def _fit_heston(workdir, capsys):
@@ -556,7 +604,7 @@ def _fit_heston(workdir, capsys):
 
 
 def test_unallocatable_result_arrays_end_as_one_line(workdir, capsys, monkeypatch):
-    # the draw buffer is allocated, then the first (months, paths) result
+    # the month buffer is allocated, then the first (months, paths) result
     # array's allocation is faked to fail; nothing large is allocated
     params = _fit_heston(workdir, capsys)
     real_empty = np.empty
@@ -574,8 +622,8 @@ def test_unallocatable_result_arrays_end_as_one_line(workdir, capsys, monkeypatc
                "--seed", "1", "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
-    assert err.startswith("crashvol: E_VALIDATION: draw buffer of 5 paths x ")
-    assert " draws x 8 bytes (plus 3 arrays of 13 months, " in err
+    assert err.startswith("crashvol: E_VALIDATION: 5 paths: a buffer of ")
+    assert " draws and 3 arrays of 13 months (" in err
     assert err.endswith(" GiB) cannot be allocated\n")
     assert shapes[0][1] == 5 and shapes[-1] == (13, 5) and not out.exists()
 

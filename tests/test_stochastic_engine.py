@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crashvol import stochastic_engine
 from crashvol.data_ingest import ValidationError, add_months
 from crashvol.stochastic_engine import (
     FellerWarning,
@@ -16,10 +18,7 @@ from crashvol.stochastic_engine import (
     SimulationResult,
     SpikeSpec,
     VasicekParams,
-    _draw_buffers,
     _fold,
-    _seed_state,
-    _seed_words_type,
     _step_vasicek,
     _trailing_average,
     feller_bound,
@@ -159,7 +158,7 @@ def test_in_place_steps_match_one_expression_forms(scheme):
     assert (c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * z < 0).any()
     for before, after in zip(saved, (c, v, z)):
         assert before.tobytes() == after.tobytes()
-    # on a strided column of a draw buffer, as the simulator calls them
+    # on a strided column, as the path-major reference loop below passes them
     zz = np.stack([z, z[::-1]], axis=1)
     assert step_rate(c, hp, v, dt, zz[:, 1]).tobytes() == _reference_fold(
         c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * zz[:, 1], scheme
@@ -170,26 +169,9 @@ def test_in_place_steps_match_one_expression_forms(scheme):
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
 
 
-def test_seed_words_only_seed_pcg64_as_it_asks():
-    words = _seed_state(11, 3)
-    seeded = _seed_words_type()(words[2])
-    got = seeded.generate_state(4, np.uint64)
-    assert got.tobytes() == words[2].tobytes()
-    assert got.dtype == np.uint64 and got.flags.c_contiguous and not np.shares_memory(got, words)
-    assert (
-        np.random.PCG64(seeded).state == np.random.PCG64(np.random.SeedSequence([11, 2])).state
-    )
-    assert seeded.generate_state(4, np.dtype("uint64")).tobytes() == words[2].tobytes()
-    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
-                           (4, np.int64), (4, np.float64)):
-        with pytest.raises(ValueError):
-            seeded.generate_state(n_words, dtype)
-    with pytest.raises(ValueError):
-        seeded.generate_state(4)  # the interface's default dtype is uint32
-
-
 def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
-    # the allocation is faked: the oversized buffer is never requested from the OS
+    # the allocation is faked: the oversized buffers are never requested from
+    # the OS, and nothing may be drawn before the error
     real_empty = np.empty
 
     def empty(shape, *args, **kwargs):
@@ -197,9 +179,16 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
             raise MemoryError("fake: out of memory")
         return real_empty(shape, *args, **kwargs)
 
+    def default_rng(*args):
+        raise AssertionError("drew before the allocation check")
+
     monkeypatch.setattr(np, "empty", empty)
-    with pytest.raises(ValidationError, match=r"200000000 paths x 7 draws x 8 bytes \(10.4 GiB\)"):
-        _draw_buffers(3, 200_000_000, [2, 3, 2])
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    # 2 + 1 month draw rows (a spike is configured) and 3 x 7 result rows of 200e6 paths
+    p = _heston(spikes=(SpikeSpec(3, 0.1, 0.1),))
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 3 draws and 3 arrays "
+                                              r"of 7 months \(35.8 GiB\) cannot be allocated$"):
+        simulate_heston(p, 7, 200_000_000, seed=3)
 
 
 def test_fold_schemes():
@@ -233,29 +222,77 @@ def test_simulation_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.rate_paths, c.rate_paths)
 
 
+def _spiked_params(model, scheme):
+    # spikes in November, March and August from a November start: horizon 13
+    # holds two of them, 60 holds fifteen
+    spikes = (SpikeSpec(11, 0.3, 0.2), SpikeSpec(3, -0.1, 0.4), SpikeSpec(8, 0.05, 0.02))
+    common = dict(c1=0.005, mu=0.14, spikes=spikes, start=(2014, 11), scheme=scheme)
+    if model == "heston":
+        return HestonParams(v0=0.04, theta=0.3, kappa=0.8, xi=0.9, rho=-0.5, **common)
+    return VasicekParams(kappa_v=0.5, sigma_v=2.0, **common)
+
+
+# a 7-month observed tail: the trailing average backfills part of its window
+_TAIL = (0.0041, 0.0052, 0.0047, 0.0061, 0.0039, 0.0058, 0.0049)
+
+
 def test_path_count_invariance_of_prefix():
-    # per-path substreams: path k is identical no matter how many paths run
-    p = _heston()
-    small = simulate_heston(p, 12, 3, seed=5)
-    large = simulate_heston(p, 12, 40, seed=5)
-    assert np.array_equal(small.rate_paths, large.rate_paths[:3])
+    # path p's values depend neither on the path count nor on the other
+    # paths, down to one path; a trailing average summed month-major, whose
+    # order differs between one path and many, breaks this at n_paths = 1
+    for model, scheme in itertools.product(("heston", "vasicek"), ("reflect", "truncate")):
+        simulate = simulate_heston if model == "heston" else simulate_vasicek
+        params = _spiked_params(model, scheme)
+        for seed in range(8):
+            large = simulate(params, 60, 400, seed, _TAIL)
+            for n_paths in (1, 2, 255, 256, 257):
+                small = simulate(params, 60, n_paths, seed, _TAIL)
+                for got, want in ((small.rate_paths, large.rate_paths),
+                                  (small.var_paths, large.var_paths),
+                                  (small.base_paths, large.base_paths)):
+                    assert got.tobytes() == want[:n_paths].tobytes(), (model, scheme, seed, n_paths)
+
+
+def _row_streams(seed, n_paths, n_rows):
+    # random stream v2 as a (rows, paths) stack: row r is default_rng([seed, r])
+    return np.stack([np.random.default_rng([seed, r]).standard_normal(n_paths)
+                     for r in range(n_rows)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**60])
-def test_draw_buffers_match_per_path_generators(seed):
-    # path p draws exactly what default_rng([seed, p]) draws, for one-word
-    # seeds, two-word seeds and seeds long enough to reach SeedSequence's
-    # extra-entropy mixing; this guards against a numpy that changes
-    # SeedSequence or PCG64
-    counts = [2, 3, 2]
+def test_draw_buffers_match_per_path_generators(seed, monkeypatch):
+    # draw row r is the first n_paths values of default_rng([seed, r]), for
+    # one-word seeds, two-word seeds and seeds long enough to reach
+    # SeedSequence's extra-entropy mixing; the rows are read where the Euler
+    # steps receive them: heston takes rows 2t and 2t + 1 in month t
+    # (z_v = rho*z_c + rho_c*z), vasicek takes row t
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args):
+            seen.append(np.array(args[-1]))
+            return fn(*args)
+        return wrapper
+
+    for name in ("step_rate", "step_variance", "_step_vasicek"):
+        monkeypatch.setattr(stochastic_engine, name, spy(getattr(stochastic_engine, name)))
+    hp, vp = _heston(), VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
+    rho, rho_c = hp.rho, math.sqrt(1.0 - hp.rho * hp.rho)
     for n_paths in (1, 7, 1500):
-        want = np.stack([
-            np.random.default_rng([seed, p]).standard_normal(sum(counts))
-            for p in range(n_paths)
-        ])
-        assert _draw_buffers(seed, n_paths, counts).tobytes() == want.tobytes()
-    large = _draw_buffers(seed, 1000, counts)
-    assert large[:300].tobytes() == _draw_buffers(seed, 300, counts).tobytes()
+        seen.clear()
+        simulate_heston(hp, 3, n_paths, seed)
+        rows = _row_streams(seed, n_paths, 6)
+        for t in range(3):
+            z_v = rho * rows[2 * t]
+            z_v += rho_c * rows[2 * t + 1]
+            assert seen[2 * t].tobytes() == rows[2 * t].tobytes()
+            assert seen[2 * t + 1].tobytes() == z_v.tobytes()
+        seen.clear()
+        simulate_vasicek(vp, 3, n_paths, seed)
+        assert np.stack(seen).tobytes() == _row_streams(seed, n_paths, 3).tobytes()
+    large = simulate_heston(hp, 3, 1000, seed)
+    small = simulate_heston(hp, 3, 300, seed)
+    assert large.rate_paths[:300].tobytes() == small.rate_paths.tobytes()
 
 
 def test_result_arrays_read_only():
@@ -273,7 +310,7 @@ def test_result_arrays_read_only():
 
 
 def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
-    # the result arrays' allocation is faked to fail after the draw buffer's
+    # the result arrays' allocation is faked to fail after the month buffer's
     # succeeded; it must fail before any path is drawn, as one ValidationError
     real_empty = np.empty
     shapes = []
@@ -284,17 +321,20 @@ def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
             raise MemoryError("fake: out of memory")
         return real_empty(shape, *args, **kwargs)
 
+    def default_rng(*args):
+        raise AssertionError("drew before the allocation check")
+
     monkeypatch.setattr(np, "empty", empty)
-    with pytest.raises(ValidationError, match=r"^draw buffer of 5 paths x 26 draws x 8 bytes "
-                                              r"\(plus 3 arrays of 13 months, [0-9.e-]+ GiB\) "
-                                              r"cannot be allocated$"):
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    with pytest.raises(ValidationError, match=r"^5 paths: a buffer of 2 draws and 3 arrays of "
+                                              r"13 months \([0-9.e-]+ GiB\) cannot be allocated$"):
         simulate_heston(_heston(), 13, 5, seed=1)
-    assert shapes == [(26, 5), (5, 26), (13, 5)]  # draw buffer, fill block, first result
+    assert shapes == [(2, 5), (13, 5)]  # month buffer, first result
 
 
 # The path-major simulator loop that the month-major one replaced, kept as
 # written, with its steps and trailing average: the layout must not change a
-# byte. Its draws are the pinned (paths, draws) bytes of `_draw_buffers`.
+# byte. Its (paths, draws) draws are the transposed stack of row streams.
 
 def _path_major_trailing_average(base, t, tail_arr):
     # mean over the latest k simulated base rates (k <= 12, current included)
@@ -311,7 +351,7 @@ def _path_major_simulate(params, v0, draws, step, horizon, n_paths, seed, histor
     y0, m0 = params.start
     cal_months = [add_months(y0, m0, k)[1] for k in range(horizon)]
     counts = [draws + 1 if m in spike_at else draws for m in cal_months]
-    buf = np.ascontiguousarray(_draw_buffers(seed, n_paths, counts))
+    buf = np.ascontiguousarray(_row_streams(seed, n_paths, sum(counts)).T)
     tail_arr = np.asarray(history_tail, dtype=float)
 
     base = np.empty((n_paths, horizon))
@@ -368,22 +408,16 @@ def _path_major_vasicek(params, horizon, n_paths, seed, history_tail):
 @pytest.mark.parametrize("scheme", ["reflect", "truncate"])
 @pytest.mark.parametrize("model", ["heston", "vasicek"])
 def test_month_major_simulation_matches_path_major_loop(model, scheme):
-    # spikes in November, March and August from a November start: horizon 13
-    # holds two of them, 60 holds fifteen; a 7-month tail is backfilled in
-    # part, so windows of 1 to 12 months meet with and without a tail
-    spikes = (SpikeSpec(11, 0.3, 0.2), SpikeSpec(3, -0.1, 0.4), SpikeSpec(8, 0.05, 0.02))
-    common = dict(c1=0.005, mu=0.14, spikes=spikes, start=(2014, 11), scheme=scheme)
+    # windows of 1 to 12 months meet with and without a partly backfilled tail
+    params = _spiked_params(model, scheme)
     if model == "heston":
-        params = HestonParams(v0=0.04, theta=0.3, kappa=0.8, xi=0.9, rho=-0.5, **common)
         simulate, reference = simulate_heston, _path_major_heston
     else:
-        params = VasicekParams(kappa_v=0.5, sigma_v=2.0, **common)
         simulate, reference = simulate_vasicek, _path_major_vasicek
-    tail = (0.0041, 0.0052, 0.0047, 0.0061, 0.0039, 0.0058, 0.0049)
     for seed in (0, 2**40 + 5):
         for n_paths in (1, 2, 257, 401):
             for horizon in (1, 13, 60):
-                for history_tail in ((), tail):
+                for history_tail in ((), _TAIL):
                     res = simulate(params, horizon, n_paths, seed, history_tail)
                     want = reference(params, horizon, n_paths, seed, history_tail)
                     for got, arr in zip((res.rate_paths, res.var_paths, res.base_paths), want):
@@ -421,15 +455,16 @@ def test_trailing_average_in_blocks_of_paths():
 
 
 def test_spike_draw_reconstruction():
-    # first forecast month is a spike month; rebuild it from the raw substream
+    # first forecast month is a spike month; rebuild it from the raw draw
+    # rows: z_c, then the variance draw, then the spike draw
     spikes = (SpikeSpec(1, -0.173, 0.125),)
     p = _heston(start=(2015, 1), spikes=spikes)
     tail = np.linspace(0.004, 0.006, 12)
     res = simulate_heston(p, 1, 4, seed=9, history_tail=tail)
     dt = p.dt
+    rows = _row_streams(9, 4, 3)
     for k in range(4):
-        z = np.random.default_rng([9, k]).standard_normal(3)
-        z_c, z_raw, z_g = z
+        z_c, z_raw, z_g = rows[:, k]
         v_start = p.v0
         base = p.c1 + p.mu * p.c1 * dt + math.sqrt(v_start) * p.c1 * math.sqrt(dt) * z_c
         base = abs(base)
@@ -446,9 +481,10 @@ def test_spike_draw_reconstruction():
     # months 3..14 and ignores the (deliberately huge) observed history
     p = _heston(start=(2015, 1), spikes=(SpikeSpec(2, 0.3, 0.05),))
     res = simulate_heston(p, 14, 4, seed=9, history_tail=np.full(12, 1.0))
+    # 2 draws a month plus a spike draw in months 2 and 14: 30 rows in all
+    spike_row = _row_streams(9, 4, 30)[-1]
     for k in range(4):
-        # 2 draws a month plus a spike draw in months 2 and 14: 30 in all
-        z_g = np.random.default_rng([9, k]).standard_normal(30)[-1]
+        z_g = spike_row[k]
         base = res.base_paths[k]
         want = abs(base[13] + base[2:14].mean() * (0.3 + 0.05 * z_g))
         assert res.rate_paths[k, 13] == pytest.approx(want, rel=1e-12)
@@ -513,8 +549,9 @@ def test_vasicek_spike_reconstruction():
     res = simulate_vasicek(p, 1, 3, seed=4, history_tail=tail)
     no_hist = simulate_vasicek(p, 1, 3, seed=4)
     dt = p.dt
+    rows = _row_streams(4, 3, 2)
     for k in range(3):
-        z, zg = np.random.default_rng([4, k]).standard_normal(2)
+        z, zg = rows[:, k]
         theta_1 = p.c1 * (1 + p.mu) ** (1 / 12.0)
         base = 0.005 + p.kappa_v * (theta_1 - 0.005) * dt + p.sigma_v * p.c1 * math.sqrt(dt) * z
         base = abs(base)
