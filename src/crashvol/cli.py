@@ -52,15 +52,17 @@ def _parse_ym(text: str) -> tuple[int, int]:
     return year, month
 
 
-def _path_count(text: str) -> int:
-    """--paths: an int of at least 1, checked as the flag is parsed."""
-    try:
-        n_paths = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n_paths < 1:
-        raise argparse.ArgumentTypeError(f"{n_paths} must be at least 1")
-    return n_paths
+def _int_at_least(floor: int):
+    """An argparse type: an int of at least `floor`, checked as the flag is parsed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"{value} must be at least {floor}")
+        return value
+    return parse
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
@@ -314,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=("reflect", "truncate"), default=None)
 
     def add_forecast_flags(p):
-        p.add_argument("--paths", type=_path_count, default=5000, help="at least 1 (default 5000)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--paths", type=_int_at_least(1), default=5000,
+                       help="at least 1 (default 5000)")
+        p.add_argument("--seed", type=_int_at_least(0), default=None, help="at least 0")
         p.add_argument("--levels", default="5,25,75,95", help="quantile percentages")
 
     def add_coverage_flags(p):

@@ -19,6 +19,7 @@ import numpy as np
 from . import arima_garch, series_stats, stochastic_engine
 from .data_ingest import (
     AlignmentError,
+    InsufficientDataError,
     MonthlySeries,
     RangeError,
     ValidationError,
@@ -184,6 +185,10 @@ def _fit_from_stats(params_cls, model_values, series, train_start, train_end, te
 
 
 def _heston_values(prof, train, overrides) -> dict:
+    if "xi" not in overrides and not math.isfinite(prof.vol_of_vol):
+        raise InsufficientDataError("heston vol_of_vol is not finite: it needs at least 3 full "
+                                    "calendar years of nonzero volatility, and the training "
+                                    f"window has {len(prof.years)}")
     theta_vol = float(overrides.pop("theta_vol", prof.window_vol))
     v0_vol = float(overrides.pop("v0_vol", theta_vol))
     xi = float(overrides.pop("xi", prof.vol_of_vol))

@@ -28,6 +28,11 @@ Layout: the state is month-major. One small buffer holds the current
 month's draw rows; the base, reported and variance arrays hold one C-ordered
 row per month, so a vectorised Euler step reads and writes contiguous rows,
 and `SimulationResult` exposes them as read-only (paths, months) `.T` views.
+The spike baseline adds each path's window w of k <= 12 months elementwise
+over those rows, in the order numpy's pairwise sum takes a contiguous row of
+k values: left to right for k < 8, else ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7))
+and then w8, w9, ... in turn. So the bytes depend on no numpy reduction
+kernel, and a path's sum on no other path.
 """
 
 from __future__ import annotations
@@ -236,55 +241,33 @@ def feller_bound(xi: float, theta_vol: float) -> float:
     return xi * xi / (2.0 * theta_vol)
 
 
-def _fold(x: np.ndarray, scheme: str) -> np.ndarray:
-    """Fold the array x at zero in place (|x|, or max(x, 0) under truncate)."""
-    return np.abs(x, out=x) if scheme == "reflect" else np.maximum(x, 0.0, out=x)
-
-
-# The Euler steps below build each update in place on fresh temporaries.
-# IEEE + and * are commutative but not associative, so every operation of the
-# one-expression form in the docstring is kept with its operands and its
-# grouping; only the side each operand sits on may change. Inputs are never
-# written; scalar inputs give a scalar.
+def _fold(x, scheme: str):
+    """Fold x at zero (|x|, or max(x, 0) under truncate), in place if x is an array."""
+    out = x if isinstance(x, np.ndarray) else None
+    return np.abs(x, out=out) if scheme == "reflect" else np.maximum(x, 0.0, out=out)
 
 
 def step_variance(v, params: HestonParams, dt: float, z_v):
     """One Euler step of the variance, folded to stay nonnegative:
     v + kappa*(theta - v)*dt + xi*sqrt(v*dt)*z_v."""
-    shape = np.broadcast(v, z_v).shape
-    raw = np.subtract(params.theta, v, out=np.empty(shape))
-    raw *= params.kappa
-    raw *= dt
-    raw += v
-    noise = np.multiply(v, dt, out=np.empty(shape))
-    np.sqrt(noise, out=noise)
-    noise *= params.xi
-    noise *= z_v
-    raw += noise
-    return _fold(raw, params.scheme)[()]
+    raw = v + params.kappa * (params.theta - v) * dt + params.xi * np.sqrt(v * dt) * z_v
+    return _fold(raw, params.scheme)
 
 
 def step_rate(c_prev, params: HestonParams, v, dt: float, z_c):
     """One Euler step of the rate; increments scale with c1, not the state:
     c_prev + mu*c1*dt + sqrt(v)*c1*sqrt(dt)*z_c."""
-    raw = np.sqrt(v, out=np.empty(np.broadcast(c_prev, v, z_c).shape))
-    raw *= params.c1
-    raw *= math.sqrt(dt)
-    raw *= z_c
-    raw += c_prev + params.mu * params.c1 * dt
-    return _fold(raw, params.scheme)[()]
+    raw = c_prev + params.mu * params.c1 * dt + np.sqrt(v) * params.c1 * math.sqrt(dt) * z_c
+    return _fold(raw, params.scheme)
 
 
 def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c):
     """One Euler step of the baseline toward theta(t + 1) = c1*(1 + mu)^((t + 1)/12):
     c_prev + kappa_v*(theta - c_prev)*dt + sigma_v*c1*sqrt(dt)*z_c."""
     theta = params.c1 * _power(1.0 + params.mu, (t + 1) / 12.0, "1 + mu")
-    raw = np.subtract(theta, c_prev, out=np.empty(np.broadcast(c_prev, z_c).shape))
-    raw *= params.kappa_v
-    raw *= dt
-    raw += c_prev
-    raw += params.sigma_v * params.c1 * math.sqrt(dt) * z_c
-    return _fold(raw, params.scheme)[()]
+    raw = (c_prev + params.kappa_v * (theta - c_prev) * dt
+           + params.sigma_v * params.c1 * math.sqrt(dt) * z_c)
+    return _fold(raw, params.scheme)
 
 
 def _allocate(n_paths: int, rows: int, horizon: int) -> list[np.ndarray]:
@@ -301,16 +284,15 @@ def _allocate(n_paths: int, rows: int, horizon: int) -> list[np.ndarray]:
 
 
 def _trailing_average(base, t, tail_arr):
-    # mean over the latest k simulated base rates (k <= 12, current included)
-    # backfilled from the observed tail up to 12 values total; each path's
-    # window is summed as a contiguous row, the order numpy's pairwise sum
-    # gives a path-major array (a month-major sum(axis=0) differs for k >= 8);
-    # rows are copied 2048 paths at a time so the copy stays small
+    """Mean over the latest k <= 12 simulated base rates (month t included),
+    backfilled from the observed tail up to 12 values in all; the window is
+    summed in the order the module docstring gives."""
     k = min(t + 1, 12)
-    window = base[t + 1 - k : t + 1]
-    sim_sum = np.concatenate(
-        [window[:, lo : lo + 2048].T.copy().sum(axis=1) for lo in range(0, window.shape[1], 2048)]
-    )
+    w = base[t + 1 - k : t + 1]
+    if k < 8:
+        sim_sum = sum(w[1:], w[0])
+    else:
+        sim_sum = sum(w[8:], ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7])))
     b = min(12 - k, tail_arr.size)
     tail_sum = tail_arr[-b:].sum() if b > 0 else 0.0
     return (sim_sum + tail_sum) / (k + b)
@@ -321,10 +303,7 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
 
     `z` holds the month's `draws` normal rows, one value per path; the step
     returns the new base rate and the variance to report. In a spike month
-    one more draw follows the step's draws. Each month's rows of random
-    stream v2 are filled into one reused buffer just before its step, and
-    the three result arrays are (months, paths) C arrays, so every step
-    operand and store is a contiguous row.
+    one more draw follows the step's draws; all are drawn just before the step.
     """
     _check(horizon >= 1, "horizon >= 1")
     _check(n_paths >= 1, "n_paths >= 1")
@@ -334,8 +313,7 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
     z, base, rep, var = _allocate(n_paths, draws + bool(spike_at), horizon)
     tail_arr = np.asarray(history_tail, dtype=float)
 
-    c = np.full(n_paths, params.c1)
-    v = np.full(n_paths, v0)
+    c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
     row = 0
     for t, month in enumerate(cal_months):
         spec = spike_at.get(month)
@@ -346,12 +324,8 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
         base[t] = c
         var[t] = v
         if spec is not None:
-            # |c + cbar*(a + b*z)|, in place in the same order
-            g = spec.std_b * z[draws]
-            g += spec.mean_a
-            g *= _trailing_average(base, t, tail_arr)
-            g += c
-            rep[t] = _fold(g, params.scheme)
+            avg = _trailing_average(base, t, tail_arr)
+            rep[t] = _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme)
         else:
             rep[t] = c
     for arr in (rep, var, base):
@@ -384,11 +358,9 @@ def simulate_heston(
     rho_c = math.sqrt(1.0 - rho * rho)
 
     def step(c, v, t, z):
-        z_c = z[0]
-        z_v = rho * z_c
-        z_v += rho_c * z[1]
+        z_v = rho * z[0] + rho_c * z[1]
         # the rate update uses the start-of-step variance
-        return step_rate(c, params, v, dt, z_c), step_variance(v, params, dt, z_v)
+        return step_rate(c, params, v, dt, z[0]), step_variance(v, params, dt, z_v)
 
     return _simulate("heston", params, params.v0, 2, step, horizon, n_paths, seed, history_tail)
 

@@ -117,16 +117,52 @@ def test_forecast_requires_seed(workdir, capsys):
     assert rc == 1
     assert err.startswith("crashvol: E_VALIDATION:")
     assert "--seed" in err
-    # a negative seed and a non-finite parameter fail the same way
+    # a negative seed is a usage error naming the flag; a non-finite
+    # parameter fails as one line too
     nan_params = workdir / "nan.params"
     nan_params.write_text(params.read_text().replace("mu = ", "mu = nan # "))
-    for path, seed in ((params, "-1"), (nan_params, "1")):
+    for path, seed, detail in ((params, "-1", "argument --seed: -1 must be at least 0"),
+                               (nan_params, "1", "key mu is not finite")):
         rc = main(["forecast", "--params", str(path), "--horizon", "12",
                    "--paths", "50", "--seed", seed, "--out", str(workdir / "f.csv")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("crashvol: E_VALIDATION:")
+        assert err.startswith("crashvol: E_VALIDATION: ") and detail in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["heston", "arima"])
+def test_negative_seed_is_rejected_before_any_fit(workdir, capsys, monkeypatch, model):
+    # every model parses --seed alike, so an unseeded model does not ignore it
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the usage error")
+
+    monkeypatch.setattr(cli.evaluation, "backtest", no_fit)
+    out = workdir / "bt.csv"
+    rc = main(["backtest", "--input", str(workdir / "dc_2010_2014.csv"),
+               "--input", str(workdir / "dc_2015_2019.csv"),
+               "--train-start", "2010-01", "--train-end", "2014-12",
+               "--test-start", "2015-01", "--test-end", "2019-12",
+               "--model", model, "--paths", "50", "--seed", "-1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1), err
+    assert err.startswith("crashvol: E_VALIDATION: argument --seed: -1 must be at least 0")
+    assert not out.exists()
+
+
+def test_heston_fit_on_two_full_years_names_its_cause(workdir, capsys):
+    # two full years give one yearly log-ratio, so no vol-of-vol spread
+    out = workdir / "h.params"
+    rc = main(["fit", "--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
+               "--train-end", "2011-12", "--model", "heston", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("crashvol: E_VALIDATION: heston vol_of_vol is not finite: it needs at least "
+                   "3 full calendar years of nonzero volatility, and the training window has 2\n")
+    assert not out.exists()
+    # the vasicek fit reads no vol-of-vol and still succeeds on that window
+    assert main(["fit", "--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
+                 "--train-end", "2011-12", "--model", "vasicek", "--out", str(out)]) == 0
 
 
 def test_forecast_writes_quantile_csv(workdir):

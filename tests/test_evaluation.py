@@ -6,6 +6,7 @@ import pytest
 
 from crashvol.data_ingest import (
     AlignmentError,
+    InsufficientDataError,
     MonthlyObservation,
     MonthlySeries,
     ValidationError,
@@ -143,6 +144,19 @@ def test_fit_heston_override_and_rejection(full_series):
             fit_heston_from_stats(
                 full_series, (2010, 1), (2014, 12), (2015, 1), overrides={key: 1e200}
             )
+
+
+def test_heston_fit_on_two_full_years_needs_an_xi(full_series):
+    # 2010-2011 has one yearly vol log-ratio, so vol_of_vol is NaN; an xi
+    # override stands in for it
+    with pytest.raises(InsufficientDataError, match="3 full calendar years.* has 2$"):
+        fit_heston_from_stats(full_series, (2010, 1), (2011, 12), (2012, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params, _ = fit_heston_from_stats(
+            full_series, (2010, 1), (2011, 12), (2012, 1), overrides={"xi": 0.2}
+        )
+    assert params.xi == 0.2 and math.isfinite(params.kappa)
 
 
 def test_fit_vasicek_from_stats(full_series):

@@ -124,8 +124,8 @@ def _reference_fold(x, scheme):
 
 @pytest.mark.parametrize("scheme", ["reflect", "truncate"])
 def test_in_place_steps_match_one_expression_forms(scheme):
-    # the in-place steps give the bits of their one-expression forms, and
-    # never write their inputs
+    # the steps give the bits of their one-expression forms, and never
+    # write their inputs
     rng = np.random.default_rng(12)
     n = 4000
     scale = 10.0 ** rng.uniform(-6, 1, n)  # magnitudes where rounding differs
@@ -425,18 +425,43 @@ def test_month_major_simulation_matches_path_major_loop(model, scheme):
                         assert got.tobytes() == arr.tobytes(), (seed, n_paths, horizon)
 
 
+def _float_sum(values):
+    # numpy's pairwise sum of one contiguous row of at most 15 values, over
+    # Python floats: left to right below 8 terms, else the 8 in pairs of
+    # pairs and then the rest in turn
+    w = [float(x) for x in values]
+    if len(w) < 8:
+        total, rest = 0.0, w
+    else:
+        total, rest = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7])), w[8:]
+    for x in rest:
+        total += x
+    return total
+
+
+def _float_trailing_average(path, t, tail):
+    # one path's spike baseline over Python floats, independent of numpy
+    k = min(t + 1, 12)
+    b = min(12 - k, len(tail))
+    tail_sum = _float_sum(tail[len(tail) - b:]) if b > 0 else 0.0
+    return (_float_sum(path[t + 1 - k : t + 1]) + tail_sum) / (k + b)
+
+
 def test_trailing_average_sums_each_window_path_major():
     # windows of k = 1..12 months over values spanning 16 decades, where the
-    # order of summation shows in the last bit
+    # order of summation shows in the last bit; tails of 3 and 12 values
+    # backfill up to 3 and up to 11 of the 12 months
     rng = np.random.default_rng(4)
     paths = 10.0 ** rng.uniform(-8.0, 8.0, (257, 30))
     month_major = np.ascontiguousarray(paths.T)
     order_shows = False
-    for tail in ((), (0.004, 3.0e5, 0.006)):
+    for tail in ((), (0.004, 3.0e5, 0.006), tuple(10.0 ** rng.uniform(-8.0, 8.0, 12))):
         tail_arr = np.asarray(tail, dtype=float)
         for t in range(paths.shape[1]):
             got = _trailing_average(month_major, t, tail_arr)
             assert got.tobytes() == _path_major_trailing_average(paths, t, tail_arr).tobytes(), t
+            want = [_float_trailing_average(row, t, tail) for row in paths.tolist()]
+            assert got.tobytes() == np.array(want).tobytes(), (t, len(tail))
             k = min(t + 1, 12)
             by_row = month_major[t + 1 - k : t + 1].sum(axis=0)
             order_shows |= by_row.tobytes() != paths[:, t + 1 - k : t + 1].sum(axis=1).tobytes()
@@ -444,7 +469,9 @@ def test_trailing_average_sums_each_window_path_major():
 
 
 def test_trailing_average_in_blocks_of_paths():
-    # the window is copied 2048 paths at a time: two full blocks and a part
+    # thousands of paths: the elementwise adds run in vector blocks and a
+    # remainder, and any return to summing in blocks of paths must give the
+    # same bytes over whole blocks and a part
     rng = np.random.default_rng(5)
     paths = 10.0 ** rng.uniform(-8.0, 8.0, (4500, 14))
     month_major = np.ascontiguousarray(paths.T)
