@@ -24,14 +24,10 @@ equals the first k values of any longer fill, so path p depends neither on
 `n_paths` nor on the other paths: a given seed gives bit-identical paths
 however many run.
 
-Layout: the state is month-major. Small month buffers hold the draw rows:
-one, filled just before its month's Euler step, or from `_OVERLAP_PATHS`
-paths up `_AHEAD + 1`, which one worker thread fills up to `_AHEAD` months
-ahead of the steps. A row's values do not depend on which thread fills it,
-so the bytes are the same either way. The base, reported and variance
-arrays hold one C-ordered row per month, so a vectorised Euler step reads
-and writes contiguous rows, and `SimulationResult` exposes them as
-read-only (paths, months) `.T` views.
+Layout: the state is month-major. One small buffer holds the current
+month's draw rows; the base, reported and variance arrays hold one C-ordered
+row per month, so a vectorised Euler step reads and writes contiguous rows,
+and `SimulationResult` exposes them as read-only (paths, months) `.T` views.
 The spike baseline adds each path's window w of k <= 12 months elementwise
 over those rows, in the order numpy's pairwise sum takes a contiguous row of
 k values: left to right for k < 8, else ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7))
@@ -41,13 +37,9 @@ kernel, and a path's sum on no other path.
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import itertools
 import math
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +55,6 @@ from .data_ingest import (
 )
 
 DEFAULT_DT = 1.0 / 12.0
-
-# From this many paths up, a worker thread fills the draw rows of the next
-# _AHEAD months while the Euler steps run: numpy fills without holding the
-# GIL. Below it the time goes to building generators, which holds the GIL,
-# and the two threads only trade it (the break-even is 2000-3000 paths).
-_OVERLAP_PATHS = 4096
-_AHEAD = 3
 
 
 class FellerWarning(UserWarning):
@@ -285,17 +270,16 @@ def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c):
     return _fold(raw, params.scheme)
 
 
-def _allocate(n_paths: int, bufs: int, rows: int, horizon: int) -> list[np.ndarray]:
-    """`bufs` (rows, paths) month buffers of draws and the three (months, paths)
+def _allocate(n_paths: int, rows: int, horizon: int) -> list[np.ndarray]:
+    """The (rows, paths) month buffer of draws and the three (months, paths)
     result arrays, allocated together before anything is drawn; a size that
     cannot be allocated is one ValidationError naming the total bytes."""
-    shapes = [*[(rows, n_paths)] * bufs, *[(horizon, n_paths)] * 3]
+    shapes = [(rows, n_paths), *[(horizon, n_paths)] * 3]
     try:
         return [np.empty(shape) for shape in shapes]
     except (MemoryError, ValueError):
         gib = sum(math.prod(shape) for shape in shapes) * 8 / 2**30
-        what = "a buffer" if bufs == 1 else f"{bufs} buffers"
-        raise ValidationError(f"{n_paths} paths: {what} of {rows} draws and 3 arrays of "
+        raise ValidationError(f"{n_paths} paths: a buffer of {rows} draws and 3 arrays of "
                               f"{horizon} months ({gib:.3g} GiB) cannot be allocated") from None
 
 
@@ -314,61 +298,36 @@ def _trailing_average(base, t, tail_arr):
     return (sim_sum + tail_sum) / (k + b)
 
 
-def _month_draws(fill, horizon, pool):
-    """`fill(t)` for each month t in turn. With a pool, months t + 1 .. t + _AHEAD
-    are filled on it while month t is in use, and month t + _AHEAD + 1 is only
-    submitted once month t is done with."""
-    if pool is None:
-        yield from map(fill, range(horizon))
-        return
-    ahead = collections.deque(pool.submit(fill, t) for t in range(min(_AHEAD, horizon)))
-    for t in range(horizon):
-        if t + _AHEAD < horizon:
-            ahead.append(pool.submit(fill, t + _AHEAD))
-        yield ahead.popleft().result()
-
-
 def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history_tail):
     """Shared Monte Carlo loop; `step(c, v, t, z)` advances one month.
 
     `z` holds the month's `draws` normal rows, one value per path; the step
     returns the new base rate and the variance to report. In a spike month
-    one more draw follows the step's draws. From `_OVERLAP_PATHS` paths up,
-    one worker thread fills the next `_AHEAD` months' rows while a step runs;
-    below that, each month is filled just before its step.
+    one more draw follows the step's draws; all are drawn just before the step.
     """
     _check(horizon >= 1, "horizon >= 1")
     _check(n_paths >= 1, "n_paths >= 1")
     _check(seed >= 0, "seed >= 0")
     spike_at = {s.month: s for s in params.spikes}
-    spec_of = [spike_at.get(add_months(*params.start, k)[1]) for k in range(horizon)]
-    counts = [draws + (spec is not None) for spec in spec_of]
-    first_row = list(itertools.accumulate(counts, initial=0))
-    overlap = n_paths >= _OVERLAP_PATHS
-    *zs, base, rep, var = _allocate(n_paths, _AHEAD + 1 if overlap else 1,
-                                    draws + bool(spike_at), horizon)
+    cal_months = [add_months(*params.start, k)[1] for k in range(horizon)]
+    z, base, rep, var = _allocate(n_paths, draws + bool(spike_at), horizon)
     tail_arr = np.asarray(history_tail, dtype=float)
 
-    def fill(t):
-        # month t's rows go to buffer t % len(zs); with _AHEAD + 1 buffers
-        # that is never the buffer of a month still being stepped
-        z = zs[t % len(zs)]
-        for i in range(counts[t]):
-            np.random.default_rng([seed, first_row[t] + i]).standard_normal(out=z[i])
-        return z
-
     c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
-    with ThreadPoolExecutor(1) if overlap else contextlib.nullcontext() as pool:
-        for t, z in enumerate(_month_draws(fill, horizon, pool)):
-            spec = spec_of[t]
-            c, v = step(c, v, t, z[:draws])
-            base[t] = c
-            var[t] = v
-            if spec is not None:
-                avg = _trailing_average(base, t, tail_arr)
-                rep[t] = _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme)
-            else:
-                rep[t] = c
+    row = 0
+    for t, month in enumerate(cal_months):
+        spec = spike_at.get(month)
+        for out in z[: draws + (spec is not None)]:
+            np.random.default_rng([seed, row]).standard_normal(out=out)
+            row += 1
+        c, v = step(c, v, t, z[:draws])
+        base[t] = c
+        var[t] = v
+        if spec is not None:
+            avg = _trailing_average(base, t, tail_arr)
+            rep[t] = _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme)
+        else:
+            rep[t] = c
     for arr in (rep, var, base):
         arr.flags.writeable = False
     return SimulationResult(

@@ -579,7 +579,7 @@ def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
                "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
-    assert err.startswith("crashvol: E_VALIDATION: 200000000 paths: 4 buffers of ")
+    assert err.startswith("crashvol: E_VALIDATION: 200000000 paths: a buffer of ")
     assert " draws and 3 arrays of 60 months (" in err
     assert err.endswith(" GiB) cannot be allocated\n")
     assert not out.exists()

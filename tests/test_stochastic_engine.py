@@ -1,8 +1,6 @@
-import dataclasses
 import itertools
 import math
 import tempfile
-import threading
 import warnings
 from pathlib import Path
 
@@ -20,8 +18,6 @@ from crashvol.stochastic_engine import (
     SimulationResult,
     SpikeSpec,
     VasicekParams,
-    _AHEAD,
-    _OVERLAP_PATHS,
     _fold,
     _step_vasicek,
     _trailing_average,
@@ -188,11 +184,10 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
 
     monkeypatch.setattr(np, "empty", empty)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    # 4 month buffers (200e6 paths fill ahead) of 2 + 1 draw rows (a spike is
-    # configured) and 3 x 7 result rows of 200e6 paths
+    # 2 + 1 month draw rows (a spike is configured) and 3 x 7 result rows of 200e6 paths
     p = _heston(spikes=(SpikeSpec(3, 0.1, 0.1),))
-    with pytest.raises(ValidationError, match=r"^200000000 paths: 4 buffers of 3 draws and 3 arrays "
-                                              r"of 7 months \(49.2 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 3 draws and 3 arrays "
+                                              r"of 7 months \(35.8 GiB\) cannot be allocated$"):
         simulate_heston(p, 7, 200_000_000, seed=3)
 
 
@@ -335,81 +330,6 @@ def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
                                               r"13 months \([0-9.e-]+ GiB\) cannot be allocated$"):
         simulate_heston(_heston(), 13, 5, seed=1)
     assert shapes == [(2, 5), (13, 5)]  # month buffer, first result
-
-
-@pytest.mark.parametrize("scheme", ["reflect", "truncate"])
-@pytest.mark.parametrize("model", ["heston", "vasicek"])
-def test_filling_ahead_on_a_worker_keeps_the_bytes(model, scheme, monkeypatch):
-    # the same calls with every month filled inline and with the next months
-    # filled on the worker thread; horizons 1-5 end inside the lookahead
-    assert (_OVERLAP_PATHS, _AHEAD) == (4096, 3)
-    simulate = simulate_heston if model == "heston" else simulate_vasicek
-    spiked = _spiked_params(model, scheme)
-    plain = dataclasses.replace(spiked, spikes=())
-    cases = list(itertools.product((spiked, plain), (1, 2, 3, 4, 5, 60), (1, 4095, 4096, 5000),
-                                   (0, 7, 2**64 + 3)))
-    runs = {}
-    for gate in (10**9, 1):
-        monkeypatch.setattr(stochastic_engine, "_OVERLAP_PATHS", gate)
-        runs[gate] = [simulate(params, horizon, n_paths, seed, _TAIL)
-                      for params, horizon, n_paths, seed in cases]
-    for case, inline, ahead in zip(cases, runs[10**9], runs[1]):
-        for got, want in ((ahead.rate_paths, inline.rate_paths), (ahead.var_paths, inline.var_paths),
-                          (ahead.base_paths, inline.base_paths)):
-            assert got.tobytes() == want.tobytes(), case[1:]
-
-
-def _raised_within(seconds, fn, *args):
-    # the exception fn raises, on a daemon thread so that a hang fails the
-    # test instead of stalling it
-    raised = []
-
-    def run():
-        try:
-            fn(*args)
-        except Exception as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(seconds)
-    assert not caller.is_alive(), f"still running after {seconds} s"
-    assert len(raised) == 1, "no exception raised"
-    return raised[0]
-
-
-def test_failing_step_leaves_no_thread():
-    # month 12's growth target overflows on the main thread while the worker
-    # has the next months in hand: the same error as inline, and no thread left
-    vp = VasicekParams(c1=0.005, mu=1e300, kappa_v=0.5, sigma_v=2.0)
-    before = threading.active_count()
-    for n_paths in (500, 5000):
-        exc = _raised_within(60, simulate_vasicek, vp, 60, n_paths, 1)
-        assert isinstance(exc, ValidationError)
-        assert str(exc) == "1 + mu = 1e+300 overflows at power 1.08333"
-    assert threading.active_count() == before
-
-
-def test_failing_fill_surfaces_and_leaves_no_thread(monkeypatch):
-    # a generator that cannot be built for row 40 (month 20 of heston): its
-    # exception reaches the caller from the worker thread too, and no thread
-    # is left
-    real_default_rng = np.random.default_rng
-
-    class RowFailure(RuntimeError):
-        pass
-
-    def default_rng(seed_words):
-        if seed_words[1] == 40:
-            raise RowFailure("no generator for row 40")
-        return real_default_rng(seed_words)
-
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
-    before = threading.active_count()
-    for n_paths in (500, 5000):
-        exc = _raised_within(60, simulate_heston, _heston(), 60, n_paths, 3)
-        assert isinstance(exc, RowFailure) and str(exc) == "no generator for row 40"
-    assert threading.active_count() == before
 
 
 # The path-major simulator loop that the month-major one replaced, kept as
