@@ -459,7 +459,7 @@ def backtest(
     horizon = len(test_slice)
     observed = dated_rates(test_slice)
     months = test_slice.months
-    n_paths = int(config.pop("n_paths", 5000))
+    n_paths = stochastic_engine._integer(config.pop("n_paths", 5000), "n_paths")
     levels = stochastic_engine._check_levels(config.pop("levels", DEFAULT_LEVELS))
     options = {
         "orders": tuple(config.pop("orders", (1, 2, 2))),

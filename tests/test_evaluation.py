@@ -321,6 +321,22 @@ def test_backtest_vasicek_variance_plane(full_series):
     assert q.months[0] == (2015, 1)
 
 
+@pytest.mark.parametrize("n_paths", [2.7, "12", None])
+def test_backtest_rejects_non_integer_path_counts(full_series, n_paths):
+    # the simulators' rule: no float is truncated and no string parsed
+    with pytest.raises(ValidationError, match=f"^n_paths must be an integer, not {n_paths!r}$"):
+        backtest(full_series, ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12)),
+                 model="vasicek", config={"n_paths": n_paths}, seed=3)
+
+
+def test_backtest_numpy_integer_path_count(full_series):
+    train, test = ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12))
+    q_int, _ = backtest(full_series, train, test, "vasicek", {"n_paths": 200}, seed=3)
+    q_np, _ = backtest(full_series, train, test, "vasicek", {"n_paths": np.int64(200)}, seed=3)
+    assert q_np.median.tobytes() == q_int.median.tobytes()
+    assert q_np.bands.tobytes() == q_int.bands.tobytes()
+
+
 @pytest.mark.parametrize("model_id", MODEL_IDS)
 def test_model_file_forecast_matches_backtest(model_id, full_series, tmp_path):
     # fit -> file -> read -> quantiles agrees with the in-memory backtest up

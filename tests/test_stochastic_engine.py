@@ -169,6 +169,15 @@ def test_in_place_steps_match_one_expression_forms(scheme):
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
 
 
+def _forbid_drawing(monkeypatch):
+    # the simulator's draw path: the rows' seeding and the one PCG64 it sets
+    def drew(*args):
+        raise AssertionError("drew before the allocation check")
+
+    monkeypatch.setattr(stochastic_engine, "_row_states", drew)
+    monkeypatch.setattr(np.random, "PCG64", drew)
+
+
 def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
     # the allocation is faked: the oversized buffers are never requested from
     # the OS, and nothing may be drawn before the error
@@ -179,11 +188,8 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
             raise MemoryError("fake: out of memory")
         return real_empty(shape, *args, **kwargs)
 
-    def default_rng(*args):
-        raise AssertionError("drew before the allocation check")
-
     monkeypatch.setattr(np, "empty", empty)
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    _forbid_drawing(monkeypatch)
     # 2 + 1 month draw rows (a spike is configured) and 3 x 7 result rows of 200e6 paths
     p = _heston(spikes=(SpikeSpec(3, 0.1, 0.1),))
     with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 3 draws and 3 arrays "
@@ -295,6 +301,45 @@ def test_draw_buffers_match_per_path_generators(seed, monkeypatch):
     assert large.rate_paths[:300].tobytes() == small.rate_paths.tobytes()
 
 
+# every entropy-length boundary of SeedSequence: one to five uint32 words
+_SEED_BOUNDARIES = [2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**96, 2**128]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**200) | st.sampled_from(_SEED_BOUNDARIES),
+       row=st.integers(0, 3599))  # up to 1200 months of 3 rows
+def test_row_states_match_numpy_seeding(seed, row):
+    states = stochastic_engine._row_states(seed, row + 1)
+    assert len(states) == row + 1
+    for r in {0, row // 2, row}:
+        assert states[r] == np.random.default_rng([seed, r]).bit_generator.state, (seed, r)
+
+
+def test_row_states_need_one_entropy_word_per_row():
+    with pytest.raises(ValidationError, match="fewer than 2\\*\\*32 draw rows"):
+        stochastic_engine._row_states(0, 2**32)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", "7"), ("seed", None), ("n_paths", 2.7), ("n_paths", "12"),
+    ("horizon", 2.0), ("horizon", None),
+])
+def test_non_integer_arguments_are_validation_errors(name, value):
+    args = {"horizon": 3, "n_paths": 4, "seed": 5, name: value}
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
+    for simulate, params in ((simulate_heston, _heston()), (simulate_vasicek, vp)):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, not "):
+            simulate(params, **args)
+
+
+def test_numpy_integer_arguments_give_the_bytes_of_int():
+    want = simulate_heston(_heston(), 4, 6, seed=9)
+    got = simulate_heston(_heston(), np.int64(4), np.uint8(6), seed=np.uint64(9))
+    assert got.seed == 9 and type(got.seed) is int
+    assert got.rate_paths.tobytes() == want.rate_paths.tobytes()
+    assert got.var_paths.tobytes() == want.var_paths.tobytes()
+
+
 def test_result_arrays_read_only():
     res = simulate_heston(_heston(), 3, 2, seed=1)
     with pytest.raises(ValueError):
@@ -321,11 +366,8 @@ def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
             raise MemoryError("fake: out of memory")
         return real_empty(shape, *args, **kwargs)
 
-    def default_rng(*args):
-        raise AssertionError("drew before the allocation check")
-
     monkeypatch.setattr(np, "empty", empty)
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    _forbid_drawing(monkeypatch)
     with pytest.raises(ValidationError, match=r"^5 paths: a buffer of 2 draws and 3 arrays of "
                                               r"13 months \([0-9.e-]+ GiB\) cannot be allocated$"):
         simulate_heston(_heston(), 13, 5, seed=1)
