@@ -12,7 +12,13 @@ for `--trace 1` under `traced_pairs`), `attempted`, `failed` and
 before and after the run). Per workload it adds `median_ratio` and
 `traced_median_ratio`: for each metric, the median over the pairs of
 change / parent. Below 1 is lower on the change side, whichever direction
-the metric counts as better. Writes JSON to --out, or to stdout.
+the metric counts as better. For each end-to-end metric that
+`BENCHMARK.json` declares, `end_to_end` gives the metric's `better`
+direction, each side's `median` and quartiles `q1` and `q3` over the
+`--trace 0` pairs (numpy's default linear interpolation; one pair gives its
+value for all three), and `wins`, the pairs in which the change reads
+better in that direction out of `pairs`; a tie counts for neither side.
+Writes JSON to --out, or to stdout.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def _records(directory: Path, trace: int) -> dict[tuple[str, int], dict]:
@@ -39,6 +47,30 @@ def _side(record: dict) -> dict:
         "failed": record["failed"],
         "environment": record["environment"],
     }
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                 else values * 3)
+    return {"q1": q1, "median": statistics.median(values), "q3": q3}
+
+
+def _end_to_end(pairs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for name, direction in better.items():
+        sides = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
+                 if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        if not sides:
+            continue
+        sign = 1 if direction == "higher" else -1
+        summary[name] = {
+            "better": direction,
+            "parent": _spread([before for before, _ in sides]),
+            "change": _spread([after for _, after in sides]),
+            "wins": sum(sign * (after - before) > 0 for before, after in sides),
+            "pairs": len(sides),
+        }
+    return summary
 
 
 def pair_records(parent_dir: Path, change_dir: Path) -> dict:
@@ -63,6 +95,9 @@ def pair_records(parent_dir: Path, change_dir: Path) -> dict:
                     if after is not None and before != 0:
                         ratios.setdefault(name, []).append(after / before)
             entry[out] = {name: statistics.median(r) for name, r in ratios.items()}
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    for entry in workloads.values():
+        entry["end_to_end"] = _end_to_end(entry["pairs"], better)
     return {"workloads": workloads}
 
 

@@ -29,14 +29,17 @@ to each row's state in turn; NumPy's own `default_rng([seed, r])` is the
 test oracle for those states.
 
 Layout: the state is month-major. One small buffer holds the current
-month's draw rows; the base, reported and variance arrays hold one C-ordered
-row per month, so a vectorised Euler step reads and writes contiguous rows,
-and `SimulationResult` exposes them as read-only (paths, months) `.T` views.
-The spike baseline adds each path's window w of k <= 12 months elementwise
-over those rows, in the order numpy's pairwise sum takes a contiguous row of
-k values: left to right for k < 8, else ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7))
-and then w8, w9, ... in turn. So the bytes depend on no numpy reduction
-kernel, and a path's sum on no other path.
+month's draw rows; the base and reported arrays, and heston's variance
+array, hold one C-ordered row per month, and each Euler step folds its
+result straight into its month's row, so a vectorised step reads and writes
+contiguous rows. `SimulationResult` exposes them as read-only (paths, months)
+`.T` views; the baseline's constant variance is a read-only broadcast of one
+value and owns no storage. The spike baseline adds each path's window w of
+k <= 12 months elementwise over those rows into one scratch row, in the
+order numpy's pairwise sum takes a contiguous row of k values: left to right
+for k < 8, else ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7)) and then w8, w9, ... in
+turn. So the bytes depend on no numpy reduction kernel, and a path's sum on
+no other path.
 """
 
 from __future__ import annotations
@@ -255,46 +258,48 @@ def feller_bound(xi: float, theta_vol: float) -> float:
     return xi * xi / (2.0 * theta_vol)
 
 
-def _fold(x, scheme: str):
-    """Fold x at zero (|x|, or max(x, 0) under truncate), in place if x is an array."""
-    out = x if isinstance(x, np.ndarray) else None
+def _fold(x, scheme: str, out=None):
+    """Fold x at zero (|x|, or max(x, 0) under truncate) into `out`; with no
+    `out`, in place if x is an array."""
+    if out is None and isinstance(x, np.ndarray):
+        out = x
     return np.abs(x, out=out) if scheme == "reflect" else np.maximum(x, 0.0, out=out)
 
 
-def step_variance(v, params: HestonParams, dt: float, z_v):
-    """One Euler step of the variance, folded to stay nonnegative:
-    v + kappa*(theta - v)*dt + xi*sqrt(v*dt)*z_v."""
+def step_variance(v, params: HestonParams, dt: float, z_v, out=None):
+    """One Euler step of the variance, folded to stay nonnegative (into `out`
+    if given): v + kappa*(theta - v)*dt + xi*sqrt(v*dt)*z_v."""
     raw = v + params.kappa * (params.theta - v) * dt + params.xi * np.sqrt(v * dt) * z_v
-    return _fold(raw, params.scheme)
+    return _fold(raw, params.scheme, out)
 
 
-def step_rate(c_prev, params: HestonParams, v, dt: float, z_c):
-    """One Euler step of the rate; increments scale with c1, not the state:
-    c_prev + mu*c1*dt + sqrt(v)*c1*sqrt(dt)*z_c."""
+def step_rate(c_prev, params: HestonParams, v, dt: float, z_c, out=None):
+    """One Euler step of the rate, folded into `out` if given; increments scale
+    with c1, not the state: c_prev + mu*c1*dt + sqrt(v)*c1*sqrt(dt)*z_c."""
     raw = c_prev + params.mu * params.c1 * dt + np.sqrt(v) * params.c1 * math.sqrt(dt) * z_c
-    return _fold(raw, params.scheme)
+    return _fold(raw, params.scheme, out)
 
 
-def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c):
-    """One Euler step of the baseline toward theta(t + 1) = c1*(1 + mu)^((t + 1)/12):
-    c_prev + kappa_v*(theta - c_prev)*dt + sigma_v*c1*sqrt(dt)*z_c."""
+def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c, out=None):
+    """One Euler step of the baseline toward theta(t + 1) = c1*(1 + mu)^((t + 1)/12),
+    folded into `out` if given: c_prev + kappa_v*(theta - c_prev)*dt + sigma_v*c1*sqrt(dt)*z_c."""
     theta = params.c1 * _power(1.0 + params.mu, (t + 1) / 12.0, "1 + mu")
     raw = (c_prev + params.kappa_v * (theta - c_prev) * dt
            + params.sigma_v * params.c1 * math.sqrt(dt) * z_c)
-    return _fold(raw, params.scheme)
+    return _fold(raw, params.scheme, out)
 
 
-def _allocate(n_paths: int, rows: int, horizon: int) -> list[np.ndarray]:
-    """The (rows, paths) month buffer of draws and the three (months, paths)
-    result arrays, allocated together before anything is drawn; a size that
-    cannot be allocated is one ValidationError naming the total bytes."""
-    shapes = [(rows, n_paths), *[(horizon, n_paths)] * 3]
+def _allocate(n_paths: int, rows: int, horizon: int, n_arrays: int) -> list[np.ndarray]:
+    """The (rows, paths) month buffer of draws and the `n_arrays` (months, paths)
+    result arrays a model keeps, allocated together before anything is drawn;
+    a size that cannot be allocated is one ValidationError naming the total bytes."""
+    shapes = [(rows, n_paths), *[(horizon, n_paths)] * n_arrays]
     try:
         return [np.empty(shape) for shape in shapes]
     except (MemoryError, ValueError):
         gib = sum(math.prod(shape) for shape in shapes) * 8 / 2**30
-        raise ValidationError(f"{n_paths} paths: a buffer of {rows} draws and 3 arrays of "
-                              f"{horizon} months ({gib:.3g} GiB) cannot be allocated") from None
+        raise ValidationError(f"{n_paths} paths: a buffer of {rows} draws and {n_arrays} arrays "
+                              f"of {horizon} months ({gib:.3g} GiB) cannot be allocated") from None
 
 
 _MASK32 = (1 << 32) - 1
@@ -358,24 +363,33 @@ def _row_states(seed: int, n_rows: int) -> list[dict]:
 def _trailing_average(base, t, tail_arr):
     """Mean over the latest k <= 12 simulated base rates (month t included),
     backfilled from the observed tail up to 12 values in all; the window is
-    summed in the order the module docstring gives."""
+    added into one scratch row in the order the module docstring gives."""
     k = min(t + 1, 12)
     w = base[t + 1 - k : t + 1]
-    if k < 8:
-        sim_sum = sum(w[1:], w[0])
-    else:
-        sim_sum = sum(w[8:], ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7])))
+    total = w[0].copy()
+    if k >= 8:
+        total += w[1]
+        total += w[2] + w[3]
+        total += (w[4] + w[5]) + (w[6] + w[7])
+    for row in w[1 if k < 8 else 8 :]:
+        total += row
     b = min(12 - k, tail_arr.size)
-    tail_sum = tail_arr[-b:].sum() if b > 0 else 0.0
-    return (sim_sum + tail_sum) / (k + b)
+    total += tail_arr[-b:].sum() if b > 0 else 0.0
+    total /= k + b
+    return total
 
 
-def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history_tail):
-    """Shared Monte Carlo loop; `step(c, v, t, z)` advances one month.
+def _simulate(model_id, params, v0, var_evolves, draws, step, horizon, n_paths, seed,
+              history_tail):
+    """Shared Monte Carlo loop; `step(c, v, t, z, *out)` advances one month.
 
-    `z` holds the month's `draws` normal rows, one value per path; the step
-    returns the new base rate and the variance to report. In a spike month
-    one more draw follows the step's draws; all are drawn just before the step.
+    `c` and `v` are the previous month's base-rate and variance rows (c1 and
+    v0 in month 0, which broadcast), and `z` holds the month's `draws` normal
+    rows, one value per path. The step folds the new base rates into out[0]
+    and, if `var_evolves`, the new variances into out[1]; otherwise the
+    variance stays v0 and is reported as a read-only broadcast that owns no
+    storage. In a spike month one more draw follows the step's draws; all are
+    drawn just before the step.
     """
     horizon = _integer(horizon, "horizon")
     n_paths = _integer(n_paths, "n_paths")
@@ -383,10 +397,11 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
     _check(horizon >= 1, "horizon >= 1")
     _check(n_paths >= 1, "n_paths >= 1")
     _check(seed >= 0, "seed >= 0")
+    tail_arr = np.asarray(history_tail, dtype=float)
+    _check(np.isfinite(tail_arr).all(), "finite history_tail")
     spike_at = {s.month: s for s in params.spikes}
     cal_months = [add_months(*params.start, k)[1] for k in range(horizon)]
-    z, base, rep, var = _allocate(n_paths, draws + bool(spike_at), horizon)
-    tail_arr = np.asarray(history_tail, dtype=float)
+    z, base, rep, *var = _allocate(n_paths, draws + bool(spike_at), horizon, 2 + var_evolves)
     bitgen = np.random.PCG64(0)  # its state is set to each row's in turn
     normal = np.random.Generator(bitgen).standard_normal
     states = iter(_row_states(seed, draws * horizon + sum(m in spike_at for m in cal_months)))
@@ -397,19 +412,20 @@ def _simulate(model_id, params, v0, draws, step, horizon, n_paths, seed, history
         for out in z[: draws + (spec is not None)]:
             bitgen.state = next(states)
             normal(out=out)
-        c, v = step(c, v, t, z[:draws])
-        base[t] = c
-        var[t] = v
+        step(c, v, t, z[:draws], base[t], *[a[t] for a in var])
+        c, v = base[t], (var[0][t] if var else v0)
         if spec is not None:
             avg = _trailing_average(base, t, tail_arr)
-            rep[t] = _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme)
+            _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme, rep[t])
         else:
             rep[t] = c
-    for arr in (rep, var, base):
-        arr.flags.writeable = False
+    if not var:
+        var = [np.array(v0)]  # one value, broadcast below
+    for arr in (rep, base, *var):
+        arr.flags.writeable = False  # before any view is taken, so none can be made writeable
     return SimulationResult(
         rate_paths=rep.T,
-        var_paths=var.T,
+        var_paths=np.broadcast_to(var[0].T, (n_paths, horizon)),
         base_paths=base.T,
         seed=seed,
         dt=params.dt,
@@ -434,12 +450,15 @@ def simulate_heston(
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
 
-    def step(c, v, t, z):
+    def step(c, v, t, z, c_out, v_out):
         z_v = rho * z[0] + rho_c * z[1]
         # the rate update uses the start-of-step variance
-        return step_rate(c, params, v, dt, z[0]), step_variance(v, params, dt, z_v)
+        step_rate(c, params, v, dt, z[0], out=c_out)
+        step_variance(v, params, dt, z_v, out=v_out)
 
-    return _simulate("heston", params, params.v0, 2, step, horizon, n_paths, seed, history_tail)
+    return _simulate(
+        "heston", params, params.v0, True, 2, step, horizon, n_paths, seed, history_tail
+    )
 
 
 def simulate_vasicek(
@@ -452,44 +471,53 @@ def simulate_vasicek(
     """Simulate the mean-reverting baseline with the same spike machinery.
 
     Draw order per path per month is z_c then the spike draw; var_paths
-    reports the constant instantaneous variance sigma_v^2.
+    reports the constant instantaneous variance sigma_v^2 as a read-only
+    broadcast of that one value (stride 0), not as an array of its own.
     """
     dt = params.dt
 
-    def step(c, v, t, z):
-        return _step_vasicek(c, params, t, dt, z[0]), v
+    def step(c, v, t, z, c_out):
+        _step_vasicek(c, params, t, dt, z[0], out=c_out)
 
     return _simulate(
-        "vasicek", params, params.sigma_v**2, 1, step, horizon, n_paths, seed, history_tail
+        "vasicek", params, params.sigma_v**2, False, 1, step, horizon, n_paths, seed, history_tail
     )
 
 
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
     """Per-month empirical quantiles (numpy's `linear` method) plus the median.
 
-    Each month's row of paths is sorted once, and the order statistics are
-    read straight from the sorted rows with the arithmetic of `np.quantile`
-    and `np.median`: level q interpolates between the sorted values at
-    floor((n - 1) q) and the next one (both the last when (n - 1) q >= n - 1),
-    and the median is the mean of the middle one or two values. A row that
-    holds NaN sorts it last and gives NaN, as there. Those functions partition
-    instead, which may reorder tied zeros of opposite sign; rate paths hold
-    no -0.0, since every rate is folded to >= +0, so the bytes are numpy's.
+    Each month's row of paths is sorted once, in blocks of about 1 MiB of
+    month rows (one sort for a result of up to 2**17 values), and from each
+    block only the order statistics read below are kept. They are read with the
+    arithmetic of `np.quantile` and `np.median`: level q interpolates between
+    the sorted values at floor((n - 1) q) and the next one (both the last when
+    (n - 1) q >= n - 1), and the median is the mean of the middle one or two
+    values. A row that holds NaN sorts it last and gives NaN, as there. Those
+    functions partition instead, which may reorder tied zeros of opposite
+    sign; rate paths hold no -0.0, since every rate is folded to >= +0, so the
+    bytes are numpy's.
     """
     lv = _check_levels(levels)
-    by_month = np.sort(result.rate_paths.T, axis=1)
-    n = by_month.shape[1]
+    by_month = result.rate_paths.T
+    months, n = by_month.shape
     virt = (n - 1) * np.array(lv, dtype=float)
     prev = np.floor(virt)
     nxt = prev + 1
     prev[virt >= n - 1] = nxt[virt >= n - 1] = -1
     gamma = (virt - prev)[:, None]
-    a, b = by_month[:, prev.astype(np.intp)].T, by_month[:, nxt.astype(np.intp)].T
+    # columns kept from each sorted row: prev, nxt, the middle one or two, the last
+    cols = np.concatenate([prev, nxt, np.arange((n - 1) // 2, n // 2 + 1), [-1]]).astype(np.intp)
+    kept = np.empty((months, cols.size))
+    block = max(1, 2**17 // n)
+    for i in range(0, months, block):
+        kept[i : i + block] = np.sort(by_month[i : i + block], axis=1)[:, cols]
+    a, b = kept[:, : len(lv)].T, kept[:, len(lv) : 2 * len(lv)].T
     d = b - a
     bands = a + d * gamma
     np.subtract(b, d * (1 - gamma), out=bands, where=gamma >= 0.5)
-    med = np.mean(by_month[:, (n - 1) // 2 : n // 2 + 1], axis=1)
-    last = by_month[:, -1]
+    med = np.mean(kept[:, 2 * len(lv) : -1], axis=1)
+    last = kept[:, -1]
     np.copyto(bands, last, where=np.isnan(last))
     np.copyto(med, last, where=np.isnan(last))
     return ForecastQuantiles(months=tuple(result.months), median=med, levels=lv, bands=bands)

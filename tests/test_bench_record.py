@@ -40,6 +40,11 @@ def test_pairs_records_by_workload_and_seed(tmp_path):
     assert entry["pairs"][0]["parent"]["environment"]["speed_ref_s"] == [0.01, 0.02]
     assert entry["median_ratio"] == {"op_p50_s": 0.25}
     assert entry["traced_pairs"] == [] and entry["traced_median_ratio"] == {}
+    assert entry["end_to_end"] == {"op_p50_s": {
+        "better": "lower", "wins": 3, "pairs": 3,
+        "parent": {"q1": 1.5, "median": 2.0, "q3": 3.0},
+        "change": {"q1": 0.5, "median": 0.5, "q3": 0.75},
+    }}
 
 
 def test_pairs_traced_records_apart(tmp_path):
@@ -62,3 +67,43 @@ def test_no_common_run_is_an_error(tmp_path, capsys):
     (tmp_path / "change").mkdir()
     assert _load().main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
     assert "no workload and seed" in capsys.readouterr().err
+
+
+def test_end_to_end_spread_and_wins_follow_the_better_direction(tmp_path):
+    # op_p50_s counts lower as better and ops_per_s higher; a tie counts for
+    # neither side, and a metric BENCHMARK.json does not declare is left out
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    values = [  # (op_p50_s, ops_per_s) parent, then change
+        ((1.0, 10.0), (0.5, 12.0)),
+        ((2.0, 12.0), (2.0, 11.0)),
+        ((3.0, 11.0), (4.0, 11.0)),
+        ((4.0, 13.0), (1.0, 20.0)),
+    ]
+    for seed, sides in enumerate(values):
+        for directory, (p50, rate) in zip((parent, change), sides):
+            directory.mkdir(exist_ok=True)
+            record = {
+                "workload": "sim-paths", "seed": seed, "attempted": 12, "failed": 0,
+                "environment": {},
+                "metrics": {"op_p50_s": {"value": p50, "unit": "s"},
+                            "ops_per_s": {"value": rate, "unit": "1/s"},
+                            "not_declared": {"value": p50, "unit": "s"}},
+            }
+            (directory / f"sim-paths-seed{seed}-trace0.json").write_text(json.dumps(record))
+    summary = _load().pair_records(parent, change)["workloads"]["sim-paths"]["end_to_end"]
+    assert set(summary) == {"op_p50_s", "ops_per_s"}
+    p50, rate = summary["op_p50_s"], summary["ops_per_s"]
+    assert (p50["better"], p50["wins"], p50["pairs"]) == ("lower", 2, 4)
+    assert (rate["better"], rate["wins"], rate["pairs"]) == ("higher", 2, 4)
+    assert p50["parent"] == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+    assert p50["change"] == {"q1": 0.875, "median": 1.5, "q3": 2.5}
+    assert rate["parent"] == {"q1": 10.75, "median": 11.5, "q3": 12.25}
+
+
+def test_end_to_end_of_one_pair(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write(parent, "cli-cold", 1, 2.0)
+    _write(change, "cli-cold", 1, 2.0)
+    summary = _load().pair_records(parent, change)["workloads"]["cli-cold"]["end_to_end"]
+    assert summary["op_p50_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert summary["op_p50_s"]["wins"] == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -158,6 +159,12 @@ def test_in_place_steps_match_one_expression_forms(scheme):
     assert (c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * z < 0).any()
     for before, after in zip(saved, (c, v, z)):
         assert before.tobytes() == after.tobytes()
+    # folded into a given row, as the simulator passes its result rows
+    rows = np.empty((3, n))
+    folded = (step_variance(v, hp, dt, z, out=rows[0]), step_rate(c, hp, v, dt, z, out=rows[1]),
+              _step_vasicek(c, vp, 4, dt, z, out=rows[2]))
+    assert all(have.base is rows for have in folded)
+    assert rows.tobytes() == np.stack([want_v, want_c, want_o]).tobytes()
     # on a strided column, as the path-major reference loop below passes them
     zz = np.stack([z, z[::-1]], axis=1)
     assert step_rate(c, hp, v, dt, zz[:, 1]).tobytes() == _reference_fold(
@@ -195,6 +202,12 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
     with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 3 draws and 3 arrays "
                                               r"of 7 months \(35.8 GiB\) cannot be allocated$"):
         simulate_heston(p, 7, 200_000_000, seed=3)
+    # vasicek keeps no variance array: 1 + 1 draw rows and 2 x 7 result rows
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0,
+                       spikes=(SpikeSpec(3, 0.1, 0.1),))
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 2 draws and 2 arrays "
+                                              r"of 7 months \(23.8 GiB\) cannot be allocated$"):
+        simulate_vasicek(vp, 7, 200_000_000, seed=3)
 
 
 def test_fold_schemes():
@@ -275,9 +288,9 @@ def test_draw_buffers_match_per_path_generators(seed, monkeypatch):
     seen = []
 
     def spy(fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             seen.append(np.array(args[-1]))
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     for name in ("step_rate", "step_variance", "_step_vasicek"):
@@ -344,14 +357,37 @@ def test_result_arrays_read_only():
     res = simulate_heston(_heston(), 3, 2, seed=1)
     with pytest.raises(ValueError):
         res.rate_paths[0, 0] = 1.0
-    # the (paths, months) arrays are views of month-major storage; none can
-    # be written, nor made writeable
-    for arr in (res.rate_paths, res.var_paths, res.base_paths):
+    # the (paths, months) arrays are views of month-major storage, and
+    # vasicek's constant variance a broadcast of one value; none can be
+    # written, nor made writeable
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
+    vas = simulate_vasicek(vp, 3, 2, seed=1)
+    for arr in (res.rate_paths, res.var_paths, res.base_paths,
+                vas.rate_paths, vas.var_paths, vas.base_paths):
         assert arr.shape == (2, 3) and not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[1, 2] = 1.0
         with pytest.raises(ValueError):
             arr.flags.writeable = True
+        with pytest.raises(ValueError):
+            arr[:, 1:].flags.writeable = True
+
+
+def test_vasicek_variance_owns_no_storage():
+    # sigma_v**2 in every cell, read through stride 0: the call's traced
+    # peak holds the rate and base arrays (9.6 MB each at 60 x 20000) and no
+    # third one
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0,
+                       spikes=(SpikeSpec(3, 0.1, 0.1),))
+    tracemalloc.start()
+    try:
+        res = simulate_vasicek(vp, 60, 20000, seed=2, history_tail=_TAIL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.var_paths.shape == (20000, 60) and res.var_paths.strides == (0, 0)
+    assert res.var_paths.tobytes() == np.full((20000, 60), 4.0).tobytes()
+    assert peak < 2.5 * 60 * 20000 * 8, peak
 
 
 def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
@@ -372,6 +408,25 @@ def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
                                               r"13 months \([0-9.e-]+ GiB\) cannot be allocated$"):
         simulate_heston(_heston(), 13, 5, seed=1)
     assert shapes == [(2, 5), (13, 5)]  # month buffer, first result
+    # vasicek's total leaves out the variance: (1 + 2 x 13) x 5 values of 8 bytes
+    shapes.clear()
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
+    with pytest.raises(ValidationError, match=r"^5 paths: a buffer of 1 draws and 2 arrays of "
+                                              r"13 months \(1.01e-06 GiB\) cannot be allocated$"):
+        simulate_vasicek(vp, 13, 5, seed=1)
+    assert shapes == [(1, 5), (13, 5)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_history_tail_is_one_validation_error(bad, monkeypatch):
+    # a January spike would read the tail in the first month; the error comes
+    # before anything is drawn
+    _forbid_drawing(monkeypatch)
+    spikes = (SpikeSpec(1, 0.3, 0.05),)
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0, spikes=spikes)
+    for simulate, params in ((simulate_heston, _heston(spikes=spikes)), (simulate_vasicek, vp)):
+        with pytest.raises(ValidationError, match=r"^violated invariant: finite history_tail$"):
+            simulate(params, 3, 4, seed=1, history_tail=(0.005, bad, 0.004))
 
 
 # The path-major simulator loop that the month-major one replaced, kept as
@@ -696,6 +751,61 @@ def test_forecast_quantiles_read_from_sorted_rows():
                 want_bands, want_median = np.quantile(rows, levels, axis=1), np.median(rows, axis=1)
             assert q.bands.tobytes() == want_bands.tobytes(), (n, levels)
             assert q.median.tobytes() == want_median.tobytes(), (n, levels)
+
+
+def _quantile_rows(rng, months, n):
+    rows = np.where(rng.random((months, n)) < 0.3,  # ties, zeros among them
+                    rng.integers(0, 4, (months, n)) * 0.0025, rng.uniform(0.001, 0.01, (months, n)))
+    rows[-1, n // 2] = np.nan  # in the last block
+    rows[months // 2, 0] = np.inf
+    return rows
+
+
+@pytest.mark.parametrize("months, n, sorts", [
+    (60, 4999, 3),  # blocks of 26 months: 26, 26 and 8
+    (3, 2**17 + 1, 3),  # one month per block
+    (60, 1, 1), (60, 2, 1), (60, 500, 1),  # small path counts take one sort call
+])
+def test_forecast_quantiles_sort_month_blocks(months, n, sorts, monkeypatch):
+    # the rows are sorted in blocks of about 1 MiB; the quantiles and median
+    # are numpy's bytes on every block, a NaN row and an inf row included
+    rows = _quantile_rows(np.random.default_rng(n), months, n)
+    res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T, seed=0,
+                           dt=1 / 12, history_tail=(), start=(2015, 1), model_id="heston")
+    level_sets = ((0.05, 0.25, 0.75, 0.95), (0.0001, 0.5, 0.9998))
+    with np.errstate(invalid="ignore"):
+        wants = [(np.quantile(rows, lv, axis=1), np.median(rows, axis=1)) for lv in level_sets]
+    calls = []
+    real_sort = np.sort
+
+    def sort(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", sort)
+    for levels, (want_bands, want_median) in zip(level_sets, wants):
+        calls.clear()
+        with np.errstate(invalid="ignore"):
+            q = forecast_quantiles(res, levels)
+        assert len(calls) == sorts and sum(shape[0] for shape in calls) == months
+        assert q.bands.tobytes() == want_bands.tobytes(), levels
+        assert q.median.tobytes() == want_median.tobytes(), levels
+    assert np.isnan(q.median[-1]) and np.isnan(q.bands[:, -1]).all()
+
+
+def test_forecast_quantiles_memory_is_bounded():
+    # at 60 x 20000 the paths take 9.6 MB; the quantiles' traced peak is one
+    # block of sorted month rows, not a sorted copy of every path
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
+    res = simulate_vasicek(vp, 60, 20000, seed=3)
+    tracemalloc.start()
+    try:
+        q = forecast_quantiles(res, (0.05, 0.25, 0.75, 0.95))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    assert q.median.tobytes() == np.median(res.rate_paths, axis=0).tobytes()
 
 
 def test_forecast_quantiles_level_validation():
