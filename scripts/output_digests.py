@@ -8,9 +8,10 @@ script: diagnose; fit of all four models; forecast from each fit file
 under the model id `heston,v2`; backtest of all four models over
 seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
 one heston forecast and one heston backtest at non-default `--levels`,
-`--low` and `--high`; a heston and a vasicek forecast at seed 2**32 (two
-entropy words) and at seed 10**30 (four words, which reach SeedSequence's
-extra-entropy mixing); an arima and an arima-garch fit and backtest at each
+`--low` and `--high`; a heston and a vasicek forecast at seed 2**32 and
+at seed 10**30, which `PCG64(seed)` seeds from two and from four 32-bit
+words of SeedSequence entropy, so they pin the seeding of multi-word
+seeds; an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
 the median, a few hundred paths, and the size of the benchmark's

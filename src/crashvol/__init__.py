@@ -21,7 +21,7 @@ from .stochastic_engine import (
     simulate_vasicek,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CrashvolError",

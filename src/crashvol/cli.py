@@ -95,6 +95,9 @@ def _load_inputs(paths) -> MonthlySeries:
 
 
 def _write_forecast_csv(path, quantiles: stochastic_engine.ForecastQuantiles) -> None:
+    finite = np.isfinite(quantiles.median) & np.isfinite(quantiles.bands).all(axis=0)
+    if not finite.all():  # nothing is written; the first such month is named
+        raise ValidationError("non-finite forecast at %d-%02d" % quantiles.months[finite.argmin()])
     names = [stochastic_engine._level_name(x) for x in quantiles.levels]
     rows = [["year", "month", "median", *names]]
     for t, (y, m) in enumerate(quantiles.months):
@@ -119,6 +122,8 @@ def _read_forecast_csv(path) -> stochastic_engine.ForecastQuantiles:
             values.append([float(x) for x in row[2:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not 1 <= months[-1][1] <= 12:
+            raise ParseError(f"{path}:{lineno}: month {months[-1][1]} outside 1..12")
         if not all(math.isfinite(x) for x in values[-1]):
             raise ParseError(f"{path}:{lineno}: non-finite value")
     table = np.array(values)  # one row per month: median, then each level
@@ -370,7 +375,7 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    feller = []  # a FellerWarning is one WARNING line after a success, none after an error
+    feller, held = [], []  # shown after a success (FellerWarning as one log line), not an error
     with warnings.catch_warnings():
         show = warnings.showwarning
 
@@ -378,12 +383,15 @@ def main(argv=None) -> int:
             if issubclass(category, stochastic_engine.FellerWarning):
                 feller.append(message)
             else:
-                show(message, category, *where)
+                held.append((message, category, *where))
 
         warnings.showwarning = showwarning
         status = _run(argv)
-    if status == 0 and feller:
-        log.warning("%s", feller[0])
+    if status == 0:
+        for warning in held:
+            show(*warning)
+        if feller:
+            log.warning("%s", feller[0])
     return status
 
 

@@ -128,6 +128,8 @@ class MonthlySeries:
         return [(ob.year, ob.month) for ob in self.observations]
 
     def index_of(self, year: int, month: int) -> int:
+        if not 1 <= month <= 12:
+            raise ValidationError(f"month {month} outside 1..12 ({year})")
         i = (year - self.observations[0].year) * 12 + (month - self.observations[0].month)
         if not 0 <= i < len(self.observations):
             raise RangeError(

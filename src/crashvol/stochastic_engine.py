@@ -16,17 +16,13 @@ next Euler step and the trailing average, so spikes stay transient.
 An Ornstein-Uhlenbeck variant with a deterministic growth target and the
 identical spike machinery serves as a baseline.
 
-Determinism (random stream v2): draw row r, the r-th normal of every path
+Determinism (random stream v3): draw row r, the r-th normal of every path
 (months in order; within a month z_c, z_v, then any spike draw), is the
-first `n_paths` values of `np.random.default_rng([seed, r]).standard_normal`
+first `n_paths` values of `Generator(PCG64(seed).jumped(r)).standard_normal`
 for any seed >= 0, and path p is column p of every row. A fill of k values
 equals the first k values of any longer fill, so path p depends neither on
-`n_paths` nor on the other paths: a given seed gives bit-identical paths
-however many run. No generator is built per row: `_row_states` computes the
-PCG64 state of every row of a call in one pass vectorised over rows
-(NumPy's SeedSequence hash, then PCG64's seeding step), and one PCG64 is set
-to each row's state in turn; NumPy's own `default_rng([seed, r])` is the
-test oracle for those states.
+`n_paths` nor on the other paths. One PCG64 is seeded per call, and each
+row resets it to that state and advances it by r jumps.
 
 Layout: the state is month-major. One small buffer holds the current
 month's draw rows; the base and reported arrays, and heston's variance
@@ -302,62 +298,7 @@ def _allocate(n_paths: int, rows: int, horizon: int, n_arrays: int) -> list[np.n
                               f"of {horizon} months ({gib:.3g} GiB) cannot be allocated") from None
 
 
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
-
-
-def _row_states(seed: int, n_rows: int) -> list[dict]:
-    """`np.random.default_rng([seed, r]).bit_generator.state` for every r < n_rows.
-
-    NumPy's SeedSequence hash (NEP 19) of the entropy words [seed's uint32
-    words, r] runs on uint32 arrays with one lane per row, since its hash
-    constants do not depend on the data; `generate_state(4, np.uint64)` then
-    gives each row's words, and PCG64's seeding step (`srandom`, O'Neill
-    2014) turns them into the row's 128-bit state and increment.
-    """
-    _check(n_rows < 2**32, "fewer than 2**32 draw rows")  # r is one entropy word
-    words = [seed & _MASK32]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & _MASK32)
-    entropy = [np.full(n_rows, w, np.uint32) for w in words]
-    entropy.append(np.arange(n_rows, dtype=np.uint32))
-    entropy += [np.zeros(n_rows, np.uint32)] * (4 - len(entropy))  # padded to the pool size
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * 0xCA01F9DD - y * 0x4973F715
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:  # entropy words beyond the pool size
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hash_const = 0x8B51F9DD
-    state = np.empty((n_rows, 8), np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const
-        state[:, i] = value ^ value >> 16
-    rows = []
-    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        s = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        rows.append({"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
-                     "has_uint32": 0, "uinteger": 0})
-    return rows
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # `PCG64.jumped`'s step, (phi - 1) * 2**128
 
 
 def _trailing_average(base, t, tail_arr):
@@ -402,16 +343,19 @@ def _simulate(model_id, params, v0, var_evolves, draws, step, horizon, n_paths, 
     spike_at = {s.month: s for s in params.spikes}
     cal_months = [add_months(*params.start, k)[1] for k in range(horizon)]
     z, base, rep, *var = _allocate(n_paths, draws + bool(spike_at), horizon, 2 + var_evolves)
-    bitgen = np.random.PCG64(0)  # its state is set to each row's in turn
+    bitgen = np.random.PCG64(seed)
+    seeded = bitgen.state
     normal = np.random.Generator(bitgen).standard_normal
-    states = iter(_row_states(seed, draws * horizon + sum(m in spike_at for m in cal_months)))
+    row = 0  # draw row r is PCG64(seed).jumped(r)
 
     c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
     for t, month in enumerate(cal_months):
         spec = spike_at.get(month)
         for out in z[: draws + (spec is not None)]:
-            bitgen.state = next(states)
+            bitgen.state = seeded
+            bitgen.advance(row * _JUMP)
             normal(out=out)
+            row += 1
         step(c, v, t, z[:draws], base[t], *[a[t] for a in var])
         c, v = base[t], (var[0][t] if var else v0)
         if spec is not None:

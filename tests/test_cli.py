@@ -777,6 +777,55 @@ def test_evaluate_rejects_non_finite_forecast(workdir, capsys, row):
     assert not (workdir / "r.csv").exists()
 
 
+def test_evaluate_rejects_month_outside_the_calendar(workdir, capsys):
+    # month 13 was read as the next January and reported as misaligned dates
+    fc = workdir / "fc.csv"
+    fc.write_text(FORECAST_ROWS + "2014,13,0.005,0.004,0.006\n")
+    rc = main(["evaluate", "--forecast", str(fc),
+               "--observed", str(workdir / "dc_2015_2019.csv"), "--out", str(workdir / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"crashvol: E_PARSE: {fc}:3: month 13 outside 1..12\n"
+    assert not (workdir / "r.csv").exists()
+
+
+def _tiny_vmt(src, dst, scale):
+    # the same crash counts over VMT scaled by `scale`: rates near the float limit
+    rows = src.read_text().splitlines()
+    out = [rows[0]]
+    for row in rows[1:]:
+        year, month, crashes, vmt = row.split(",")
+        out.append(f"{year},{month},{crashes},{float(vmt) * scale!r}")
+    dst.write_text("\n".join(out) + "\n")
+
+
+def test_non_finite_forecast_writes_nothing(workdir, capsys):
+    # a finite but huge c1 overflows the simulation: the forecast CSV would
+    # hold nan and inf medians (which evaluate refuses to read) with exit 0;
+    # numpy's overflow warnings are dropped with the error
+    params = _fit_heston(workdir, capsys)
+    text = params.read_text()
+    start = text.index("\nc1 = ") + 1
+    params.write_text(text[:start] + "c1 = 1.7e308" + text[text.index("\n", start):])
+    out = workdir / "f.csv"
+    rc = main(["forecast", "--params", str(params), "--horizon", "6", "--paths", "50",
+               "--seed", "1", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        1, "crashvol: E_VALIDATION: non-finite forecast at 2015-01\n")
+    assert not out.exists()
+    # backtest writes its forecast before the report: neither is written
+    for name in ("dc_2010_2014.csv", "dc_2015_2019.csv"):
+        _tiny_vmt(workdir / name, workdir / f"tiny_{name}", 1e-309)
+    out = workdir / "bt.csv"
+    rc = main(["backtest", "--input", str(workdir / "tiny_dc_2010_2014.csv"),
+               "--input", str(workdir / "tiny_dc_2015_2019.csv"), "--train-start", "2010-01",
+               "--train-end", "2014-12", "--test-start", "2015-01", "--test-end", "2019-12",
+               "--model", "heston", "--paths", "50", "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1, err
+    assert err.startswith("crashvol: E_VALIDATION: non-finite forecast at "), err
+    assert not list(workdir.glob("bt*"))
+
+
 @pytest.mark.parametrize("model,key,value", [
     ("heston", "v0_vol", "1e200"), ("heston", "theta_vol", "1e200"),
     ("vasicek", "sigma_v", "1e200"), ("vasicek", "mu", "-2"),

@@ -144,6 +144,17 @@ def test_slice_window(train_series):
         slice_window(train_series, (2009, 1), (2014, 12))
 
 
+def test_months_outside_the_calendar_are_validation_errors(train_series):
+    # month 0 or 14 would otherwise shift into the neighbouring years:
+    # (2011, -11) read as index 1, and (2010, 0)..(2010, 14) as 2009-12..2011-02
+    with pytest.raises(ValidationError, match=r"^month -11 outside 1\.\.12 \(2011\)$"):
+        train_series.index_of(2011, -11)
+    with pytest.raises(ValidationError, match=r"^month 0 outside 1\.\.12 \(2010\)$"):
+        slice_window(train_series, (2010, 0), (2010, 14))
+    with pytest.raises(ValidationError, match=r"^month 14 outside 1\.\.12 \(2010\)$"):
+        slice_window(train_series, (2010, 1), (2010, 14))
+
+
 def test_merge_overlap_and_conflict():
     a = _series([(2010, 1, 1, 100), (2010, 2, 2, 100)])
     b = _series([(2010, 2, 2, 100), (2010, 3, 3, 100)])

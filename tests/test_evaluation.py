@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -229,6 +230,16 @@ def test_backtest_requires_adjacent_windows(full_series):
             config={},
             seed=1,
         )
+
+
+@pytest.mark.parametrize("train, test, month", [
+    (((2010, 0), (2014, 12)), ((2015, 1), (2019, 12)), "month 0 outside 1..12 (2010)"),
+    (((2010, 1), (2014, 12)), ((2015, 1), (2019, 13)), "month 13 outside 1..12 (2019)"),
+], ids=["train-start-month-0", "test-end-month-13"])
+def test_backtest_window_months_must_be_calendar_months(full_series, train, test, month):
+    # a training window from (2010, 0) would silently start at 2009-12
+    with pytest.raises(ValidationError, match=f"^{re.escape(month)}$"):
+        backtest(full_series, train, test, model="heston", config={}, seed=1)
 
 
 def test_backtest_rejects_unknown_keys(full_series):
