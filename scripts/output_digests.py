@@ -8,10 +8,12 @@ script: diagnose; fit of all four models; forecast from each fit file
 under the model id `heston,v2`; backtest of all four models over
 seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
 one heston forecast and one heston backtest at non-default `--levels`,
-`--low` and `--high`; a heston and a vasicek forecast at seed 2**32 and
-at seed 10**30, which `PCG64(seed)` seeds from two and from four 32-bit
-words of SeedSequence entropy, so they pin the seeding of multi-word
-seeds; an arima and an arima-garch fit and backtest at each
+`--low` and `--high`; an arima and an arima-garch forecast and backtest at
+`--levels` 0.1,2.5,10,50,90,97.5,99.9, which pin the Gaussian bands' z
+values from the centre out to both tails; a heston and a vasicek forecast
+at seed 2**32 and at seed 10**30, which `PCG64(seed)` seeds from two and
+from four 32-bit words of SeedSequence entropy, so they pin the seeding of
+multi-word seeds; an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
 the median, a few hundred paths, and the size of the benchmark's
@@ -71,6 +73,12 @@ def runs(w: str):
            "--out", f"{w}/heston.levels.fc.csv"]
     yield [*backtest, "--model", "heston", "--seed", "1", *levels, "--low", "10", "--high", "90",
            "--out", f"{w}/bt.heston.levels.csv"]
+    tails = ["--levels", "0.1,2.5,10,50,90,97.5,99.9"]
+    for model in ("arima", "arima-garch"):
+        yield ["forecast", "--params", f"{w}/{model}.params", *tails,
+               "--out", f"{w}/{model}.levels.fc.csv"]
+        yield [*backtest, "--model", model, *tails, "--low", "2.5", "--high", "97.5",
+               "--out", f"{w}/bt.{model}.levels.csv"]
     for seed in (2**32, 10**30):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", str(seed),

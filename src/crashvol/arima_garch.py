@@ -44,6 +44,7 @@ from .data_ingest import (
     _pop_float,
     _pop_indexed,
     _pop_int,
+    _pop_start,
     parse_kv_file,
     write_kv_file,
 )
@@ -626,7 +627,7 @@ def read_arima_model(path):
     intercept = _pop_float(kv, "intercept", path)
     sigma2 = _pop_float(kv, "sigma2", path)
     css = _pop_float(kv, "css", path)
-    start = (_pop_int(kv, "start_year", path), _pop_int(kv, "start_month", path))
+    start = _pop_start(kv, path)
     ar, ma, tail, resid = (
         np.array(_pop_indexed(kv, prefix, path)) for prefix in ("ar.", "ma.", "tail.", "resid.")
     )

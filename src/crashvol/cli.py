@@ -375,23 +375,16 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    feller, held = [], []  # shown after a success (FellerWarning as one log line), not an error
-    with warnings.catch_warnings():
-        show = warnings.showwarning
-
-        def showwarning(message, category, *where):
-            if issubclass(category, stochastic_engine.FellerWarning):
-                feller.append(message)
-            else:
-                held.append((message, category, *where))
-
-        warnings.showwarning = showwarning
+    # held warnings are shown after a success (a FellerWarning as one log line), not an error
+    with warnings.catch_warnings(record=True) as held:
         status = _run(argv)
     if status == 0:
-        for warning in held:
-            show(*warning)
+        feller = [w for w in held if issubclass(w.category, stochastic_engine.FellerWarning)]
+        for w in held:
+            if w not in feller:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
         if feller:
-            log.warning("%s", feller[0])
+            log.warning("%s", feller[0].message)
     return status
 
 

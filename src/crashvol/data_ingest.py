@@ -275,6 +275,14 @@ def _pop_int(kv: dict, key: str, path) -> int:
         raise ValidationError(f"{path}: key {key} is not an integer") from None
 
 
+def _pop_start(kv: dict, path) -> tuple[int, int]:
+    """Pop a model file's first forecast month, `start_year` and `start_month`."""
+    year, month = _pop_int(kv, "start_year", path), _pop_int(kv, "start_month", path)
+    if not 1 <= month <= 12:
+        raise ValidationError(f"{path}: key start_month {month} outside 1..12")
+    return year, month
+
+
 def _pop_indexed(kv: dict, prefix: str, path) -> list[float]:
     """Pop the floats stored under `prefix`1..`prefix`n, in index order."""
     try:

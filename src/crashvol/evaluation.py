@@ -37,17 +37,25 @@ KAPPA_EPS = 1e-6
 
 
 def error_stats(forecast, observed) -> tuple[float, float, float]:
-    """MAE, RMSE, and MAPE between two aligned rate vectors."""
+    """MAE, RMSE, and MAPE between two aligned rate vectors; MAE and RMSE are
+    finite whenever their true values are within float range."""
     f = np.asarray(forecast, dtype=float)
     o = np.asarray(observed, dtype=float)
     if f.shape != o.shape or f.size == 0:
         raise AlignmentError(f"length mismatch: forecast {f.size}, observed {o.size}")
     if np.any(o <= 0):
         raise ValidationError("MAPE needs strictly positive observed rates")
-    err = f - o
-    mae = float(np.mean(np.abs(err)))
-    rmse = float(math.sqrt(np.mean(err**2)))
-    mape = float(np.mean(np.abs(err) / o))
+    with np.errstate(over="ignore"):
+        err = f - o
+        mae = float(np.mean(np.abs(err)))
+        rmse = float(math.sqrt(np.mean(err**2)))
+        mape = float(np.mean(np.abs(err) / o))
+    if not math.isfinite(rmse):  # a difference, square or sum overflowed: rescale
+        scale = float(max(np.max(np.abs(f)), np.max(o)))
+        err = f / scale - o / scale
+        rmse = scale * math.sqrt(np.mean(err**2))
+        if not math.isfinite(mae):
+            mae = scale * float(np.mean(np.abs(err)))
     return mae, rmse, mape
 
 
@@ -263,65 +271,17 @@ def fit_vasicek_from_stats(
     )
 
 
-# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions, 1989):
-# P0/Q0 for |y - 0.5| <= 0.5 - exp(-2), P1/Q1 and P2/Q2 in 1/sqrt(-2 ln y) below
-# and above sqrt(-2 ln y) = 8; the leading 1.0 of each Q is implicit in Cephes
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-
-
-def _polevl(x: float, coefs) -> float:
-    """Horner's rule, highest power first. With Q's leading 1 written out it is
-    Cephes' p1evl too: the first steps 0*x + 1 and 1*x + c are exact."""
-    acc = 0.0
-    for c in coefs:
-        acc = acc * x + c
-    return acc
-
-
-def _ndtri(y0: float) -> float:
-    """Standard normal quantile: Cephes ndtri, bit for bit scipy.special.ndtri."""
-    if y0 == 0.0 or y0 == 1.0:
-        return math.copysign(math.inf, y0 - 0.5)
-    if not 0.0 < y0 < 1.0:
-        return math.nan
-    y, sign = (1.0 - y0, 1.0) if y0 > 1.0 - _EXP_M2 else (y0, -1.0)
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * 2.50662827463100050242  # sqrt(2 pi)
-    x = math.sqrt(-2.0 * math.log(y))
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    z = 1.0 / x
-    return sign * ((x - math.log(x) / x) - z * _polevl(z, p) / _polevl(z, q))
-
-
 def gaussian_quantiles(
     months, points: np.ndarray, level_vars: np.ndarray, levels
 ) -> stochastic_engine.ForecastQuantiles:
     """Quantile bands from Gaussian forecast distributions around the points."""
-    # _ndtri gives the bytes of scipy.stats' norm.ppf (scipy.special.ndtri);
-    # statistics.NormalDist().inv_cdf differs from it by 1-2 ulp
-    lv = tuple(float(x) for x in levels)
+    lv = stochastic_engine._check_levels(levels)
+    # imported here, not at module level: loading statistics costs a cold
+    # process ~1.8 ms and ~0.45 MB, which only ARIMA forecasts need to pay
+    from statistics import NormalDist
+
     sd = np.sqrt(level_vars)
-    bands = np.array([points + _ndtri(level) * sd for level in lv])
+    bands = np.array([points + NormalDist().inv_cdf(level) * sd for level in lv])
     return stochastic_engine.ForecastQuantiles(
         months=tuple(months), median=points.copy(), levels=lv, bands=bands
     )

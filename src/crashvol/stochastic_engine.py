@@ -52,7 +52,7 @@ from .data_ingest import (
     ValidationError,
     _pop_float,
     _pop_indexed,
-    _pop_int,
+    _pop_start,
     add_months,
     parse_kv_file,
     write_kv_file,
@@ -523,7 +523,7 @@ def read_stochastic_params(path):
         c1=_pop_float(kv, "c1", path),
         mu=_pop_float(kv, "mu", path),
         spikes=_pop_spikes(kv, path),
-        start=(_pop_int(kv, "start_year", path), _pop_int(kv, "start_month", path)),
+        start=_pop_start(kv, path),
         scheme=kv.pop("scheme", "reflect"),
         dt=_pop_float(kv, "dt", path) if "dt" in kv else DEFAULT_DT,
     )

@@ -479,16 +479,19 @@ def test_every_command_runs_without_scipy(workdir):
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random adds ~20 ms to a cold start; it loads with the first
-    # simulation, not with the CLI
+    # simulation, not with the CLI. statistics (~1.8 ms) loads with the first
+    # Gaussian band, so heston and vasicek commands never pay for it
     import crashvol
 
     pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(crashvol.__file__)))
     pythonpath = os.pathsep.join(filter(None, (pkg_parent, os.environ.get("PYTHONPATH"))))
-    code = "import sys, crashvol.cli; print(sorted(m for m in sys.modules if 'random' in m))"
+    code = ("import sys, crashvol.cli; "
+            "print(sorted(m for m in sys.modules if 'random' in m or m == 'statistics'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=pythonpath))
     assert proc.returncode == 0, proc.stderr
     assert "numpy.random" not in proc.stdout, proc.stdout
+    assert "'statistics'" not in proc.stdout, proc.stdout
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -829,6 +832,8 @@ def test_non_finite_forecast_writes_nothing(workdir, capsys):
 @pytest.mark.parametrize("model,key,value", [
     ("heston", "v0_vol", "1e200"), ("heston", "theta_vol", "1e200"),
     ("vasicek", "sigma_v", "1e200"), ("vasicek", "mu", "-2"),
+    ("arima", "start_month", "13"), ("arima-garch", "start_month", "0"),
+    ("heston", "start_month", "13"),
 ])
 def test_forecast_rejects_out_of_domain_params(workdir, capsys, model, key, value):
     params = workdir / "p.params"

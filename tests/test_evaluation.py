@@ -36,6 +36,13 @@ def test_error_stats_hand_values():
     assert mae == pytest.approx(1.5)
     assert rmse == pytest.approx(math.sqrt((1 + 4) / 2))
     assert mape == pytest.approx((0.5 + 0.5) / 2)
+    # squared errors above ~1e308 overflow; the result is finite and quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mae, rmse, mape = error_stats([3e200, 2e200], [1e200, 1e200])
+    assert mae == pytest.approx(1.5e200)
+    assert rmse == pytest.approx(math.sqrt((4 + 1) / 2) * 1e200)
+    assert mape == pytest.approx(1.5)
 
 
 def test_error_stats_guards():
@@ -189,33 +196,19 @@ def test_gaussian_quantiles_bands():
     assert q.bands[2] == pytest.approx(pts + z75 * np.sqrt(var))
     assert q.bands[1] == pytest.approx(pts - z75 * np.sqrt(var))
     assert q.bands[0] == pytest.approx(pts + norm.ppf(0.05) * np.sqrt(var))
-    # the bands are computed without scipy, and must keep its bytes
-    levels = (0.025, 0.05, 0.25, 0.75, 0.95, 0.975)
-    q = gaussian_quantiles(months, pts, var, levels)
-    for band, level in zip(q.bands, levels):
-        assert np.array_equal(band, pts + norm.ppf(level) * np.sqrt(var)), level
-
-
-def test_ndtri_port_matches_scipy():
-    # the in-repo Cephes ndtri gives scipy.special.ndtri's bits on every
-    # branch: the central table, both tail tables, and the edges between them
+    # z comes from statistics.NormalDist (Wichura's AS 241), within 1e-14 of scipy
     from scipy.special import ndtri
 
-    from crashvol.evaluation import _ndtri
-
-    rng = np.random.default_rng(3)
-    edges = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5]
-    for cut in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32)):
-        edges += [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
-    y = np.concatenate([
-        edges,
-        np.arange(1001) / 1000,
-        rng.random(40_000),
-        10.0 ** rng.uniform(-300.0, 0.0, 40_000),
-        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
-    ])
-    got = np.array([_ndtri(float(v)) for v in y])
-    assert got.view(np.int64).tolist() == ndtri(y).view(np.int64).tolist()
+    # levels as `--levels` reads them: every k/10 % and random percentages at
+    # 6 significant digits, tails down to 0.0001 % included
+    tails = 10.0 ** np.random.default_rng(3).uniform(-4.0, 1.7, 2000)
+    percents = np.concatenate([np.arange(1, 1000) / 10, tails, 100.0 - tails])
+    levels = np.unique([float(f"{x:.6g}") for x in percents]) / 100
+    q = gaussian_quantiles([(2015, 1)], np.zeros(1), np.ones(1), levels)
+    np.testing.assert_allclose(q.bands[:, 0], ndtri(levels), rtol=1e-14, atol=0)
+    for bad in ((0.0, 0.5), (0.5, 1.0), (math.nan,), (0.25, 0.05)):
+        with pytest.raises(ValidationError):
+            gaussian_quantiles(months, pts, var, bad)
 
 
 def test_backtest_requires_adjacent_windows(full_series):
