@@ -84,8 +84,8 @@ def runs(w: str):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", str(seed),
                    "--out", f"{w}/{model}.seed{seed}.fc.csv"]
     # orders off the default 1,2,2 / 2,1 path: one MA lag and no GARCH lag,
-    # three MA lags and two GARCH lags, no MA filter at all, three AR lags
-    # (np.convolve's branch) and three ARCH lags
+    # three MA lags and two GARCH lags, no MA filter at all, three AR lags and
+    # three ARCH lags
     for orders in ("2,1,1,1,0", "0,1,3,1,2", "1,1,0", "3,1,0,3,2"):
         for model in ("arima", "arima-garch"):
             name = f"{model}.{orders.replace(',', '')}"

@@ -17,10 +17,10 @@ with an objective-spread tolerance of 1e-10.
 The module runs on numpy alone: `_nelder_mead` and `_all_pole` (the MA and
 GARCH filters) port scipy's `minimize(method="Nelder-Mead")` and `lfilter`
 operation for operation over Python floats, so fits keep those calls' bytes.
-The fit objectives also make one pass over Python floats per evaluation.
-What stays in numpy is what numpy rounds its own way: `np.tanh`, `np.exp`
-and `np.log` (its own kernels, not libm), `np.sum` and `e @ e` (pairwise and
-BLAS summation orders), and `np.convolve` for three or more AR lags.
+The Durbin-Levinson map also runs over Python floats. The fit objectives form
+the AR term (`np.convolve`) and the ARCH sum (one `+=` per lag) in numpy at
+every order, as do `np.tanh`, `np.exp` and `np.log` (numpy's own kernels, not
+libm), `np.sum` and `e @ e` (pairwise and BLAS summation orders).
 
 `fit_arima` and `fit_garch` each keep the outcome of their last 64 fits, an
 LRU keyed on the input's float64 bytes and shape and the orders, so a repeated
@@ -145,33 +145,14 @@ def _all_pole(x, a, z) -> list[float]:
 def css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
     """One-step residuals of an ARMA recursion with zero pre-sample terms."""
     x = np.asarray(z, dtype=float)
-    return _residuals(x, _delays(x, 2, 0.0), float(intercept), [*map(float, ar)], [*map(float, ma)])
+    return _residuals(x, float(intercept), [*map(float, ar)], [*map(float, ma)])
 
 
-def _delays(x, k: int, fill: float) -> list[list[float]]:
-    # x as Python floats delayed by 0..k months, pre-sample values `fill`
-    xl = x.tolist()
-    return [([fill] * i + xl)[: len(xl)] for i in range(k + 1)]
-
-
-def _residuals(x, lags, c, ar, ma) -> np.ndarray:
-    # css_residuals over _delays(x, 2, 0.0), private so tracers do not wrap the
-    # objective. np.convolve(x, [0, *ar]) sums at most two non-zero products for
-    # p <= 2, which any order rounds alike; a longer BLAS dot rounds in no order
-    # a Python sum reproduces, so it stays
-    xl, l1, l2 = lags
-    if len(ar) > 2:
-        rhs = ((x - c) - np.convolve(x, [0.0, *ar])[: x.size]).tolist()
-    elif len(ar) == 2:
-        a1, a2 = ar
-        rhs = [(v - c) - (a1 * y1 + a2 * y2) for v, y1, y2 in zip(xl, l1, l2)]
-    elif ar:
-        a1 = ar[0]
-        rhs = [(v - c) - a1 * y1 for v, y1 in zip(xl, l1)]
-    else:
-        rhs = [v - c for v in xl]
+def _residuals(x, c, ar, ma) -> np.ndarray:
+    # css_residuals, private so tracers do not wrap the objective
+    rhs = (x - c) - np.convolve(x, [0.0, *ar])[: x.size]
     # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
-    return np.array(_all_pole(rhs, ma, [0.0] * len(ma)) if ma else rhs)
+    return np.array(_all_pole(rhs.tolist(), ma, [0.0] * len(ma))) if ma else rhs
 
 
 @dataclass(frozen=True)
@@ -306,14 +287,13 @@ def _arima_outcome(data: bytes, shape, p: int, d: int, q: int):
     if scale == 0.0:
         scale = 1.0
     zs = z / scale
-    lags = _delays(zs, 2, 0.0)
 
     def unpack(u):
         r = (_BOUNDARY_SQUASH * np.tanh(u[1:])).tolist()
         return u[0], _durbin_levinson(r[:p]), [-a for a in _durbin_levinson(r[p:])]
 
     def objective(u):
-        e = _residuals(zs, lags, *unpack(u))
+        e = _residuals(zs, *unpack(u))
         return float(e @ e)
 
     x0 = np.zeros(1 + p + q)
@@ -363,17 +343,14 @@ def forecast_arima(model: ArimaSpec, last_observations, horizon: int) -> np.ndar
         zhat = model.intercept
         for i in range(model.p):
             zhat += model.ar_coeffs[i] * zs[-1 - i]
-        for j in range(min(model.q, len(es))):
+        for j in range(model.q):
             zhat += model.ma_coeffs[j] * es[-1 - j]
-        if model.p:
-            zs.append(zhat)
-        if model.q:
-            es.append(0.0)
+        zs.append(zhat)
+        es.append(0.0)
         level = zhat
         for j in range(1, model.d + 1):
             level += (-1.0) ** (j + 1) * math.comb(model.d, j) * levels[-j]
-        if model.d:
-            levels.append(level)
+        levels.append(level)
         out[h] = level
     return out
 
@@ -402,20 +379,21 @@ def _garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
     # h_t = omega + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with every
     # pre-sample e2 and h taken as m
     delays = _delays(e2, len(alpha), m)
-    return np.array(_garch_h(omega, [*map(float, alpha)], [*map(float, beta)], delays, m))
+    return _garch_h(omega, [*map(float, alpha)], [*map(float, beta)], delays, m)
 
 
-def _garch_h(omega, alpha, beta, delays, m) -> list[float]:
+def _delays(x, k: int, fill: float) -> np.ndarray:
+    # x delayed by 0..k months, one row each, pre-sample values `fill`
+    padded = np.concatenate((np.full(k, fill), x))
+    return np.array([padded[k - i : k - i + x.size] for i in range(k + 1)])
+
+
+def _garch_h(omega, alpha, beta, delays, m) -> np.ndarray:
     # _garch_recursion over _delays(e2, p, m), private so tracers do not wrap the
-    # objective: each ARCH sum in the order of rhs += alpha_i * (e2 delayed i
-    # months), then the GARCH lags' filter
-    if len(alpha) == 2:  # the default order in one pass
-        a1, a2 = alpha
-        rhs = [omega + a1 * y1 + a2 * y2 for y1, y2 in zip(delays[1], delays[2])]
-    else:
-        rhs = [omega] * len(delays[0])
-        for a, lag in zip(alpha, delays[1:]):
-            rhs = [r + a * y for r, y in zip(rhs, lag)]
+    # objective: rhs += alpha_i * (e2 delayed i months), then the GARCH lags' filter
+    rhs = np.full(delays.shape[1], omega)
+    for a, lag in zip(alpha, delays[1:]):
+        rhs += a * lag
     if not beta:
         return rhs
     # lfiltic's state for pre-sample h = m, summed as it sums: z_k = sum_{i>=k} beta_i*m;
@@ -423,7 +401,7 @@ def _garch_h(omega, alpha, beta, delays, m) -> list[float]:
     bm = [b * m for b in beta]
     z = [bm[k] if k == len(bm) - 1 else bm[k] + bm[k + 1] if k == len(bm) - 2
          else float(np.sum(bm[k:])) for k in range(len(bm))]
-    return _all_pole(rhs, [-b for b in beta], z)
+    return np.array(_all_pole(rhs.tolist(), [-b for b in beta], z))
 
 
 def garch_variances(spec: GarchSpec, residuals) -> np.ndarray:
@@ -470,7 +448,7 @@ def _garch_outcome(data: bytes, shape, p: int, q: int):
         return math.exp(u[0]), w[:p], w[p:]
 
     def objective(u):
-        h = np.array(_garch_h(*unpack(u), delays, m))
+        h = _garch_h(*unpack(u), delays, m)
         return float(np.sum(np.log(h) + e2 / h))
 
     # start near omega = 0.1*var, total ARCH weight 0.1, total GARCH weight 0.8

@@ -81,7 +81,7 @@ def _parse_orders(text: str) -> tuple[tuple[int, int, int], tuple[int, int]]:
     except ValueError:
         raise ValidationError(f"bad orders {text!r}, expected p,d,q[,gp,gq]") from None
     if len(parts) == 3:
-        return (parts[0], parts[1], parts[2]), (2, 1)
+        return (parts[0], parts[1], parts[2]), evaluation._DEFAULT_GARCH_ORDERS
     if len(parts) == 5:
         return (parts[0], parts[1], parts[2]), (parts[3], parts[4])
     raise ValidationError(f"bad orders {text!r}, expected p,d,q[,gp,gq]")
@@ -314,17 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train-start", required=True, metavar="YYYY-MM")
         p.add_argument("--train-end", required=True, metavar="YYYY-MM")
         p.add_argument("--model", default="heston", choices=evaluation.MODEL_IDS)
-        p.add_argument("--orders", default="1,2,2", help="p,d,q[,gp,gq] for the ARIMA models")
+        p.add_argument("--orders", default=",".join(map(str, evaluation._DEFAULT_ORDERS)),
+                       help="p,d,q[,gp,gq] for the ARIMA models")
         p.add_argument("--rho", type=float, default=None, help="rate/variance correlation override")
         p.add_argument("--spike-threshold", type=float, default=None,
-                       help="mean-deviation threshold for spike months (default 0.12)")
+                       help="mean-deviation threshold for spike months "
+                            f"(default {evaluation.DEFAULT_SPIKE_THRESHOLD:g})")
         p.add_argument("--scheme", choices=("reflect", "truncate"), default=None)
 
     def add_forecast_flags(p):
-        p.add_argument("--paths", type=_int_at_least(1), default=5000,
-                       help="at least 1 (default 5000)")
+        p.add_argument("--paths", type=_int_at_least(1), default=evaluation._DEFAULT_PATHS,
+                       help=f"at least 1 (default {evaluation._DEFAULT_PATHS})")
         p.add_argument("--seed", type=_int_at_least(0), default=None, help="at least 0")
-        p.add_argument("--levels", default="5,25,75,95", help="quantile percentages")
+        p.add_argument("--levels", help="quantile percentages",
+                       default=",".join(f"{x * 100:g}" for x in evaluation.DEFAULT_LEVELS))
 
     def add_coverage_flags(p):
         p.add_argument("--low", type=float, default=25.0, help="lower coverage percentile")

@@ -33,12 +33,17 @@ DEFAULT_RHO = -0.5936
 # 0.12 selects the three strong calendar months (Jan, Jul, Aug) on the
 # 2010-2014 data; 0.10 would also pull in March at a -10.7% mean deviation
 DEFAULT_SPIKE_THRESHOLD = 0.12
+# backtest config and CLI defaults: simulated paths, ARIMA (p,d,q), GARCH (gp,gq)
+_DEFAULT_PATHS = 5000
+_DEFAULT_ORDERS = (1, 2, 2)
+_DEFAULT_GARCH_ORDERS = (2, 1)
 KAPPA_EPS = 1e-6
 
 
 def error_stats(forecast, observed) -> tuple[float, float, float]:
     """MAE, RMSE, and MAPE between two aligned rate vectors; MAE and RMSE are
-    finite whenever their true values are within float range."""
+    finite whenever their true values are within float range, and RMSE is
+    non-zero whenever an error is."""
     f = np.asarray(forecast, dtype=float)
     o = np.asarray(observed, dtype=float)
     if f.shape != o.shape or f.size == 0:
@@ -47,15 +52,20 @@ def error_stats(forecast, observed) -> tuple[float, float, float]:
         raise ValidationError("MAPE needs strictly positive observed rates")
     with np.errstate(over="ignore"):
         err = f - o
-        mae = float(np.mean(np.abs(err)))
-        rmse = float(math.sqrt(np.mean(err**2)))
         mape = float(np.mean(np.abs(err) / o))
-    if not math.isfinite(rmse):  # a difference, square or sum overflowed: rescale
-        scale = float(max(np.max(np.abs(f)), np.max(o)))
-        err = f / scale - o / scale
-        rmse = scale * math.sqrt(np.mean(err**2))
-        if not math.isfinite(mae):
-            mae = scale * float(np.mean(np.abs(err)))
+    scale = 1.0
+    amax = float(np.max(np.abs(err)))
+    if amax and not 2.0**-500 < amax < 2.0**500:
+        # a square would underflow, or a difference, square or sum overflow: scale
+        # by a power of two, which rounds as the unscaled sums would
+        if math.isfinite(amax):
+            scale = math.ldexp(1.0, math.frexp(amax)[1])
+            err = err / scale
+        else:
+            scale = 2.0**1023
+            err = f / scale - o / scale
+    mae = scale * float(np.mean(np.abs(err)))
+    rmse = scale * math.sqrt(np.mean(err**2))
     return mae, rmse, mape
 
 
@@ -419,11 +429,11 @@ def backtest(
     horizon = len(test_slice)
     observed = dated_rates(test_slice)
     months = test_slice.months
-    n_paths = stochastic_engine._integer(config.pop("n_paths", 5000), "n_paths")
+    n_paths = stochastic_engine._integer(config.pop("n_paths", _DEFAULT_PATHS), "n_paths")
     levels = stochastic_engine._check_levels(config.pop("levels", DEFAULT_LEVELS))
     options = {
-        "orders": tuple(config.pop("orders", (1, 2, 2))),
-        "garch_orders": tuple(config.pop("garch_orders", (2, 1))),
+        "orders": tuple(config.pop("orders", _DEFAULT_ORDERS)),
+        "garch_orders": tuple(config.pop("garch_orders", _DEFAULT_GARCH_ORDERS)),
         "overrides": dict(config.pop("overrides", {})),
     }
     if config:

@@ -43,6 +43,12 @@ def test_error_stats_hand_values():
     assert mae == pytest.approx(1.5e200)
     assert rmse == pytest.approx(math.sqrt((4 + 1) / 2) * 1e200)
     assert mape == pytest.approx(1.5)
+    # squared errors below ~1e-308 underflow; RMSE stays non-zero and above MAE
+    mae, rmse, mape = error_stats([1e-170, 3e-170], [2e-170, 1e-170])
+    assert mae == pytest.approx(1.5e-170)
+    assert rmse == pytest.approx(math.sqrt((1 + 4) / 2) * 1e-170)
+    assert rmse >= mae
+    assert mape == pytest.approx((0.5 + 2.0) / 2)
 
 
 def test_error_stats_guards():
