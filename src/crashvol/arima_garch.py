@@ -33,7 +33,7 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -362,7 +362,6 @@ class GarchSpec:
     omega: float
     alpha_coeffs: np.ndarray
     beta_coeffs: np.ndarray
-    nll: float = field(default=math.nan, compare=False)
 
     def __post_init__(self):
         if len(self.alpha_coeffs) != self.p or len(self.beta_coeffs) != self.q:
@@ -457,7 +456,7 @@ def _garch_outcome(data: bytes, shape, p: int, q: int):
     x0[1 : 1 + p] = math.log(0.1 / p * 10.0) if p else 0.0
     x0[1 + p :] = math.log(0.8 / q * 10.0) if q else 0.0
     rng = np.random.default_rng(_JITTER_SEED + 1)
-    (fun, u_best), converged = _multi_start(objective, x0, rng)
+    (_, u_best), converged = _multi_start(objective, x0, rng)
     omega, alpha, beta = unpack(u_best)
     spec = GarchSpec(
         p=p,
@@ -465,7 +464,6 @@ def _garch_outcome(data: bytes, shape, p: int, q: int):
         omega=float(omega * s2),
         alpha_coeffs=_frozen(alpha),
         beta_coeffs=_frozen(beta),
-        nll=float(fun),
     )
     return spec, converged
 

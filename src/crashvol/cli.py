@@ -297,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p, required=True):
+    def add_input(p):
         p.add_argument(
             "--input",
             action="append",
-            required=required,
+            required=True,
             help="monthly crash/VMT CSV; repeat to merge overlapping files",
         )
 

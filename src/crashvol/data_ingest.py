@@ -211,11 +211,11 @@ def _read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return [h.strip() for h in header], data
 
 
-def _write_csv(path, rows, lineterminator="\n") -> None:
+def _write_csv(path, rows) -> None:
     """Write rows as CSV; floats at 10 significant digits, other values with str."""
     text = [[f"{v:.10g}" if isinstance(v, float) else str(v) for v in row] for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator=lineterminator).writerows(text)
+        csv.writer(fh, lineterminator="\n").writerows(text)
 
 
 def parse_kv_file(path) -> dict[str, str]:

@@ -41,9 +41,9 @@ KAPPA_EPS = 1e-6
 
 
 def error_stats(forecast, observed) -> tuple[float, float, float]:
-    """MAE, RMSE, and MAPE between two aligned rate vectors; MAE and RMSE are
-    finite whenever their true values are within float range, and RMSE is
-    non-zero whenever an error is."""
+    """MAE, RMSE, and MAPE between two aligned rate vectors; each is finite
+    whenever its true value is within float range (MAPE unless a ratio
+    forecast / observed overflows), and RMSE is non-zero whenever an error is."""
     f = np.asarray(forecast, dtype=float)
     o = np.asarray(observed, dtype=float)
     if f.shape != o.shape or f.size == 0:
@@ -53,13 +53,15 @@ def error_stats(forecast, observed) -> tuple[float, float, float]:
     with np.errstate(over="ignore"):
         err = f - o
         mape = float(np.mean(np.abs(err) / o))
+        if not math.isfinite(mape):  # a difference overflowed; its ratio to o need not
+            mape = float(np.mean(np.abs(f / o - 1.0)))
     scale = 1.0
     amax = float(np.max(np.abs(err)))
     if amax and not 2.0**-500 < amax < 2.0**500:
         # a square would underflow, or a difference, square or sum overflow: scale
-        # by a power of two, which rounds as the unscaled sums would
+        # by a power of two (2**1023 at most), which rounds as the unscaled sums would
         if math.isfinite(amax):
-            scale = math.ldexp(1.0, math.frexp(amax)[1])
+            scale = math.ldexp(1.0, min(math.frexp(amax)[1], 1023))
             err = err / scale
         else:
             scale = 2.0**1023
@@ -454,9 +456,9 @@ def write_error_report(report: ErrorReport, path) -> None:
     rows = [("model", "year", "mae", "rmse", "mape")]
     rows += [(report.model_id, *row) for row in report.per_year]
     rows.append((report.model_id, "overall", *report.overall))
-    _write_csv(path, rows, lineterminator="\r\n")
+    _write_csv(path, rows)
 
 
 def write_coverage(path, low: float, high: float, n_outside: int, frac_outside: float) -> None:
     rows = [("low", "high", "n_outside", "frac_outside"), (low, high, n_outside, frac_outside)]
-    _write_csv(path, rows, lineterminator="\r\n")
+    _write_csv(path, rows)

@@ -49,7 +49,6 @@ def _full_years(series: MonthlySeries) -> list[int]:
 class VolatilityProfile:
     years: tuple[int, ...]
     yearly_vols: np.ndarray
-    yearly_vol_logdiffs: np.ndarray
     window_vol: float
     vol_of_vol: float
 
@@ -79,7 +78,6 @@ def volatility_profile(series: MonthlySeries) -> VolatilityProfile:
     return VolatilityProfile(
         years=tuple(years),
         yearly_vols=vols,
-        yearly_vol_logdiffs=vol_ld,
         window_vol=annualized_volatility(ld[end_months_in_full]),
         vol_of_vol=vov,
     )
@@ -201,15 +199,15 @@ def jarque_bera(sample) -> tuple[float, float]:
     return float(jb), float(math.exp(-jb / 2.0))
 
 
-def distribution_diagnostics(series: MonthlySeries, bins: int = 10) -> DistributionDiagnostics:
-    """Histograms of raw rates and log-differences plus a normality test."""
+def distribution_diagnostics(series: MonthlySeries) -> DistributionDiagnostics:
+    """Ten-bin histograms of raw rates and log-differences plus a normality test."""
     if len(series) < 24:
         raise InsufficientDataError("distribution diagnostics need at least 24 observations")
     ld = log_differences(series.rates)
     if np.std(ld) == 0:
         raise ValidationError("degenerate sample variance")
-    rate_counts, rate_edges = np.histogram(series.rates, bins=bins)
-    ld_counts, ld_edges = np.histogram(ld, bins=bins)
+    rate_counts, rate_edges = np.histogram(series.rates, bins=10)
+    ld_counts, ld_edges = np.histogram(ld, bins=10)
     jb, p = jarque_bera(ld)
     return DistributionDiagnostics(
         rate_bin_edges=rate_edges,

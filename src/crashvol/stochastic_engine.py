@@ -188,11 +188,7 @@ class SimulationResult:
     rate_paths: np.ndarray
     var_paths: np.ndarray
     base_paths: np.ndarray
-    seed: int
-    dt: float
-    history_tail: tuple[float, ...]
     start: tuple[int, int]
-    model_id: str
 
     @property
     def n_paths(self) -> int:
@@ -320,8 +316,7 @@ def _trailing_average(base, t, tail_arr):
     return total
 
 
-def _simulate(model_id, params, v0, var_evolves, draws, step, horizon, n_paths, seed,
-              history_tail):
+def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, history_tail):
     """Shared Monte Carlo loop; `step(c, v, t, z, *out)` advances one month.
 
     `c` and `v` are the previous month's base-rate and variance rows (c1 and
@@ -371,11 +366,7 @@ def _simulate(model_id, params, v0, var_evolves, draws, step, horizon, n_paths, 
         rate_paths=rep.T,
         var_paths=np.broadcast_to(var[0].T, (n_paths, horizon)),
         base_paths=base.T,
-        seed=seed,
-        dt=params.dt,
-        history_tail=tuple(float(x) for x in tail_arr),
         start=params.start,
-        model_id=model_id,
     )
 
 
@@ -400,9 +391,7 @@ def simulate_heston(
         step_rate(c, params, v, dt, z[0], out=c_out)
         step_variance(v, params, dt, z_v, out=v_out)
 
-    return _simulate(
-        "heston", params, params.v0, True, 2, step, horizon, n_paths, seed, history_tail
-    )
+    return _simulate(params, params.v0, True, 2, step, horizon, n_paths, seed, history_tail)
 
 
 def simulate_vasicek(
@@ -424,7 +413,7 @@ def simulate_vasicek(
         _step_vasicek(c, params, t, dt, z[0], out=c_out)
 
     return _simulate(
-        "vasicek", params, params.sigma_v**2, False, 1, step, horizon, n_paths, seed, history_tail
+        params, params.sigma_v**2, False, 1, step, horizon, n_paths, seed, history_tail
     )
 
 

@@ -324,6 +324,9 @@ def test_backtest_end_to_end(workdir, capsys):
     assert out.exists()
     assert (workdir / "bt.report.csv").exists()
     assert (workdir / "bt.coverage.csv").exists()
+    for path in (out, workdir / "bt.report.csv", workdir / "bt.coverage.csv"):
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
     line = capsys.readouterr().out.strip().splitlines()[-1]
     assert line.startswith("vasicek overall mae=")
     with open(out, newline="") as fh:
@@ -778,6 +781,17 @@ def test_evaluate_rejects_non_finite_forecast(workdir, capsys, row):
     assert err.startswith(f"crashvol: E_PARSE: {fc}:3: non-finite")
     assert err.count("\n") == 1
     assert not (workdir / "r.csv").exists()
+
+
+def test_evaluate_scores_an_error_near_the_float_limit(workdir, capsys):
+    # an error of at least 2**1023 overflowed the power of two that scales it
+    fc = workdir / "fc.csv"
+    fc.write_text(FORECAST_ROWS.replace("0.005", "1e308"))
+    rc = main(["evaluate", "--forecast", str(fc),
+               "--observed", str(workdir / "dc_2015_2019.csv"), "--out", str(workdir / "r.csv")])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (workdir / "r.csv").read_text().splitlines()[-1].startswith("model,overall,1e+308,1e+308,")
 
 
 def test_evaluate_rejects_month_outside_the_calendar(workdir, capsys):

@@ -49,6 +49,18 @@ def test_error_stats_hand_values():
     assert rmse == pytest.approx(math.sqrt((1 + 4) / 2) * 1e-170)
     assert rmse >= mae
     assert mape == pytest.approx((0.5 + 2.0) / 2)
+    # an error of at least 2**1023 scales by 2**1023, not by the next power of two
+    mae, rmse, mape = error_stats([1e308, 1.0], [1.0, 1.0])
+    assert mae == pytest.approx(5e307)
+    assert rmse == pytest.approx(1e308 / math.sqrt(2))
+    assert mape == pytest.approx(5e307)
+    # a difference that overflows leaves MAPE to the ratio; RMSE is rightly inf
+    mae, rmse, mape = error_stats([-1.7e308, 1.0], [1.7e308, 1.0])
+    assert mae == pytest.approx(1.7e308)
+    assert rmse == math.inf
+    assert mape == 1.0
+    # a ratio that overflows over a subnormal observed rate stays inf
+    assert error_stats([1.0, 1.0], [5e-324, 1.0])[2] == math.inf
 
 
 def test_error_stats_guards():
@@ -382,3 +394,6 @@ def test_write_error_report_and_coverage(tmp_path):
     text = cov.read_text().strip().splitlines()
     assert text[0] == "low,high,n_outside,frac_outside"
     assert text[1].startswith("0.25,0.75,5,0.0833")
+    for path in (out, cov):  # lines end with LF, as in every other CSV
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")

@@ -227,7 +227,6 @@ def test_simulation_shapes_and_calendar():
     assert res.n_paths == 7
     assert res.horizon == 4
     assert res.months == [(2014, 11), (2014, 12), (2015, 1), (2015, 2)]
-    assert res.model_id == "heston"
 
 
 def test_simulation_determinism_and_seed_sensitivity():
@@ -342,7 +341,6 @@ def test_non_integer_arguments_are_validation_errors(name, value):
 def test_numpy_integer_arguments_give_the_bytes_of_int():
     want = simulate_heston(_heston(), 4, 6, seed=9)
     got = simulate_heston(_heston(), np.int64(4), np.uint8(6), seed=np.uint64(9))
-    assert got.seed == 9 and type(got.seed) is int
     assert got.rate_paths.tobytes() == want.rate_paths.tobytes()
     assert got.var_paths.tobytes() == want.var_paths.tobytes()
 
@@ -644,7 +642,6 @@ def test_variance_decay_xi_zero():
 def test_vasicek_paths_and_target():
     p = VasicekParams(c1=0.005, mu=0.14, kappa_v=4.9, sigma_v=0.6, start=(2015, 1))
     res = simulate_vasicek(p, 60, 500, seed=8)
-    assert res.model_id == "vasicek"
     assert np.allclose(res.var_paths, 0.36)
     # strong pull tracks the drifting anchor c1*(1+mu)^(t/12)
     t = 60
@@ -712,8 +709,7 @@ def test_forecast_quantiles_ordering():
     # last bit for some pairs; over 2 paths and 1000 months the median must
     # still be np.median's
     paths = np.random.default_rng(0).uniform(0.001, 0.01, (2, 1000))
-    res = SimulationResult(rate_paths=paths, var_paths=paths, base_paths=paths, seed=0,
-                           dt=1 / 12, history_tail=(), start=(2015, 1), model_id="heston")
+    res = SimulationResult(rate_paths=paths, var_paths=paths, base_paths=paths, start=(2015, 1))
     q = forecast_quantiles(res, (0.5,))
     assert q.median.tobytes() == np.median(paths, axis=0).tobytes()
     assert q.bands[0].tobytes() == np.quantile(paths, 0.5, axis=0).tobytes()
@@ -737,8 +733,8 @@ def test_forecast_quantiles_read_from_sorted_rows():
         ])
         if n > 2:
             rows[0, 1], rows[1, 2] = np.inf, np.nan
-        res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T, seed=0,
-                               dt=1 / 12, history_tail=(), start=(2015, 1), model_id="heston")
+        res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T,
+                               start=(2015, 1))
         for levels in level_sets:
             with np.errstate(invalid="ignore"):
                 q = forecast_quantiles(res, levels)
@@ -764,8 +760,8 @@ def test_forecast_quantiles_sort_month_blocks(months, n, sorts, monkeypatch):
     # the rows are sorted in blocks of about 1 MiB; the quantiles and median
     # are numpy's bytes on every block, a NaN row and an inf row included
     rows = _quantile_rows(np.random.default_rng(n), months, n)
-    res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T, seed=0,
-                           dt=1 / 12, history_tail=(), start=(2015, 1), model_id="heston")
+    res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T,
+                           start=(2015, 1))
     level_sets = ((0.05, 0.25, 0.75, 0.95), (0.0001, 0.5, 0.9998))
     with np.errstate(invalid="ignore"):
         wants = [(np.quantile(rows, lv, axis=1), np.median(rows, axis=1)) for lv in level_sets]
