@@ -3,9 +3,11 @@
 Usage: python scripts/output_digests.py
 
 Runs `crashvol.cli.main` in-process from the source tree next to this
-script: diagnose; fit of all four models; forecast from each fit file
-(seed 7); evaluate of each forecast, and of the heston forecast once more
-under the model id `heston,v2`; backtest of all four models over
+script: diagnose of the training file, of the holdout file and of both
+merged (stems without dots, which older trees cut at the dot); fit of all
+four models; forecast from each fit file (seed 7); evaluate of each
+forecast, and of the heston forecast once more under the model id
+`heston,v2`; backtest of all four models over
 seeds 1-10 at 5000 paths; one `--scheme truncate` backtest per simulator;
 one heston forecast and one heston backtest at non-default `--levels`,
 `--low` and `--high`; an arima and an arima-garch forecast and backtest at
@@ -47,6 +49,8 @@ TEST = ["--test-start", "2015-01", "--test-end", "2019-12"]
 
 def runs(w: str):
     yield ["diagnose", "--input", TRAIN_CSV, "--out", f"{w}/diag"]
+    yield ["diagnose", "--input", TEST_CSV, "--out", f"{w}/diag_holdout"]
+    yield ["diagnose", "--input", TRAIN_CSV, "--input", TEST_CSV, "--out", f"{w}/diag_merged"]
     for model in MODELS:
         yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model,
                "--out", f"{w}/{model}.params"]

@@ -142,13 +142,16 @@ def _stem(path) -> Path:
 
 def cmd_diagnose(args) -> int:
     series = _load_inputs(args.input)
-    stem = _stem(args.out) if args.out else _stem(args.input[0])
+    stem = args.out or _stem(args.input[0])
     prof = series_stats.volatility_profile(series)
     growth = series_stats.annual_growth_rate(series)
     season = series_stats.season_profile(series)
     diag = series_stats.distribution_diagnostics(series)
-    rows = [("statistic", "value")]
-    rows += [("window_vol", prof.window_vol), ("vol_of_vol", prof.vol_of_vol)]
+    rows = [("statistic", "value"), ("window_vol", prof.window_vol)]
+    if math.isfinite(prof.vol_of_vol):
+        rows.append(("vol_of_vol", prof.vol_of_vol))
+    else:
+        log.info("skipping vol_of_vol, needs 3 full calendar years of nonzero volatility")
     rows += [(f"yearly_vol.{y}", v) for y, v in zip(prof.years, prof.yearly_vols)]
     rows += [("growth", growth.annual_growth), ("growth_method", growth.method)]
     for m in range(1, 13):
@@ -158,8 +161,8 @@ def cmd_diagnose(args) -> int:
     rows.append(("spike_months", ";".join(str(m) for m in spike_months)))
     try:
         rows.append(("rate_vol_correlation", series_stats.rate_vol_correlation(series)))
-    except CrashvolError:
-        log.info("skipping rate/vol correlation, needs 3 full years")
+    except CrashvolError as exc:
+        log.info("skipping rate/vol correlation: %s", exc)
     rows += [("jb_stat", diag.jarque_bera), ("jb_pvalue", diag.jb_pvalue)]
 
     stats_path = f"{stem}.stats.csv"

@@ -40,35 +40,35 @@ _DEFAULT_GARCH_ORDERS = (2, 1)
 KAPPA_EPS = 1e-6
 
 
+def _powers_above(x) -> np.ndarray:
+    """Per element, the power of two just above |x|, at most 2**1023 (1 for 0, inf, nan)."""
+    return np.ldexp(1.0, np.minimum(np.frexp(x)[1], 1023))
+
+
 def error_stats(forecast, observed) -> tuple[float, float, float]:
     """MAE, RMSE, and MAPE between two aligned rate vectors; each is finite
     whenever its true value is within float range (MAPE unless a ratio
-    forecast / observed overflows), and RMSE is non-zero whenever an error is."""
+    |f - o| / o overflows), and RMSE is non-zero whenever an error is."""
     f = np.asarray(forecast, dtype=float)
     o = np.asarray(observed, dtype=float)
     if f.shape != o.shape or f.size == 0:
         raise AlignmentError(f"length mismatch: forecast {f.size}, observed {o.size}")
     if np.any(o <= 0):
         raise ValidationError("MAPE needs strictly positive observed rates")
-    with np.errstate(over="ignore"):
-        err = f - o
-        mape = float(np.mean(np.abs(err) / o))
-        if not math.isfinite(mape):  # a difference overflowed; its ratio to o need not
-            mape = float(np.mean(np.abs(f / o - 1.0)))
-    scale = 1.0
-    amax = float(np.max(np.abs(err)))
-    if amax and not 2.0**-500 < amax < 2.0**500:
-        # a square would underflow, or a difference, square or sum overflow: scale
-        # by a power of two (2**1023 at most), which rounds as the unscaled sums would
-        if math.isfinite(amax):
-            scale = math.ldexp(1.0, min(math.frexp(amax)[1], 1023))
-            err = err / scale
-        else:
-            scale = 2.0**1023
-            err = f / scale - o / scale
-    mae = scale * float(np.mean(np.abs(err)))
-    rmse = scale * math.sqrt(np.mean(err**2))
-    return mae, rmse, mape
+    # errors and ratios |f - o| / o come from rates divided by a power of two at
+    # or above them, and each mean from values divided by the power just above
+    # the largest finite one, then scaled back: no difference, square or sum
+    # overflows, and division by a power of two is exact in the normal range
+    p = _powers_above(np.maximum(np.abs(f), o))
+    with np.errstate(divide="ignore", over="ignore"):  # such a ratio is inf
+        ratio = np.abs(f / p - o / p) / (o / p)
+    s = float(p.max())
+    err = f / s - o / s
+    t = float(_powers_above(err).max())
+    u = float(_powers_above(ratio).max())
+    mae = s * (t * float(np.mean(np.abs(err / t))))
+    rmse = s * (t * math.sqrt(np.mean((err / t) ** 2)))
+    return mae, rmse, u * float(np.mean(ratio / u))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Descriptive statistics of monthly crash-rate series.
 
 Volatilities are annualized sample standard deviations of monthly
-log-differences (sigma * sqrt(12)). Yearly figures follow a calendar-year
-partition where each log-difference belongs to the year of its endpoint
+log-differences (sigma * sqrt(12)). Yearly figures read the full calendar
+years, which in a gap-free series are consecutive 12-month rows starting at
+the first January. Each log-difference belongs to the year of its endpoint
 month, so a January entry carries the difference from the preceding
 December. A leading partial year (for example a lone December row)
 contributes only that boundary difference; a trailing partial year is
@@ -37,12 +38,14 @@ def annualized_volatility(logdiffs) -> float:
     return float(np.std(x, ddof=1) * math.sqrt(12.0))
 
 
-def _full_years(series: MonthlySeries) -> list[int]:
-    """Calendar years for which all 12 months are present."""
-    have: dict[int, set[int]] = {}
-    for y, m in series.months:
-        have.setdefault(y, set()).add(m)
-    return sorted(y for y, ms in have.items() if len(ms) == 12)
+def _full_years(series: MonthlySeries) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """The full calendar years, the row of their first January, and their
+    rates as a (years, 12) view: consecutive 12-month rows of the series."""
+    year, month = series.start
+    first = (13 - month) % 12
+    n = max(len(series) - first, 0) // 12
+    years = tuple(range(year + (month > 1), year + (month > 1) + n))
+    return years, first, series.rates[first : first + 12 * n].reshape(n, 12)
 
 
 @dataclass(frozen=True)
@@ -61,24 +64,25 @@ def volatility_profile(series: MonthlySeries) -> VolatilityProfile:
     the December-to-January boundary difference when a preceding December
     is part of the series.
     """
-    years = _full_years(series)
+    years, first, _ = _full_years(series)
     if len(years) < 2:
         raise InsufficientDataError("volatility profile needs at least 2 full calendar years")
     ld = log_differences(series.rates)
-    end_years = np.array([ym[0] for ym in series.months[1:]])
-    end_months_in_full = np.isin(end_years, years)
-    vols = []
-    for y in years:
-        vols.append(annualized_volatility(ld[end_years == y]))
-    vols = np.array(vols)
-    vol_ld = np.log(vols[1:] / vols[:-1])
+    # ld[i] ends at row i + 1, so the differences ending at rows lo..hi-1 are ld[lo-1:hi-1]
+    end = first + 12 * len(years)
+    vols = np.array([
+        annualized_volatility(ld[max(lo - 1, 0) : lo + 11]) for lo in range(first, end, 12)
+    ])
     # vol-of-vol is the plain sample sd of the yearly log-diffs, not annualized;
-    # a 2-year window has a single diff and no spread estimate
-    vov = float(np.std(vol_ld, ddof=1)) if vol_ld.size >= 2 else math.nan
+    # a 2-year window has a single diff and no spread estimate, and a zero
+    # yearly vol makes it NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vol_ld = np.log(vols[1:] / vols[:-1])
+        vov = float(np.std(vol_ld, ddof=1)) if vol_ld.size >= 2 else math.nan
     return VolatilityProfile(
-        years=tuple(years),
+        years=years,
         yearly_vols=vols,
-        window_vol=annualized_volatility(ld[end_months_in_full]),
+        window_vol=annualized_volatility(ld[max(first - 1, 0) : end - 1]),
         vol_of_vol=vov,
     )
 
@@ -89,21 +93,12 @@ class GrowthEstimate:
     method: str
 
 
-def _yearly_mean_rates(series: MonthlySeries, years: list[int]) -> np.ndarray:
-    months = series.months
-    out = []
-    for y in years:
-        vals = [series.rates[i] for i, ym in enumerate(months) if ym[0] == y]
-        out.append(float(np.mean(vals)))
-    return np.array(out)
-
-
 def annual_growth_rate(series: MonthlySeries) -> GrowthEstimate:
     """Geometric mean of year-over-year ratios of calendar-year mean rates."""
-    years = _full_years(series)
+    years, _, block = _full_years(series)
     if len(years) < 2:
         raise InsufficientDataError("growth rate needs at least 2 full calendar years")
-    means = _yearly_mean_rates(series, years)
+    means = block.mean(axis=1)
     ratios = means[1:] / means[:-1]
     growth = float(np.prod(ratios) ** (1.0 / len(ratios)) - 1.0)
     return GrowthEstimate(annual_growth=growth, method="geometric-mean-of-yearly-mean-ratios")
@@ -124,21 +119,12 @@ class SeasonProfile:
 
 
 def season_profile(series: MonthlySeries) -> SeasonProfile:
-    years = _full_years(series)
+    years, _, block = _full_years(series)
     if not years:
         raise InsufficientDataError("season profile needs at least 1 full calendar year")
-    rows = []
-    for y in years:
-        r = np.array([series.rates[series.index_of(y, m)] for m in range(1, 13)])
-        rows.append(r / r.mean() - 1.0)
-    dev = np.array(rows)
+    dev = block / block.mean(axis=1, keepdims=True) - 1.0
     std = np.std(dev, axis=0, ddof=1) if len(years) > 1 else np.zeros(12)
-    return SeasonProfile(
-        years=tuple(years),
-        deviations=dev,
-        mean=dev.mean(axis=0),
-        std=std,
-    )
+    return SeasonProfile(years=years, deviations=dev, mean=dev.mean(axis=0), std=std)
 
 
 def detect_spike_months(profile: SeasonProfile, threshold: float) -> list[int]:
@@ -149,14 +135,10 @@ def detect_spike_months(profile: SeasonProfile, threshold: float) -> list[int]:
     """
     if threshold <= 0:
         raise ValidationError("threshold must be positive")
-    out = []
-    for m in range(12):
-        if abs(profile.mean[m]) < threshold:
-            continue
-        signs = np.sign(profile.deviations[:, m])
-        if np.all(signs == signs[0]) and signs[0] != 0:
-            out.append(m + 1)
-    return out
+    signs = np.sign(profile.deviations)
+    stable = np.all(signs == signs[0], axis=0) & (signs[0] != 0)
+    # "not below" rather than ">=", so a NaN threshold leaves every stable month in
+    return (np.flatnonzero(stable & ~(np.abs(profile.mean) < threshold)) + 1).tolist()
 
 
 def rate_vol_correlation(series: MonthlySeries) -> float:
@@ -168,7 +150,10 @@ def rate_vol_correlation(series: MonthlySeries) -> float:
     prof = volatility_profile(series)
     if len(prof.years) < 3:
         raise InsufficientDataError("correlation needs at least 3 full calendar years")
-    means = _yearly_mean_rates(series, list(prof.years))
+    means = _full_years(series)[2].mean(axis=1)
+    for name, x in (("mean rates", means), ("volatilities", prof.yearly_vols)):
+        if np.all(x == x[0]):
+            raise ValidationError(f"correlation is undefined: the yearly {name} are all equal")
     return float(np.corrcoef(means, prof.yearly_vols)[0, 1])
 
 

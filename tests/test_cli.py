@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -51,6 +52,53 @@ def test_diagnose_writes_statistics(workdir, capsys):
         rows = list(csv.DictReader(fh))
     assert sum(int(r["count"]) for r in rows) == 62
     assert (workdir / "t1.hist_logdiffs.csv").exists()
+
+
+def _write_series(path, rows):
+    path.write_text("year,month,crashes,vmt_thousands\n"
+                    + "".join(f"{y},{m},{c},50000\n" for y, m, c in rows))
+
+
+_PATTERN = [100, 90, 110, 95, 120, 130, 150, 115, 105, 100, 98, 125]
+
+
+@pytest.mark.parametrize("rows, skipped", [
+    # two full years and a December lead-in: one yearly log-ratio, no vol-of-vol
+    ([(2009, 12, 100)] + [(y, m, _PATTERN[m - 1] + (y - 2010) * 7 + m * 3 % 5)
+                          for y in (2010, 2011) for m in range(1, 13)],
+     ["vol_of_vol", "rate/vol correlation: correlation needs at least 3 full calendar years"]),
+    # three years of one monthly pattern: equal yearly means, no correlation
+    ([(y, m, _PATTERN[m - 1]) for y in (2010, 2011, 2012) for m in range(1, 13)],
+     ["rate/vol correlation: correlation is undefined: the yearly mean rates are all equal"]),
+    # a year of constant rates from the December before: a zero yearly vol
+    ([(y, m, 100 if y == 2011 or m == 12 else _PATTERN[m - 1] + y)
+      for y in (2010, 2011, 2012, 2013) for m in range(1, 13)],
+     ["vol_of_vol"]),
+], ids=["two-full-years", "equal-yearly-means", "zero-yearly-vol"])
+def test_diagnose_leaves_out_undefined_statistics(workdir, capsys, caplog, rows, skipped):
+    path = workdir / "s.csv"
+    _write_series(path, rows)
+    caplog.set_level("INFO", logger="crashvol")
+    assert main(["diagnose", "--input", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    stats = _read_stats(workdir / "s.stats.csv")
+    assert all(math.isfinite(float(v)) for k, v in stats.items()
+               if k not in ("growth_method", "spike_months"))
+    notes = [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+    assert len(notes) == len(skipped)
+    assert all(n.startswith(f"skipping {s}") for n, s in zip(notes, skipped)), notes
+    assert ("vol_of_vol" in stats) == ("vol_of_vol" not in skipped)
+
+
+def test_diagnose_out_is_used_as_given(workdir):
+    for out in ("run.v2", "run.v3"):
+        rc = main(["diagnose", "--input", str(workdir / "dc_2010_2014.csv"),
+                   "--out", str(workdir / out)])
+        assert rc == 0
+    for out in ("run.v2", "run.v3"):
+        for name in ("stats", "hist_rates", "hist_logdiffs"):
+            assert (workdir / f"{out}.{name}.csv").exists()
+    assert not (workdir / "run.stats.csv").exists()
 
 
 def test_fit_heston_writes_params(workdir):

@@ -61,6 +61,8 @@ def test_error_stats_hand_values():
     assert mape == 1.0
     # a ratio that overflows over a subnormal observed rate stays inf
     assert error_stats([1.0, 1.0], [5e-324, 1.0])[2] == math.inf
+    # finite ratios whose sum overflows still give a finite MAPE
+    assert error_stats([1.5e308, 1.5e308], [1.0, 1.0]) == pytest.approx((1.5e308,) * 3)
 
 
 def test_error_stats_guards():

@@ -1,19 +1,28 @@
 import csv
 import math
 import statistics
+import struct
+import warnings
+from dataclasses import fields, is_dataclass
 from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashvol.data_ingest import (
     InsufficientDataError,
     MonthlyObservation,
     MonthlySeries,
     ValidationError,
+    add_months,
     slice_window,
 )
 from crashvol.series_stats import (
+    GrowthEstimate,
+    SeasonProfile,
+    VolatilityProfile,
     annual_growth_rate,
     annualized_volatility,
     detect_spike_months,
@@ -229,3 +238,133 @@ def test_distribution_diagnostics_guards():
     obs = tuple(MonthlyObservation(2010, m, 100, 100000) for m in range(1, 13))
     with pytest.raises(InsufficientDataError):
         distribution_diagnostics(MonthlySeries(obs))
+
+
+# A per-month calendar-year partition: the reference that the 12-month row
+# blocks of series_stats must reproduce byte for byte.
+
+def _ref_full_years(series):
+    have = {}
+    for y, m in series.months:
+        have.setdefault(y, set()).add(m)
+    return sorted(y for y, ms in have.items() if len(ms) == 12)
+
+
+def _ref_yearly_means(series, years):
+    return np.array([
+        float(np.mean([series.rates[i] for i, ym in enumerate(series.months) if ym[0] == y]))
+        for y in years
+    ])
+
+
+def _ref_volatility_profile(series):
+    years = _ref_full_years(series)
+    if len(years) < 2:
+        raise InsufficientDataError("volatility profile needs at least 2 full calendar years")
+    ld = log_differences(series.rates)
+    end_years = np.array([ym[0] for ym in series.months[1:]])
+    vols = np.array([annualized_volatility(ld[end_years == y]) for y in years])
+    vol_ld = np.log(vols[1:] / vols[:-1])
+    vov = float(np.std(vol_ld, ddof=1)) if vol_ld.size >= 2 else math.nan
+    window = annualized_volatility(ld[np.isin(end_years, years)])
+    return VolatilityProfile(tuple(years), vols, window, vov)
+
+
+def _ref_annual_growth_rate(series):
+    years = _ref_full_years(series)
+    if len(years) < 2:
+        raise InsufficientDataError("growth rate needs at least 2 full calendar years")
+    means = _ref_yearly_means(series, years)
+    ratios = means[1:] / means[:-1]
+    growth = float(np.prod(ratios) ** (1.0 / len(ratios)) - 1.0)
+    return GrowthEstimate(growth, "geometric-mean-of-yearly-mean-ratios")
+
+
+def _ref_season_profile(series):
+    years = _ref_full_years(series)
+    if not years:
+        raise InsufficientDataError("season profile needs at least 1 full calendar year")
+    rows = []
+    for y in years:
+        r = np.array([series.rates[series.index_of(y, m)] for m in range(1, 13)])
+        rows.append(r / r.mean() - 1.0)
+    dev = np.array(rows)
+    std = np.std(dev, axis=0, ddof=1) if len(years) > 1 else np.zeros(12)
+    return SeasonProfile(tuple(years), dev, dev.mean(axis=0), std)
+
+
+def _ref_detect_spike_months(profile, threshold):
+    if threshold <= 0:
+        raise ValidationError("threshold must be positive")
+    out = []
+    for m in range(12):
+        if abs(profile.mean[m]) < threshold:
+            continue
+        signs = np.sign(profile.deviations[:, m])
+        if np.all(signs == signs[0]) and signs[0] != 0:
+            out.append(m + 1)
+    return out
+
+
+def _ref_rate_vol_correlation(series):
+    prof = _ref_volatility_profile(series)
+    if len(prof.years) < 3:
+        raise InsufficientDataError("correlation needs at least 3 full calendar years")
+    means = _ref_yearly_means(series, list(prof.years))
+    for name, x in (("mean rates", means), ("volatilities", prof.yearly_vols)):
+        if np.all(x == x[0]):
+            raise ValidationError(f"correlation is undefined: the yearly {name} are all equal")
+    return float(np.corrcoef(means, prof.yearly_vols)[0, 1])
+
+
+def _as_bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if is_dataclass(value):
+        return type(value).__name__, tuple(_as_bytes(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(_as_bytes(v) for v in value)
+    return type(value).__name__, value
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", _as_bytes(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    start=st.tuples(st.integers(1990, 2030), st.integers(1, 12)),
+    n=st.integers(12, 90),
+    # crash counts and VMT cycle through drawn patterns, so constant series,
+    # series that repeat every 12 months and zero counts all occur
+    crashes=st.lists(st.integers(0, 3000), min_size=1, max_size=90),
+    vmt=st.lists(st.floats(1e3, 1e6), min_size=1, max_size=24),
+    threshold=st.sampled_from([0.0, 0.01, 0.05, 0.12, 0.3, 1.0, math.nan]),
+)
+def test_year_partition_matches_a_per_month_partition(start, n, crashes, vmt, threshold):
+    months = [add_months(*start, k) for k in range(n)]
+    series = MonthlySeries(tuple(
+        MonthlyObservation(y, m, crashes[k % len(crashes)], vmt[k % len(vmt)])
+        for k, (y, m) in enumerate(months)
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # zero yearly vols meet a log
+        for fn, ref in (
+            (volatility_profile, _ref_volatility_profile),
+            (annual_growth_rate, _ref_annual_growth_rate),
+            (season_profile, _ref_season_profile),
+            (rate_vol_correlation, _ref_rate_vol_correlation),
+        ):
+            assert _outcome(fn, series) == _outcome(ref, series), fn.__name__
+        try:
+            profile = season_profile(series)
+        except InsufficientDataError:
+            return
+        assert _outcome(detect_spike_months, profile, threshold) == _outcome(
+            _ref_detect_spike_months, _ref_season_profile(series), threshold
+        )
