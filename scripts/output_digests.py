@@ -19,10 +19,13 @@ multi-word seeds; an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
 the median, a few hundred paths, and the size of the benchmark's
-simulations).
+simulations); a heston and a vasicek forecast (seed 7) from a copy of the
+fit file with a `dt = 0.0833333333333` line appended, as files written
+before monthly steps were fixed carry, which must give the bytes of the
+forecast from the fit file itself.
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
-same bytes. Exits 1 if any run fails.
+same bytes. Exits 1 if any run fails or a legacy forecast differs.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ TEST_CSV = str(DATA / "dc_2015_2019.csv")
 MODELS = ("heston", "vasicek", "arima", "arima-garch")
 TRAIN = ["--train-start", "2010-01", "--train-end", "2014-12"]
 TEST = ["--test-start", "2015-01", "--test-end", "2019-12"]
+# forecasts that must equal another forecast of the list, byte for byte
+SAME = {f"{model}.legacy.fc.csv": f"{model}.fc.csv" for model in ("heston", "vasicek")}
 
 
 def runs(w: str):
@@ -100,6 +105,14 @@ def runs(w: str):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", paths,
                    "--out", f"{w}/{model}.paths{paths}.fc.csv"]
+    # written here, once the fits above have run: main runs each argv before
+    # asking for the next
+    for model in ("heston", "vasicek"):
+        fitted = Path(w, f"{model}.params").read_text().splitlines()
+        lines = [line for line in fitted if not line.startswith("dt =")] + ["dt = 0.0833333333333"]
+        Path(w, f"{model}.legacy.params").write_text("\n".join(lines) + "\n")
+        yield ["forecast", "--params", f"{w}/{model}.legacy.params", "--seed", "7",
+               "--out", f"{w}/{model}.legacy.fc.csv"]
 
 
 def main() -> int:
@@ -111,11 +124,14 @@ def main() -> int:
             if status != 0:
                 print(f"failed: {' '.join(argv)}", file=sys.stderr)
                 return 1
-        lines = [
-            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}"
-            for p in sorted(Path(tmp).iterdir())
-        ]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path(tmp).iterdir())}
+    lines = [f"{digest}  {name}" for name, digest in digests.items()]
     print("\n".join(lines))
+    for name, other in SAME.items():
+        if digests[name] != digests[other]:
+            print(f"differs: {name} from {other}", file=sys.stderr)
+            return 1
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"{total}  ALL")
     print(f"{len(lines)} files", file=sys.stderr)

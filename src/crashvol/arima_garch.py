@@ -338,8 +338,11 @@ def forecast_arima(model: ArimaSpec, last_observations, horizon: int) -> np.ndar
     zs = list(difference(obs, model.d)[-model.p :]) if model.p else []
     es = list(np.asarray(model.residuals, dtype=float)[-model.q :]) if model.q else []
     levels = list(obs[-model.d :]) if model.d else []
-    out = np.empty(horizon)
-    for h in range(horizon):
+    try:
+        weights = [(-1.0) ** (j + 1) * math.comb(model.d, j) for j in range(1, model.d + 1)]
+    except OverflowError:
+        raise ValidationError(f"d = {model.d}: its integration weights overflow a float") from None
+    for _ in range(horizon):
         zhat = model.intercept
         for i in range(model.p):
             zhat += model.ar_coeffs[i] * zs[-1 - i]
@@ -348,11 +351,10 @@ def forecast_arima(model: ArimaSpec, last_observations, horizon: int) -> np.ndar
         zs.append(zhat)
         es.append(0.0)
         level = zhat
-        for j in range(1, model.d + 1):
-            level += (-1.0) ** (j + 1) * math.comb(model.d, j) * levels[-j]
+        for j, w in enumerate(weights, start=1):
+            level += w * levels[-j]
         levels.append(level)
-        out[h] = level
-    return out
+    return np.array(levels[model.d :])
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,8 @@ def _parse_orders(text: str) -> tuple[tuple[int, int, int], tuple[int, int]]:
         parts = [int(x) for x in text.split(",")]
     except ValueError:
         raise ValidationError(f"bad orders {text!r}, expected p,d,q[,gp,gq]") from None
-    if len(parts) == 3:
-        return (parts[0], parts[1], parts[2]), evaluation._DEFAULT_GARCH_ORDERS
-    if len(parts) == 5:
-        return (parts[0], parts[1], parts[2]), (parts[3], parts[4])
+    if len(parts) in (3, 5):
+        return tuple(parts[:3]), tuple(parts[3:]) or evaluation._DEFAULT_GARCH_ORDERS
     raise ValidationError(f"bad orders {text!r}, expected p,d,q[,gp,gq]")
 
 

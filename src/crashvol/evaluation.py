@@ -184,8 +184,6 @@ def _fit_from_stats(params_cls, model_values, series, train_start, train_end, te
         "mu": growth.annual_growth,
         "spikes": _spike_specs(season, threshold),
         "start": tuple(test_start),
-        "scheme": "reflect",
-        "dt": stochastic_engine.DEFAULT_DT,
     }
     spikes = overrides.pop("spikes", None)
     if spikes is not None:
@@ -259,8 +257,9 @@ def _vasicek_values(prof, train, overrides) -> dict:
         kappa_v = float(overrides.pop("kappa_v"))
     else:
         slope = _ar1_slope(train.rates)
-        if slope <= 0 or slope >= 1:
-            raise ValidationError(f"AR(1) slope {slope:.4g} outside (0, 1), kappa_v undefined")
+        if not math.exp(-2.0) < slope < 1:  # so kappa_v is below 24, as monthly steps need
+            raise ValidationError(f"AR(1) slope {slope:.4g} outside (e^-2, 1): kappa_v "
+                                  "undefined or not below 24 per year")
         kappa_v = -12.0 * math.log(slope)
     return {"kappa_v": kappa_v, "sigma_v": float(overrides.pop("sigma_v", prof.window_vol))}
 
@@ -274,8 +273,8 @@ def fit_vasicek_from_stats(
 ) -> tuple[stochastic_engine.VasicekParams, tuple[float, ...]]:
     """Mean-reverting baseline parameters from training statistics.
 
-    kappa_v = -12*ln(AR(1) slope of the training rates), sigma_v = training
-    window volatility; growth target and spikes match the primary model.
+    kappa_v = -12*ln(AR(1) slope of the training rates in (e^-2, 1)), sigma_v =
+    training window volatility; growth target and spikes match the primary model.
     """
     return _fit_from_stats(
         stochastic_engine.VasicekParams, _vasicek_values,

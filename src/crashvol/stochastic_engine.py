@@ -3,10 +3,12 @@
 Two-factor model: the rate follows dC = mu*C1*dt + sqrt(v)*C1*dW_c with
 increments scaled to the initial rate C1 (state-independent steps), and the
 variance follows dv = kappa*(theta - v)*dt + xi*sqrt(v)*dW_v, with corr(W_c,
-W_v) = rho. Discretization is explicit Euler at dt = 1/12 year per monthly
-step, using the start-of-step variance in the rate update. Negative
-excursions of either process are folded back by reflection (absolute value),
-or clipped to zero under the `truncate` scheme.
+W_v) = rho. Discretization is explicit Euler, one step of dt = 1/12 year per
+calendar month (not a setting). A step scales a deviation from the
+mean-reversion target by (1 - kappa/12), so the simulators take kappa and
+kappa_v below 24 per year only. The rate update uses the start-of-step
+variance. Negative excursions of either process are folded back by
+reflection (absolute value), or clipped to zero under the `truncate` scheme.
 
 Calendar-hurdle spikes: in configured months the reported rate is
 |base + trailing_average * (a + b*z)| with a fresh z per path per
@@ -58,7 +60,7 @@ from .data_ingest import (
     write_kv_file,
 )
 
-DEFAULT_DT = 1.0 / 12.0
+_DT = 1.0 / 12.0  # one Euler step per calendar month, in years
 
 
 class FellerWarning(UserWarning):
@@ -106,10 +108,9 @@ def _power(x: float, p: float, name: str) -> float:
 
 def _check_common(params, *model_values):
     """Invariants shared by both parameter sets; model_values must be finite too."""
-    values = (params.c1, params.mu, params.dt, *model_values)
+    values = (params.c1, params.mu, *model_values)
     _check(all(math.isfinite(x) for x in values), "finite parameters")
     _check(params.c1 > 0, "c1 > 0")
-    _check(params.dt > 0, "dt > 0")
     _check(params.scheme in ("reflect", "truncate"), "scheme in {reflect, truncate}")
     _check(1 <= params.start[1] <= 12, "start month in 1..12")
     months = [s.month for s in params.spikes]
@@ -134,7 +135,6 @@ class HestonParams:
     spikes: tuple[SpikeSpec, ...] = ()
     start: tuple[int, int] = (2015, 1)
     scheme: str = "reflect"
-    dt: float = DEFAULT_DT
     feller_satisfied: bool = field(init=False)
 
     def __post_init__(self):
@@ -168,7 +168,6 @@ class VasicekParams:
     spikes: tuple[SpikeSpec, ...] = ()
     start: tuple[int, int] = (2015, 1)
     scheme: str = "reflect"
-    dt: float = DEFAULT_DT
 
     def __post_init__(self):
         _check_common(self, self.kappa_v, self.sigma_v)
@@ -258,26 +257,26 @@ def _fold(x, scheme: str, out=None):
     return np.abs(x, out=out) if scheme == "reflect" else np.maximum(x, 0.0, out=out)
 
 
-def step_variance(v, params: HestonParams, dt: float, z_v, out=None):
-    """One Euler step of the variance, folded to stay nonnegative (into `out`
-    if given): v + kappa*(theta - v)*dt + xi*sqrt(v*dt)*z_v."""
-    raw = v + params.kappa * (params.theta - v) * dt + params.xi * np.sqrt(v * dt) * z_v
+def step_variance(v, params: HestonParams, z_v, out=None):
+    """One monthly Euler step of the variance, folded to stay nonnegative (into
+    `out` if given): v + kappa*(theta - v)*dt + xi*sqrt(v*dt)*z_v, dt = 1/12."""
+    raw = v + params.kappa * (params.theta - v) * _DT + params.xi * np.sqrt(v * _DT) * z_v
     return _fold(raw, params.scheme, out)
 
 
-def step_rate(c_prev, params: HestonParams, v, dt: float, z_c, out=None):
-    """One Euler step of the rate, folded into `out` if given; increments scale
-    with c1, not the state: c_prev + mu*c1*dt + sqrt(v)*c1*sqrt(dt)*z_c."""
-    raw = c_prev + params.mu * params.c1 * dt + np.sqrt(v) * params.c1 * math.sqrt(dt) * z_c
+def step_rate(c_prev, params: HestonParams, v, z_c, out=None):
+    """One monthly Euler step of the rate, folded into `out` if given; increments
+    scale with c1, not the state: c_prev + mu*c1*dt + sqrt(v)*c1*sqrt(dt)*z_c."""
+    raw = c_prev + params.mu * params.c1 * _DT + np.sqrt(v) * params.c1 * math.sqrt(_DT) * z_c
     return _fold(raw, params.scheme, out)
 
 
-def _step_vasicek(c_prev, params: VasicekParams, t: int, dt: float, z_c, out=None):
-    """One Euler step of the baseline toward theta(t + 1) = c1*(1 + mu)^((t + 1)/12),
+def _step_vasicek(c_prev, params: VasicekParams, t: int, z_c, out=None):
+    """One monthly Euler step of the baseline toward theta(t + 1) = c1*(1 + mu)^((t + 1)/12),
     folded into `out` if given: c_prev + kappa_v*(theta - c_prev)*dt + sigma_v*c1*sqrt(dt)*z_c."""
     theta = params.c1 * _power(1.0 + params.mu, (t + 1) / 12.0, "1 + mu")
-    raw = (c_prev + params.kappa_v * (theta - c_prev) * dt
-           + params.sigma_v * params.c1 * math.sqrt(dt) * z_c)
+    raw = (c_prev + params.kappa_v * (theta - c_prev) * _DT
+           + params.sigma_v * params.c1 * math.sqrt(_DT) * z_c)
     return _fold(raw, params.scheme, out)
 
 
@@ -381,15 +380,15 @@ def simulate_heston(
 
     Deterministic for a given (params, horizon, n_paths, seed).
     """
-    dt = params.dt
+    _check(params.kappa < 24.0, f"kappa < 24 per year (monthly steps), not {params.kappa:g}")
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
 
     def step(c, v, t, z, c_out, v_out):
         z_v = rho * z[0] + rho_c * z[1]
         # the rate update uses the start-of-step variance
-        step_rate(c, params, v, dt, z[0], out=c_out)
-        step_variance(v, params, dt, z_v, out=v_out)
+        step_rate(c, params, v, z[0], out=c_out)
+        step_variance(v, params, z_v, out=v_out)
 
     return _simulate(params, params.v0, True, 2, step, horizon, n_paths, seed, history_tail)
 
@@ -407,10 +406,10 @@ def simulate_vasicek(
     reports the constant instantaneous variance sigma_v^2 as a read-only
     broadcast of that one value (stride 0), not as an array of its own.
     """
-    dt = params.dt
+    _check(params.kappa_v < 24.0, f"kappa_v < 24 per year (monthly steps), not {params.kappa_v:g}")
 
     def step(c, v, t, z, c_out):
-        _step_vasicek(c, params, t, dt, z[0], out=c_out)
+        _step_vasicek(c, params, t, z[0], out=c_out)
 
     return _simulate(
         params, params.sigma_v**2, False, 1, step, horizon, n_paths, seed, history_tail
@@ -480,7 +479,6 @@ def write_stochastic_params(params, path, history_tail=()) -> None:
         ("c1", params.c1),
         ("mu", params.mu),
         *fields,
-        ("dt", params.dt),
         ("scheme", params.scheme),
         ("start_year", params.start[0]),
         ("start_month", params.start[1]),
@@ -514,8 +512,10 @@ def read_stochastic_params(path):
         spikes=_pop_spikes(kv, path),
         start=_pop_start(kv, path),
         scheme=kv.pop("scheme", "reflect"),
-        dt=_pop_float(kv, "dt", path) if "dt" in kv else DEFAULT_DT,
     )
+    # files from before steps were fixed at one month carry a `dt` line
+    if "dt" in kv and f"{_pop_float(kv, 'dt', path):.12g}" != f"{_DT:.12g}":
+        raise ValidationError(f"{path}: key dt is not 1/12 (0.0833333333333): steps are monthly")
     history = tuple(_pop_indexed(kv, "history.", path))
     if model == "heston":
         params = HestonParams(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -896,6 +897,9 @@ def test_non_finite_forecast_writes_nothing(workdir, capsys):
     ("vasicek", "sigma_v", "1e200"), ("vasicek", "mu", "-2"),
     ("arima", "start_month", "13"), ("arima-garch", "start_month", "0"),
     ("heston", "start_month", "13"),
+    # a mean reversion the monthly step cannot hold: with xi = 0 a kappa of
+    # 30 took the variance 0.7, 0.05, 0.925, ... instead of settling at theta
+    ("heston", "kappa", "30"), ("vasicek", "kappa_v", "24"),
 ])
 def test_forecast_rejects_out_of_domain_params(workdir, capsys, model, key, value):
     params = workdir / "p.params"
@@ -911,6 +915,78 @@ def test_forecast_rejects_out_of_domain_params(workdir, capsys, model, key, valu
     assert err.startswith("crashvol: E_VALIDATION:")
     assert key in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["heston", "vasicek"])
+def test_legacy_dt_line_is_read_only_at_one_month(workdir, capsys, model):
+    # files written before monthly steps were fixed carry a `dt` line: at 1/12
+    # they read and forecast as the file without it; any other value is one
+    # error naming the key, and nothing is written
+    params = workdir / "p.params"
+    assert main(["fit", "--input", str(workdir / "dc_2010_2014.csv"), "--train-start", "2010-01",
+                 "--train-end", "2014-12", "--model", model, "--out", str(params)]) == 0
+    assert "dt =" not in params.read_text()
+    legacy = workdir / "legacy.params"
+
+    def forecast(path, out):
+        capsys.readouterr()
+        rc = main(["forecast", "--params", str(path), "--horizon", "24", "--paths", "300",
+                   "--seed", "3", "--out", str(out)])
+        return rc, capsys.readouterr().err
+
+    for line in ("dt = 0.0833333333333", "dt = 0.08333333333333333"):
+        legacy.write_text(params.read_text() + line + "\n")
+        assert read_stochastic_params(legacy) == read_stochastic_params(params)
+        assert forecast(legacy, workdir / "legacy.csv")[0] == 0
+        assert forecast(params, workdir / "plain.csv")[0] == 0
+        assert (workdir / "legacy.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+    for value in ("1", "abc", "0.083333333333"):
+        legacy.write_text(params.read_text() + f"dt = {value}\n")
+        out = workdir / f"bad{value}.csv"
+        rc, err = forecast(legacy, out)
+        assert (rc, err.count("\n")) == (1, 1), err
+        assert err.startswith("crashvol: E_VALIDATION: ") and "key dt" in err, err
+        assert not out.exists()
+
+
+def _ar1_noise_series(path):
+    # 62 months of rates around 0.005 whose AR(1) slope on 2010-2014 is
+    # 0.0586, so -12 ln(slope) gives kappa_v = 34.04 per year
+    random.seed(17)
+    e, rows = 0.0, []
+    for k in range(62):
+        e = 0.1 * e + random.gauss(0, 1)
+        rows.append((*add_months(2009, 12, k), int(500 + 100 * e)))
+    path.write_text("year,month,crashes,vmt_thousands\n"
+                    + "".join(f"{y},{m},{c},100000\n" for y, m, c in rows))
+
+
+def test_vasicek_fit_rejects_a_slope_the_monthly_step_cannot_hold(workdir, capsys):
+    # this fit used to write kappa_v = 34.04, and a 60-month forecast from it
+    # then wrote a q95 band of 3662 at 2017-12 and 7.9e9 at 2019-12, exit 0
+    series = workdir / "ar1.csv"
+    _ar1_noise_series(series)
+    out = workdir / "v.params"
+    rc = main(["fit", "--input", str(series), "--train-start", "2010-01",
+               "--train-end", "2014-12", "--model", "vasicek", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        1, "crashvol: E_VALIDATION: AR(1) slope 0.05863 outside (e^-2, 1): kappa_v undefined "
+           "or not below 24 per year\n")
+    assert not out.exists()
+
+
+def test_arima_file_with_a_huge_differencing_order_is_one_line(workdir, capsys):
+    # C(1030, 515) is past the float range: that was an OverflowError traceback
+    lines = ["model = arima", "p = 0", "d = 1030", "q = 0", "intercept = 0", "sigma2 = 1e-06",
+             "css = 1e-06", "start_year = 2015", "start_month = 1"]
+    lines += [f"tail.{i} = 0.005" for i in range(1, 1031)]
+    params = workdir / "a.model"
+    params.write_text("\n".join(lines) + "\n")
+    out = workdir / "fc.csv"
+    rc = main(["forecast", "--params", str(params), "--horizon", "12", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        1, "crashvol: E_VALIDATION: d = 1030: its integration weights overflow a float\n")
+    assert not out.exists()
 
 
 def test_missing_coverage_levels_warn_in_both_commands(workdir, caplog):

@@ -304,6 +304,21 @@ def test_arima_backtest_rejects_overrides(full_series, model):
         )
 
 
+@pytest.mark.parametrize("model,key", [("heston", "kappa"), ("vasicek", "kappa_v")])
+def test_backtest_rejects_a_mean_reversion_the_monthly_step_cannot_hold(full_series, model, key):
+    # explicit Euler scales a deviation by (1 - kappa/12) a month, so 24 per
+    # year flips its sign every month and anything above grows without bound
+    with pytest.raises(ValidationError, match=rf"^violated invariant: {key} < 24 per year.*not 24$"):
+        backtest(
+            full_series,
+            ((2010, 1), (2014, 12)),
+            ((2015, 1), (2019, 12)),
+            model=model,
+            config={"n_paths": 50, "overrides": {key: 24.0}},
+            seed=1,
+        )
+
+
 def test_backtest_matches_manual_composition(full_series, holdout_series):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

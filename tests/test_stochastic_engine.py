@@ -56,8 +56,6 @@ def test_param_validation_messages():
     with pytest.raises(ValidationError):
         _heston(rho=-1.5)
     with pytest.raises(ValidationError):
-        _heston(dt=0.0)
-    with pytest.raises(ValidationError):
         _heston(scheme="clip")
     with pytest.raises(ValidationError):
         _heston(spikes=(SpikeSpec(1, 0.1, 0.1), SpikeSpec(1, 0.2, 0.1)))
@@ -111,9 +109,9 @@ def test_feller_warning_points_at_the_caller(train_series):
 def test_step_arithmetic():
     p = _heston()
     dt = 1.0 / 12
-    v = step_variance(0.04, p, dt, 0.5)
+    v = step_variance(0.04, p, 0.5)
     assert v == pytest.approx(0.04 + 0.05 * math.sqrt(0.04 * dt) * 0.5)
-    c = step_rate(0.005, p, 0.04, dt, -1.0)
+    c = step_rate(0.005, p, 0.04, -1.0)
     assert c == pytest.approx(
         0.005 + 0.14 * 0.005 * dt - math.sqrt(0.04) * 0.005 * math.sqrt(dt)
     )
@@ -148,9 +146,9 @@ def test_in_place_steps_match_one_expression_forms(scheme):
         c + vp.kappa_v * (theta_t - c) * dt + vp.sigma_v * vp.c1 * math.sqrt(dt) * z, scheme
     )
     got = {
-        "variance": (step_variance(v, hp, dt, z), want_v),
-        "rate": (step_rate(c, hp, v, dt, z), want_c),
-        "vasicek": (_step_vasicek(c, vp, 4, dt, z), want_o),
+        "variance": (step_variance(v, hp, z), want_v),
+        "rate": (step_rate(c, hp, v, z), want_c),
+        "vasicek": (_step_vasicek(c, vp, 4, z), want_o),
     }
     for name, (have, want) in got.items():
         assert have.tobytes() == want.tobytes(), name
@@ -161,18 +159,18 @@ def test_in_place_steps_match_one_expression_forms(scheme):
         assert before.tobytes() == after.tobytes()
     # folded into a given row, as the simulator passes its result rows
     rows = np.empty((3, n))
-    folded = (step_variance(v, hp, dt, z, out=rows[0]), step_rate(c, hp, v, dt, z, out=rows[1]),
-              _step_vasicek(c, vp, 4, dt, z, out=rows[2]))
+    folded = (step_variance(v, hp, z, out=rows[0]), step_rate(c, hp, v, z, out=rows[1]),
+              _step_vasicek(c, vp, 4, z, out=rows[2]))
     assert all(have.base is rows for have in folded)
     assert rows.tobytes() == np.stack([want_v, want_c, want_o]).tobytes()
     # on a strided column, as the path-major reference loop below passes them
     zz = np.stack([z, z[::-1]], axis=1)
-    assert step_rate(c, hp, v, dt, zz[:, 1]).tobytes() == _reference_fold(
+    assert step_rate(c, hp, v, zz[:, 1]).tobytes() == _reference_fold(
         c + hp.mu * hp.c1 * dt + np.sqrt(v) * hp.c1 * math.sqrt(dt) * zz[:, 1], scheme
     ).tobytes()
     # scalars in, scalar out
-    for value in (step_variance(0.04, hp, dt, -0.5), step_rate(0.005, hp, 0.04, dt, 1.5),
-                  _step_vasicek(0.005, vp, 0, dt, 0.3)):
+    for value in (step_variance(0.04, hp, -0.5), step_rate(0.005, hp, 0.04, 1.5),
+                  _step_vasicek(0.005, vp, 0, 0.3)):
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
 
 
@@ -209,12 +207,30 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
         simulate_vasicek(vp, 7, 200_000_000, seed=3)
 
 
+def test_simulators_check_the_mean_reversion_before_any_work(monkeypatch):
+    # the monthly Euler step holds kappa and kappa_v below 24 per year; a
+    # larger value is one error before anything is allocated or drawn
+    assert simulate_heston(_heston(kappa=23.9), 3, 2, seed=1).horizon == 3
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("allocated before the mean-reversion check")
+
+    monkeypatch.setattr(np, "empty", allocated)
+    _forbid_drawing(monkeypatch)
+    bound = r" < 24 per year \(monthly steps\), not "
+    with pytest.raises(ValidationError, match=r"^violated invariant: kappa" + bound + "24$"):
+        simulate_heston(_heston(kappa=24.0), 3, 2, seed=1)
+    vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=34.04, sigma_v=1.4)
+    with pytest.raises(ValidationError, match=r"^violated invariant: kappa_v" + bound + "34.04$"):
+        simulate_vasicek(vp, 3, 2, seed=1)
+
+
 def test_fold_schemes():
     p_reflect = _heston(scheme="reflect")
     p_trunc = _heston(scheme="truncate")
     # large negative shock drives the raw update below zero
-    r = step_rate(0.001, p_reflect, 1.0, 1.0 / 12, -8.0)
-    t = step_rate(0.001, p_trunc, 1.0, 1.0 / 12, -8.0)
+    r = step_rate(0.001, p_reflect, 1.0, -8.0)
+    t = step_rate(0.001, p_trunc, 1.0, -8.0)
     assert r > 0.0
     assert t == 0.0
 
@@ -469,7 +485,6 @@ def _path_major_simulate(params, v0, draws, step, horizon, n_paths, seed, histor
 
 
 def _path_major_heston(params, horizon, n_paths, seed, history_tail):
-    dt = params.dt
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
 
@@ -478,16 +493,14 @@ def _path_major_heston(params, horizon, n_paths, seed, history_tail):
         z_v = rho * z_c
         z_v += rho_c * z[:, 1]
         # the rate update uses the start-of-step variance
-        return step_rate(c, params, v, dt, z_c), step_variance(v, params, dt, z_v)
+        return step_rate(c, params, v, z_c), step_variance(v, params, z_v)
 
     return _path_major_simulate(params, params.v0, 2, step, horizon, n_paths, seed, history_tail)
 
 
 def _path_major_vasicek(params, horizon, n_paths, seed, history_tail):
-    dt = params.dt
-
     def step(c, v, t, z):
-        return _step_vasicek(c, params, t, dt, z[:, 0]), v
+        return _step_vasicek(c, params, t, z[:, 0]), v
 
     return _path_major_simulate(
         params, params.sigma_v**2, 1, step, horizon, n_paths, seed, history_tail
@@ -577,7 +590,7 @@ def test_spike_draw_reconstruction():
     p = _heston(start=(2015, 1), spikes=spikes)
     tail = np.linspace(0.004, 0.006, 12)
     res = simulate_heston(p, 1, 4, seed=9, history_tail=tail)
-    dt = p.dt
+    dt = 1.0 / 12
     rows = _row_streams(9, 4, 3)
     for k in range(4):
         z_c, z_raw, z_g = rows[:, k]
@@ -634,7 +647,7 @@ def test_variance_decay_xi_zero():
     p = _heston(v0=0.08, theta=0.04, xi=0.0, kappa=0.5, rho=0.0)
     res = simulate_heston(p, 24, 2, seed=1)
     n = np.arange(1, 25)
-    exact = p.theta + (p.v0 - p.theta) * (1 - p.kappa * p.dt) ** n
+    exact = p.theta + (p.v0 - p.theta) * (1 - p.kappa / 12) ** n
     assert np.allclose(res.var_paths[0], exact, rtol=1e-12)
     assert np.allclose(res.var_paths[1], exact, rtol=1e-12)
 
@@ -663,7 +676,7 @@ def test_vasicek_spike_reconstruction():
     tail = np.full(12, 0.005)
     res = simulate_vasicek(p, 1, 3, seed=4, history_tail=tail)
     no_hist = simulate_vasicek(p, 1, 3, seed=4)
-    dt = p.dt
+    dt = 1.0 / 12
     rows = _row_streams(4, 3, 2)
     for k in range(3):
         z, zg = rows[:, k]
@@ -856,7 +869,7 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def _values(params, history) -> dict:
-    values = {"c1": params.c1, "mu": params.mu, "dt": params.dt,
+    values = {"c1": params.c1, "mu": params.mu,
               **{f"history.{i}": h for i, h in enumerate(history, start=1)}}
     for s in params.spikes:
         values.update({f"spike.{s.month}.mean": s.mean_a, f"spike.{s.month}.std": s.std_b})
@@ -873,7 +886,6 @@ def _values(params, history) -> dict:
     model=st.sampled_from(["heston", "vasicek"]),
     c1=_POSITIVE,
     mu=_FINITE,
-    dt=_POSITIVE,
     variances=st.tuples(_NONNEG, _NONNEG),
     rates=st.tuples(_NONNEG, _NONNEG),
     rho=st.floats(-1.0, 1.0),
@@ -883,11 +895,11 @@ def _values(params, history) -> dict:
     history=st.lists(_FINITE, max_size=4),
 )
 def test_params_file_write_read_write(
-    model, c1, mu, dt, variances, rates, rho, spikes, start, scheme, history
+    model, c1, mu, variances, rates, rho, spikes, start, scheme, history
 ):
     # any parameter set the constructors accept is written, read back at
     # the file's 12 significant digits, and written again to the same bytes
-    common = dict(c1=c1, mu=mu, dt=dt, start=start, scheme=scheme,
+    common = dict(c1=c1, mu=mu, start=start, scheme=scheme,
                   spikes=tuple(SpikeSpec(m, a, b) for m, (a, b) in spikes.items()))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FellerWarning)
