@@ -19,10 +19,12 @@ multi-word seeds; an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
 the median, a few hundred paths, and the size of the benchmark's
-simulations); a heston and a vasicek forecast (seed 7) from a copy of the
-fit file with a `dt = 0.0833333333333` line appended, as files written
-before monthly steps were fixed carry, which must give the bytes of the
-forecast from the fit file itself.
+simulations); a heston and a vasicek forecast (seed 7, 257 paths) at
+`--horizon` 1, 11 and 13, on either side of the 12 months of base rates
+a forecast keeps for the spike window; a heston and a vasicek forecast
+(seed 7) from a copy of the fit file with a `dt = 0.0833333333333` line
+appended, as files written before monthly steps were fixed carry, which
+must give the bytes of the forecast from the fit file itself.
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails or a legacy forecast differs.
@@ -105,6 +107,12 @@ def runs(w: str):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", paths,
                    "--out", f"{w}/{model}.paths{paths}.fc.csv"]
+    # horizons short of, inside and just past the 12 months of base rates
+    # that a forecast keeps for the spike window
+    for horizon in ("1", "11", "13"):
+        for model in ("heston", "vasicek"):
+            yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", "257",
+                   "--horizon", horizon, "--out", f"{w}/{model}.horizon{horizon}.fc.csv"]
     # written here, once the fits above have run: main runs each argv before
     # asking for the next
     for model in ("heston", "vasicek"):

@@ -47,8 +47,8 @@ def _powers_above(x) -> np.ndarray:
 
 def error_stats(forecast, observed) -> tuple[float, float, float]:
     """MAE, RMSE, and MAPE between two aligned rate vectors; each is finite
-    whenever its true value is within float range (MAPE unless a ratio
-    |f - o| / o overflows), and RMSE is non-zero whenever an error is."""
+    whenever its true value is within float range, and RMSE is non-zero
+    whenever an error is."""
     f = np.asarray(forecast, dtype=float)
     o = np.asarray(observed, dtype=float)
     if f.shape != o.shape or f.size == 0:
@@ -68,6 +68,13 @@ def error_stats(forecast, observed) -> tuple[float, float, float]:
     u = float(_powers_above(ratio).max())
     mae = s * (t * float(np.mean(np.abs(err / t))))
     rmse = s * (t * math.sqrt(np.mean((err / t) ** 2)))
+    if np.isinf(ratio).any():
+        # a ratio past the float range: each is a / b * 2**e (mantissas and exponents of
+        # |f/p - o/p|, o and p); their mean 2**top * mean(a / b * 2**(e - top)) is inf only if it is
+        (a, ea), (b, eb) = np.frexp(np.abs(f / p - o / p)), np.frexp(o)
+        e = ea - eb + np.frexp(p)[1] - 1
+        with np.errstate(over="ignore"):
+            return mae, rmse, float(np.ldexp(np.mean(a / b * np.ldexp(1.0, e - e.max())), e.max()))
     return mae, rmse, u * float(np.mean(ratio / u))
 
 
@@ -320,10 +327,11 @@ def _write_params(state, path) -> None:
     stochastic_engine.write_stochastic_params(params, path, history)
 
 
-def _simulated_quantiles(simulate, state, horizon, n_paths, seed, levels):
+def _simulated(model, state, horizon, n_paths, seed, levels):
+    # forecast_quantiles(simulate_*(...)), from each month's row as it is simulated
     params, history = state
-    result = simulate(params, horizon, n_paths, seed, history)
-    return stochastic_engine.forecast_quantiles(result, levels)
+    return stochastic_engine._simulate(params, *model(params), horizon, n_paths, seed, history,
+                                       levels)
 
 
 def _fit_arima(series, train, test_start, options, with_garch):
@@ -366,9 +374,7 @@ MODELS = {
         ),
         write=_write_params,
         read=lambda path: stochastic_engine.read_stochastic_params(path),
-        quantiles=lambda state, *args: _simulated_quantiles(
-            stochastic_engine.simulate_heston, state, *args
-        ),
+        quantiles=lambda state, *args: _simulated(stochastic_engine._heston, state, *args),
     ),
     "vasicek": _Model(
         seeded=True,
@@ -377,9 +383,7 @@ MODELS = {
         ),
         write=_write_params,
         read=lambda path: stochastic_engine.read_stochastic_params(path),
-        quantiles=lambda state, *args: _simulated_quantiles(
-            stochastic_engine.simulate_vasicek, state, *args
-        ),
+        quantiles=lambda state, *args: _simulated(stochastic_engine._vasicek, state, *args),
     ),
     "arima": _Model(
         seeded=False,

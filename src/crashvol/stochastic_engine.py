@@ -26,18 +26,18 @@ equals the first k values of any longer fill, so path p depends neither on
 `n_paths` nor on the other paths. One PCG64 is seeded per call, and each
 row resets it to that state and advances it by r jumps.
 
-Layout: the state is month-major. One small buffer holds the current
-month's draw rows; the base and reported arrays, and heston's variance
-array, hold one C-ordered row per month, and each Euler step folds its
-result straight into its month's row, so a vectorised step reads and writes
-contiguous rows. `SimulationResult` exposes them as read-only (paths, months)
-`.T` views; the baseline's constant variance is a read-only broadcast of one
-value and owns no storage. The spike baseline adds each path's window w of
-k <= 12 months elementwise over those rows into one scratch row, in the
-order numpy's pairwise sum takes a contiguous row of k values: left to right
-for k < 8, else ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7)) and then w8, w9, ... in
-turn. So the bytes depend on no numpy reduction kernel, and a path's sum on
-no other path.
+Layout: the state is month-major, one C-ordered row of paths per month, and
+each Euler step folds its result straight into a row. One small buffer holds
+the month's draw rows. The simulators keep every month's base and reported
+rows, and heston's variances, as read-only (paths, months) `.T` views; the
+baseline's constant variance is a broadcast of one value. A forecast keeps a
+ring of the latest 12 base rows, one variance row and one spike row, and
+takes each month's quantiles from its reported row as it is done. The spike
+baseline adds each path's window w of k <= 12 months, oldest first, into one
+scratch row in the order numpy's pairwise sum takes a contiguous row of k
+values: left to right for k < 8, else ((w0+w1)+(w2+w3))+((w4+w5)+(w6+w7))
+and then w8, w9, ... in turn. So the bytes depend on no numpy reduction
+kernel, and a path's sum on no other path.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ class SimulationResult:
 
     @property
     def months(self) -> list[tuple[int, int]]:
-        y, m = self.start
-        return [add_months(y, m, k) for k in range(self.horizon)]
+        return [add_months(*self.start, k) for k in range(self.horizon)]
 
 
 def _level_name(level: float) -> str:
@@ -280,28 +279,29 @@ def _step_vasicek(c_prev, params: VasicekParams, t: int, z_c, out=None):
     return _fold(raw, params.scheme, out)
 
 
-def _allocate(n_paths: int, rows: int, horizon: int, n_arrays: int) -> list[np.ndarray]:
-    """The (rows, paths) month buffer of draws and the `n_arrays` (months, paths)
-    result arrays a model keeps, allocated together before anything is drawn;
+def _allocate(n_paths: int, draws: int, months: list[int]) -> list[np.ndarray]:
+    """The (draws, paths) month buffer of draws and one (m, paths) array of
+    month rows per m in `months`, allocated together before anything is drawn;
     a size that cannot be allocated is one ValidationError naming the total bytes."""
-    shapes = [(rows, n_paths), *[(horizon, n_paths)] * n_arrays]
+    shapes = [(draws, n_paths), *[(m, n_paths) for m in months]]
     try:
         return [np.empty(shape) for shape in shapes]
     except (MemoryError, ValueError):
         gib = sum(math.prod(shape) for shape in shapes) * 8 / 2**30
-        raise ValidationError(f"{n_paths} paths: a buffer of {rows} draws and {n_arrays} arrays "
-                              f"of {horizon} months ({gib:.3g} GiB) cannot be allocated") from None
+        rows = months[0] if len(set(months)) == 1 else ", ".join(map(str, months))
+        raise ValidationError(f"{n_paths} paths: a buffer of {draws} draws and {len(months)} arrays"
+                              f" of {rows} months ({gib:.3g} GiB) cannot be allocated") from None
 
 
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # `PCG64.jumped`'s step, (phi - 1) * 2**128
 
 
 def _trailing_average(base, t, tail_arr):
-    """Mean over the latest k <= 12 simulated base rates (month t included),
-    backfilled from the observed tail up to 12 values in all; the window is
-    added into one scratch row in the order the module docstring gives."""
+    """Mean over the latest k <= 12 simulated base rates (month t included, month
+    i in row i % len(base)), backfilled from the observed tail up to 12 values
+    in all; the window is added in the order the module docstring gives."""
     k = min(t + 1, 12)
-    w = base[t + 1 - k : t + 1]
+    w = [base[i % len(base)] for i in range(t + 1 - k, t + 1)]
     total = w[0].copy()
     if k >= 8:
         total += w[1]
@@ -315,16 +315,57 @@ def _trailing_average(base, t, tail_arr):
     return total
 
 
-def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, history_tail):
-    """Shared Monte Carlo loop; `step(c, v, t, z, *out)` advances one month.
+class _RowQuantiles:
+    """Per-month quantiles (numpy's `linear` method) and median, one row of n
+    paths at a time: `take` sorts a row and keeps only the order statistics
+    read, so no row's quantiles read another row, and `result` reads them as
+    `np.quantile` and `np.median` do. Level q interpolates between the sorted
+    values at floor((n - 1) q) and the next (both the last when (n - 1) q >=
+    n - 1); the median is the mean of the middle one or two; a row with NaN
+    sorts it last and gives NaN. numpy partitions instead, which may reorder
+    tied zeros of opposite sign; no rate is -0.0, as each is folded to >= +0.
+    """
+
+    def __init__(self, levels, n: int):
+        self.levels = _check_levels(levels)
+        virt = (n - 1) * np.array(self.levels, dtype=float)
+        prev = np.floor(virt)
+        nxt = prev + 1
+        prev[virt >= n - 1] = nxt[virt >= n - 1] = -1
+        self.gamma = (virt - prev)[:, None]
+        # columns kept from each sorted row: prev, nxt, the middle one or two, the last
+        cols = [prev, nxt, np.arange((n - 1) // 2, n // 2 + 1), [-1]]
+        self.cols = np.concatenate(cols).astype(np.intp)
+        self.kept = []
+
+    def take(self, row) -> None:
+        self.kept.append(np.sort(row)[self.cols])
+
+    def result(self, months) -> ForecastQuantiles:
+        kept, n_lv = np.array(self.kept).reshape(-1, self.cols.size), len(self.levels)
+        a, b = kept[:, :n_lv].T, kept[:, n_lv : 2 * n_lv].T
+        d = b - a
+        bands = a + d * self.gamma
+        np.subtract(b, d * (1 - self.gamma), out=bands, where=self.gamma >= 0.5)
+        med = np.mean(kept[:, 2 * n_lv : -1], axis=1)
+        last = kept[:, -1]
+        np.copyto(bands, last, where=np.isnan(last))
+        np.copyto(med, last, where=np.isnan(last))
+        return ForecastQuantiles(months=tuple(months), median=med, levels=self.levels, bands=bands)
+
+
+def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, history_tail,
+              levels=None):
+    """The Monte Carlo loop; `step(c, v, t, z, *out)` advances one month.
 
     `c` and `v` are the previous month's base-rate and variance rows (c1 and
     v0 in month 0, which broadcast), and `z` holds the month's `draws` normal
     rows, one value per path. The step folds the new base rates into out[0]
     and, if `var_evolves`, the new variances into out[1]; otherwise the
-    variance stays v0 and is reported as a read-only broadcast that owns no
-    storage. In a spike month one more draw follows the step's draws; all are
-    drawn just before the step.
+    variance stays v0. In a spike month one more draw follows the step's
+    draws; all are drawn just before the step. Returns the SimulationResult,
+    or with `levels` its `forecast_quantiles`, byte for byte, from the rows
+    of a forecast's ring (a month without a spike hands over its base row).
     """
     horizon = _integer(horizon, "horizon")
     n_paths = _integer(n_paths, "n_paths")
@@ -335,51 +376,46 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     tail_arr = np.asarray(history_tail, dtype=float)
     _check(np.isfinite(tail_arr).all(), "finite history_tail")
     spike_at = {s.month: s for s in params.spikes}
-    cal_months = [add_months(*params.start, k)[1] for k in range(horizon)]
-    z, base, rep, *var = _allocate(n_paths, draws + bool(spike_at), horizon, 2 + var_evolves)
+    months = [add_months(*params.start, k) for k in range(horizon)]
+    quantiles = None if levels is None else _RowQuantiles(levels, n_paths)
+    rows = [horizon] * 3 if quantiles is None else [min(horizon, 12), 1, 1]
+    z, base, rep, *var = _allocate(n_paths, draws + bool(spike_at), rows[: 2 + var_evolves])
     bitgen = np.random.PCG64(seed)
     seeded = bitgen.state
     normal = np.random.Generator(bitgen).standard_normal
     row = 0  # draw row r is PCG64(seed).jumped(r)
 
     c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
-    for t, month in enumerate(cal_months):
+    for t, (_, month) in enumerate(months):
         spec = spike_at.get(month)
         for out in z[: draws + (spec is not None)]:
             bitgen.state = seeded
             bitgen.advance(row * _JUMP)
             normal(out=out)
             row += 1
-        step(c, v, t, z[:draws], base[t], *[a[t] for a in var])
-        c, v = base[t], (var[0][t] if var else v0)
+        new = [a[t % len(a)] for a in (base, *var)]
+        step(c, v, t, z[:draws], *new)
+        c, v = new[0], (new[1] if var else v0)
+        reported = c if spec is None else rep[t % len(rep)]
         if spec is not None:
             avg = _trailing_average(base, t, tail_arr)
-            _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme, rep[t])
-        else:
+            _fold(c + avg * (spec.mean_a + spec.std_b * z[draws]), params.scheme, reported)
+        elif quantiles is None:
             rep[t] = c
+        if quantiles is not None:
+            quantiles.take(reported)
+    if quantiles is not None:
+        return quantiles.result(months)
     if not var:
         var = [np.array(v0)]  # one value, broadcast below
     for arr in (rep, base, *var):
         arr.flags.writeable = False  # before any view is taken, so none can be made writeable
-    return SimulationResult(
-        rate_paths=rep.T,
-        var_paths=np.broadcast_to(var[0].T, (n_paths, horizon)),
-        base_paths=base.T,
-        start=params.start,
-    )
+    var_paths = np.broadcast_to(var[0].T, (n_paths, horizon))
+    return SimulationResult(rep.T, var_paths, base.T, params.start)
 
 
-def simulate_heston(
-    params: HestonParams,
-    horizon: int,
-    n_paths: int,
-    seed: int,
-    history_tail=(),
-) -> SimulationResult:
-    """Simulate correlated rate/variance paths with calendar spikes.
-
-    Deterministic for a given (params, horizon, n_paths, seed).
-    """
+def _heston(params: HestonParams):
+    """`_simulate`'s model arguments: v0, an evolving variance, 2 draws, the step."""
     _check(params.kappa < 24.0, f"kappa < 24 per year (monthly steps), not {params.kappa:g}")
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
@@ -390,69 +426,47 @@ def simulate_heston(
         step_rate(c, params, v, z[0], out=c_out)
         step_variance(v, params, z_v, out=v_out)
 
-    return _simulate(params, params.v0, True, 2, step, horizon, n_paths, seed, history_tail)
+    return params.v0, True, 2, step
 
 
-def simulate_vasicek(
-    params: VasicekParams,
-    horizon: int,
-    n_paths: int,
-    seed: int,
-    history_tail=(),
-) -> SimulationResult:
+def _vasicek(params: VasicekParams):
+    """`_simulate`'s model arguments: a constant sigma_v^2, 1 draw, the step."""
+    _check(params.kappa_v < 24.0, f"kappa_v < 24 per year (monthly steps), not {params.kappa_v:g}")
+
+    def step(c, v, t, z, c_out):
+        _step_vasicek(c, params, t, z[0], out=c_out)
+
+    return params.sigma_v**2, False, 1, step
+
+
+def simulate_heston(params: HestonParams, horizon: int, n_paths: int, seed: int,
+                    history_tail=()) -> SimulationResult:
+    """Simulate correlated rate/variance paths with calendar spikes.
+
+    Deterministic for a given (params, horizon, n_paths, seed).
+    """
+    return _simulate(params, *_heston(params), horizon, n_paths, seed, history_tail)
+
+
+def simulate_vasicek(params: VasicekParams, horizon: int, n_paths: int, seed: int,
+                     history_tail=()) -> SimulationResult:
     """Simulate the mean-reverting baseline with the same spike machinery.
 
     Draw order per path per month is z_c then the spike draw; var_paths
     reports the constant instantaneous variance sigma_v^2 as a read-only
     broadcast of that one value (stride 0), not as an array of its own.
     """
-    _check(params.kappa_v < 24.0, f"kappa_v < 24 per year (monthly steps), not {params.kappa_v:g}")
-
-    def step(c, v, t, z, c_out):
-        _step_vasicek(c, params, t, z[0], out=c_out)
-
-    return _simulate(
-        params, params.sigma_v**2, False, 1, step, horizon, n_paths, seed, history_tail
-    )
+    return _simulate(params, *_vasicek(params), horizon, n_paths, seed, history_tail)
 
 
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
-    """Per-month empirical quantiles (numpy's `linear` method) plus the median.
-
-    Each month's row of paths is sorted once, in blocks of about 1 MiB of
-    month rows (one sort for a result of up to 2**17 values), and from each
-    block only the order statistics read below are kept. They are read with the
-    arithmetic of `np.quantile` and `np.median`: level q interpolates between
-    the sorted values at floor((n - 1) q) and the next one (both the last when
-    (n - 1) q >= n - 1), and the median is the mean of the middle one or two
-    values. A row that holds NaN sorts it last and gives NaN, as there. Those
-    functions partition instead, which may reorder tied zeros of opposite
-    sign; rate paths hold no -0.0, since every rate is folded to >= +0, so the
-    bytes are numpy's.
-    """
-    lv = _check_levels(levels)
+    """Per-month empirical quantiles (numpy's `linear` method) plus the median,
+    with numpy's bytes, from each month's row as `_RowQuantiles` takes it."""
     by_month = result.rate_paths.T
-    months, n = by_month.shape
-    virt = (n - 1) * np.array(lv, dtype=float)
-    prev = np.floor(virt)
-    nxt = prev + 1
-    prev[virt >= n - 1] = nxt[virt >= n - 1] = -1
-    gamma = (virt - prev)[:, None]
-    # columns kept from each sorted row: prev, nxt, the middle one or two, the last
-    cols = np.concatenate([prev, nxt, np.arange((n - 1) // 2, n // 2 + 1), [-1]]).astype(np.intp)
-    kept = np.empty((months, cols.size))
-    block = max(1, 2**17 // n)
-    for i in range(0, months, block):
-        kept[i : i + block] = np.sort(by_month[i : i + block], axis=1)[:, cols]
-    a, b = kept[:, : len(lv)].T, kept[:, len(lv) : 2 * len(lv)].T
-    d = b - a
-    bands = a + d * gamma
-    np.subtract(b, d * (1 - gamma), out=bands, where=gamma >= 0.5)
-    med = np.mean(kept[:, 2 * len(lv) : -1], axis=1)
-    last = kept[:, -1]
-    np.copyto(bands, last, where=np.isnan(last))
-    np.copyto(med, last, where=np.isnan(last))
-    return ForecastQuantiles(months=tuple(result.months), median=med, levels=lv, bands=bands)
+    quantiles = _RowQuantiles(levels, by_month.shape[1])
+    for row in by_month:
+        quantiles.take(row)
+    return quantiles.result(result.months)
 
 
 # ---------------------------------------------------------------------------
@@ -462,27 +476,16 @@ def write_stochastic_params(params, path, history_tail=()) -> None:
     """Write a heston or vasicek parameter file (flat key = value text)."""
     if isinstance(params, HestonParams):
         model = "heston"
-        fields = [
-            ("v0_vol", math.sqrt(params.v0)),
-            ("theta_vol", math.sqrt(params.theta)),
-            ("kappa", params.kappa),
-            ("xi", params.xi),
-            ("rho", params.rho),
-        ]
+        fields = [("v0_vol", math.sqrt(params.v0)), ("theta_vol", math.sqrt(params.theta)),
+                  ("kappa", params.kappa), ("xi", params.xi), ("rho", params.rho)]
     elif isinstance(params, VasicekParams):
         model = "vasicek"
         fields = [("kappa_v", params.kappa_v), ("sigma_v", params.sigma_v)]
     else:
         raise ValidationError(f"unsupported parameter type {type(params).__name__}")
-    pairs = [
-        ("model", model),
-        ("c1", params.c1),
-        ("mu", params.mu),
-        *fields,
-        ("scheme", params.scheme),
-        ("start_year", params.start[0]),
-        ("start_month", params.start[1]),
-    ]
+    pairs = [("model", model), ("c1", params.c1), ("mu", params.mu), *fields,
+             ("scheme", params.scheme), ("start_year", params.start[0]),
+             ("start_month", params.start[1])]
     for s in sorted(params.spikes, key=lambda s: s.month):
         pairs += [(f"spike.{s.month}.mean", s.mean_a), (f"spike.{s.month}.std", s.std_b)]
     pairs += [(f"history.{i}", float(r)) for i, r in enumerate(history_tail, start=1)]
@@ -494,12 +497,8 @@ def _pop_spikes(kv: dict, path) -> tuple[SpikeSpec, ...]:
         months = sorted({int(k.split(".")[1]) for k in kv if k.startswith("spike.")})
     except (IndexError, ValueError):
         raise ValidationError(f"{path}: malformed spike key") from None
-    specs = []
-    for m in months:
-        mean = _pop_float(kv, f"spike.{m}.mean", path)
-        std = _pop_float(kv, f"spike.{m}.std", path)
-        specs.append(SpikeSpec(month=m, mean_a=mean, std_b=std))
-    return tuple(specs)
+    return tuple(SpikeSpec(m, _pop_float(kv, f"spike.{m}.mean", path),
+                           _pop_float(kv, f"spike.{m}.std", path)) for m in months)
 
 
 def read_stochastic_params(path):
@@ -527,11 +526,8 @@ def read_stochastic_params(path):
             **common,
         )
     elif model == "vasicek":
-        params = VasicekParams(
-            kappa_v=_pop_float(kv, "kappa_v", path),
-            sigma_v=_pop_float(kv, "sigma_v", path),
-            **common,
-        )
+        params = VasicekParams(kappa_v=_pop_float(kv, "kappa_v", path),
+                               sigma_v=_pop_float(kv, "sigma_v", path), **common)
     else:
         raise ValidationError(f"{path}: unknown model {model}")
     if kv:

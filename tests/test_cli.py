@@ -615,6 +615,11 @@ def test_help_still_exits_zero(capsys, argv):
     assert captured.out.startswith("usage: crashvol") and captured.err == ""
 
 
+def _no_draws(*args):
+    # the simulator's one generator: seeding it would be the first draw
+    raise AssertionError("drew before the allocation check")
+
+
 def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
     # the buffers' allocation is faked to fail: no test asks the OS for 273 GiB
     params = workdir / "h.params"
@@ -629,13 +634,15 @@ def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
         return real_empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(np.random, "PCG64", _no_draws)
     out = workdir / "f.csv"
     rc = main(["forecast", "--params", str(params), "--paths", "200000000", "--seed", "1",
                "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
     assert err.startswith("crashvol: E_VALIDATION: 200000000 paths: a buffer of ")
-    assert " draws and 3 arrays of 60 months (" in err
+    # the forecast keeps a ring of 12 base rates, one variance and one spike row
+    assert " draws and 3 arrays of 12, 1, 1 months (" in err
     assert err.endswith(" GiB) cannot be allocated\n")
     assert not out.exists()
 
@@ -695,28 +702,29 @@ def _fit_heston(workdir, capsys):
 
 
 def test_unallocatable_result_arrays_end_as_one_line(workdir, capsys, monkeypatch):
-    # the month buffer is allocated, then the first (months, paths) result
-    # array's allocation is faked to fail; nothing large is allocated
+    # the month buffer is allocated, then the allocation of the forecast's
+    # ring of 12 months of base rates is faked to fail; nothing large is allocated
     params = _fit_heston(workdir, capsys)
     real_empty = np.empty
     shapes = []
 
     def empty(shape, *args, **kwargs):
         shapes.append(tuple(np.atleast_1d(shape)))
-        if shapes[-1] == (13, 5):
+        if shapes[-1] == (12, 5):
             raise MemoryError("fake: out of memory")
         return real_empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(np.random, "PCG64", _no_draws)
     out = workdir / "f.csv"
     rc = main(["forecast", "--params", str(params), "--horizon", "13", "--paths", "5",
                "--seed", "1", "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
     assert err.startswith("crashvol: E_VALIDATION: 5 paths: a buffer of ")
-    assert " draws and 3 arrays of 13 months (" in err
+    assert " draws and 3 arrays of 12, 1, 1 months (" in err
     assert err.endswith(" GiB) cannot be allocated\n")
-    assert shapes[0][1] == 5 and shapes[-1] == (13, 5) and not out.exists()
+    assert shapes[0][1] == 5 and shapes[-1] == (12, 5) and not out.exists()
 
 
 def test_any_memory_error_ends_as_one_line(workdir, capsys, monkeypatch):

@@ -1,5 +1,8 @@
+import dataclasses
+import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +31,12 @@ from crashvol.evaluation import (
     write_error_report,
     yearly_error_report,
 )
-from crashvol.stochastic_engine import ForecastQuantiles, forecast_quantiles, simulate_heston
+from crashvol.stochastic_engine import (
+    ForecastQuantiles,
+    forecast_quantiles,
+    simulate_heston,
+    simulate_vasicek,
+)
 
 
 def test_error_stats_hand_values():
@@ -63,6 +71,22 @@ def test_error_stats_hand_values():
     assert error_stats([1.0, 1.0], [5e-324, 1.0])[2] == math.inf
     # finite ratios whose sum overflows still give a finite MAPE
     assert error_stats([1.5e308, 1.5e308], [1.0, 1.0]) == pytest.approx((1.5e308,) * 3)
+
+
+def test_error_stats_mape_past_one_ratio_overflow():
+    # a ratio |f - o| / o beyond the float range with a mean inside it is a
+    # finite MAPE, to within rounding of the exact mean; a mean beyond it is inf
+    from fractions import Fraction
+
+    cases = [([2.0, 1.0], [1e-308, 1.0]), ([2.0, 3.0, 1e-300], [2**-1024, 1e-300, 1e-300]),
+             ([-3.0, 1.0, 1.0, 1.0], [1e-308, 1.0, 2.0, 3.0]),
+             ([1e300] + [2.0] * 9, [1e-9] + [1.0] * 9)]
+    for f, o in cases:
+        exact = sum(abs(Fraction(a) - Fraction(b)) / Fraction(b) for a, b in zip(f, o)) / len(f)
+        mape = error_stats(f, o)[2]
+        assert math.isfinite(mape) and abs(Fraction(mape) - exact) <= exact * 2**-50, (f, o)
+    assert error_stats([2.0, 1.0], [5e-309, 1.0])[2] == math.inf
+    assert error_stats([math.inf, 1.0], [1e-308, 1.0])[2] == math.inf
 
 
 def test_error_stats_guards():
@@ -344,6 +368,51 @@ def test_backtest_matches_manual_composition(full_series, holdout_series):
         "heston",
     )
     assert rep.overall == pytest.approx(rep2.overall, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["reflect", "truncate"])
+@pytest.mark.parametrize("model", ["heston", "vasicek"])
+def test_streamed_forecast_has_the_bytes_of_the_collected_paths(model, scheme, full_series):
+    # the program's forecast takes each month's quantiles from its row as it
+    # is simulated and keeps a ring of at most 12 base-rate rows; it gives the
+    # bytes of forecast_quantiles over the library's full arrays, at horizons
+    # on either side of the ring's length, with a spike in the first month
+    # (January) that reads none, 3 or all 12 values of the history tail
+    fit, simulate = {"heston": (fit_heston_from_stats, simulate_heston),
+                     "vasicek": (fit_vasicek_from_stats, simulate_vasicek)}[model]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params, history = fit(full_series, (2010, 1), (2014, 12), (2015, 1))
+        params = dataclasses.replace(params, scheme=scheme)
+    assert params.start == (2015, 1) and 1 in {s.month for s in params.spikes}
+    assert len(history) == 12
+    for seed, n_paths, horizon in itertools.product(
+        (1, 7, 2**64 + 3), (1, 2, 7, 500, 4999), (1, 11, 12, 13, 60)
+    ):
+        for tail in ((), history[-3:], history):
+            got = MODELS[model].quantiles((params, tail), horizon, n_paths, seed, DEFAULT_LEVELS)
+            want = forecast_quantiles(simulate(params, horizon, n_paths, seed, tail),
+                                      DEFAULT_LEVELS)
+            case = (seed, n_paths, horizon, len(tail))
+            assert got.months == want.months and got.levels == want.levels, case
+            assert got.median.tobytes() == want.median.tobytes(), case
+            assert got.bands.tobytes() == want.bands.tobytes(), case
+
+
+@pytest.mark.parametrize("n_paths", [5000, 20000])
+@pytest.mark.parametrize("model", ["heston", "vasicek"])
+def test_streamed_backtest_keeps_no_month_array(model, n_paths, full_series):
+    # a warm backtest's traced peak stays below half of one (60, paths) array:
+    # the forecast keeps 12 months of base rates, not every month's paths
+    train, test = ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12))
+    backtest(full_series, train, test, model, {"n_paths": n_paths}, seed=1)
+    tracemalloc.start()
+    try:
+        backtest(full_series, train, test, model, {"n_paths": n_paths}, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 60 * n_paths * 8, peak
 
 
 def test_backtest_vasicek_variance_plane(full_series):

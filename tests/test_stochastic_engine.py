@@ -759,19 +759,18 @@ def test_forecast_quantiles_read_from_sorted_rows():
 def _quantile_rows(rng, months, n):
     rows = np.where(rng.random((months, n)) < 0.3,  # ties, zeros among them
                     rng.integers(0, 4, (months, n)) * 0.0025, rng.uniform(0.001, 0.01, (months, n)))
-    rows[-1, n // 2] = np.nan  # in the last block
+    rows[-1, n // 2] = np.nan  # in the last row
     rows[months // 2, 0] = np.inf
     return rows
 
 
 @pytest.mark.parametrize("months, n, sorts", [
-    (60, 4999, 3),  # blocks of 26 months: 26, 26 and 8
-    (3, 2**17 + 1, 3),  # one month per block
-    (60, 1, 1), (60, 2, 1), (60, 500, 1),  # small path counts take one sort call
+    (60, 4999, 60), (3, 2**17 + 1, 3), (60, 1, 60), (60, 2, 60), (60, 500, 60),
 ])
 def test_forecast_quantiles_sort_month_blocks(months, n, sorts, monkeypatch):
-    # the rows are sorted in blocks of about 1 MiB; the quantiles and median
-    # are numpy's bytes on every block, a NaN row and an inf row included
+    # each month row is sorted on its own, one sort per row whatever its
+    # length; the quantiles and median are numpy's bytes on every row, a NaN
+    # row and an inf row included
     rows = _quantile_rows(np.random.default_rng(n), months, n)
     res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T,
                            start=(2015, 1))
@@ -790,7 +789,7 @@ def test_forecast_quantiles_sort_month_blocks(months, n, sorts, monkeypatch):
         calls.clear()
         with np.errstate(invalid="ignore"):
             q = forecast_quantiles(res, levels)
-        assert len(calls) == sorts and sum(shape[0] for shape in calls) == months
+        assert calls == [(n,)] * sorts
         assert q.bands.tobytes() == want_bands.tobytes(), levels
         assert q.median.tobytes() == want_median.tobytes(), levels
     assert np.isnan(q.median[-1]) and np.isnan(q.bands[:, -1]).all()
@@ -798,7 +797,7 @@ def test_forecast_quantiles_sort_month_blocks(months, n, sorts, monkeypatch):
 
 def test_forecast_quantiles_memory_is_bounded():
     # at 60 x 20000 the paths take 9.6 MB; the quantiles' traced peak is one
-    # block of sorted month rows, not a sorted copy of every path
+    # sorted month row, not a sorted copy of every path
     vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
     res = simulate_vasicek(vp, 60, 20000, seed=3)
     tracemalloc.start()
