@@ -17,12 +17,13 @@ at seed 2**32 and at seed 10**30, which `PCG64(seed)` seeds from two and
 from four 32-bit words of SeedSequence entropy, so they pin the seeding of
 multi-word seeds; an arima and an arima-garch fit and backtest at each
 of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
-forecast at `--paths` 1, 4999, 257 and 20000 (one path, the odd branch of
-the median, a few hundred paths, and the size of the benchmark's
-simulations); a heston and a vasicek forecast (seed 7, 257 paths) at
-`--horizon` 1, 11 and 13, on either side of the 12 months of base rates
-a forecast keeps for the spike window; a heston and a vasicek forecast
-(seed 7) from a copy of the fit file with a `dt = 0.0833333333333` line
+forecast at `--paths` 1, 4999, 257, 20000, 3999 and 4000 (one path, the odd
+branch of the median, a few hundred paths, the size of the benchmark's
+simulations, and either side of the path count from which a worker thread
+draws the next month's normals); a heston and a vasicek forecast (seed 7,
+257 paths) at `--horizon` 1, 11 and 13, on either side of the 12 months of
+base rates a forecast keeps for the spike window; a heston and a vasicek
+forecast (seed 7) from a copy of the fit file with a `dt = 0.0833333333333` line
 appended, as files written before monthly steps were fixed carry, which
 must give the bytes of the forecast from the fit file itself.
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
@@ -103,7 +104,7 @@ def runs(w: str):
             yield ["fit", "--input", TRAIN_CSV, *TRAIN, "--model", model, "--orders", orders,
                    "--out", f"{w}/{name}.params"]
             yield [*backtest, "--model", model, "--orders", orders, "--out", f"{w}/bt.{name}.csv"]
-    for paths in ("1", "4999", "257", "20000"):
+    for paths in ("1", "4999", "257", "20000", "3999", "4000"):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", paths,
                    "--out", f"{w}/{model}.paths{paths}.fc.csv"]

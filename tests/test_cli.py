@@ -640,7 +640,7 @@ def test_oversized_path_count_ends_as_one_line(workdir, capsys, monkeypatch):
                "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
-    assert err.startswith("crashvol: E_VALIDATION: 200000000 paths: a buffer of ")
+    assert err.startswith("crashvol: E_VALIDATION: 200000000 paths: two slots of ")
     # the forecast keeps a ring of 12 base rates, one variance and one spike row
     assert " draws and 3 arrays of 12, 1, 1 months (" in err
     assert err.endswith(" GiB) cannot be allocated\n")
@@ -702,7 +702,7 @@ def _fit_heston(workdir, capsys):
 
 
 def test_unallocatable_result_arrays_end_as_one_line(workdir, capsys, monkeypatch):
-    # the month buffer is allocated, then the allocation of the forecast's
+    # the two draw slots are allocated, then the allocation of the forecast's
     # ring of 12 months of base rates is faked to fail; nothing large is allocated
     params = _fit_heston(workdir, capsys)
     real_empty = np.empty
@@ -721,10 +721,27 @@ def test_unallocatable_result_arrays_end_as_one_line(workdir, capsys, monkeypatc
                "--seed", "1", "--out", str(out)])
     err = capsys.readouterr().err
     assert (rc, err.count("\n")) == (1, 1), err
-    assert err.startswith("crashvol: E_VALIDATION: 5 paths: a buffer of ")
+    assert err.startswith("crashvol: E_VALIDATION: 5 paths: two slots of ")
     assert " draws and 3 arrays of 12, 1, 1 months (" in err
     assert err.endswith(" GiB) cannot be allocated\n")
-    assert shapes[0][1] == 5 and shapes[-1] == (12, 5) and not out.exists()
+    assert shapes[0] == (2, 3, 5) and shapes[-1] == (12, 5) and not out.exists()
+
+
+@pytest.mark.parametrize("paths", [2**63 - 1, 2**70])
+def test_path_count_past_the_index_range_ends_as_one_line(workdir, capsys, monkeypatch, paths):
+    # numpy refuses these shapes before asking the OS for memory; the forecast
+    # builds nothing sized by the path count before that check (2**70 paths
+    # ended in an OverflowError traceback from the quantile columns)
+    params = _fit_heston(workdir, capsys)
+    monkeypatch.setattr(np.random, "PCG64", _no_draws)
+    out = workdir / "f.csv"
+    rc = main(["forecast", "--params", str(params), "--paths", str(paths), "--seed", "1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (1, 1), err
+    assert err.startswith(f"crashvol: E_VALIDATION: {paths} paths: two slots of 3 draws and "
+                          "3 arrays of 12, 1, 1 months (")
+    assert err.endswith(" GiB) cannot be allocated\n") and not out.exists()
 
 
 def test_any_memory_error_ends_as_one_line(workdir, capsys, monkeypatch):

@@ -1,17 +1,22 @@
+import dataclasses
 import itertools
 import math
+import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crashvol import stochastic_engine
 from crashvol.data_ingest import ValidationError, add_months
+from crashvol.evaluation import DEFAULT_LEVELS, _simulated
 from crashvol.stochastic_engine import (
     FellerWarning,
     ForecastQuantiles,
@@ -194,16 +199,18 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
 
     monkeypatch.setattr(np, "empty", empty)
     _forbid_drawing(monkeypatch)
-    # 2 + 1 month draw rows (a spike is configured) and 3 x 7 result rows of 200e6 paths
+    # two slots of 2 + 1 month draw rows (a spike is configured) and 3 x 7
+    # result rows of 200e6 paths
     p = _heston(spikes=(SpikeSpec(3, 0.1, 0.1),))
-    with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 3 draws and 3 arrays "
-                                              r"of 7 months \(35.8 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 3 draws and 3 arrays "
+                                              r"of 7 months \(40.2 GiB\) cannot be allocated$"):
         simulate_heston(p, 7, 200_000_000, seed=3)
-    # vasicek keeps no variance array: 1 + 1 draw rows and 2 x 7 result rows
+    # vasicek keeps no variance array: two slots of 1 + 1 draw rows and 2 x 7
+    # result rows
     vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0,
                        spikes=(SpikeSpec(3, 0.1, 0.1),))
-    with pytest.raises(ValidationError, match=r"^200000000 paths: a buffer of 2 draws and 2 arrays "
-                                              r"of 7 months \(23.8 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 2 draws and 2 arrays "
+                                              r"of 7 months \(26.8 GiB\) cannot be allocated$"):
         simulate_vasicek(vp, 7, 200_000_000, seed=3)
 
 
@@ -399,7 +406,7 @@ def test_vasicek_variance_owns_no_storage():
 
 
 def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
-    # the result arrays' allocation is faked to fail after the month buffer's
+    # the result arrays' allocation is faked to fail after the two draw slots'
     # succeeded; it must fail before any path is drawn, as one ValidationError
     real_empty = np.empty
     shapes = []
@@ -412,17 +419,17 @@ def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
 
     monkeypatch.setattr(np, "empty", empty)
     _forbid_drawing(monkeypatch)
-    with pytest.raises(ValidationError, match=r"^5 paths: a buffer of 2 draws and 3 arrays of "
+    with pytest.raises(ValidationError, match=r"^5 paths: two slots of 2 draws and 3 arrays of "
                                               r"13 months \([0-9.e-]+ GiB\) cannot be allocated$"):
         simulate_heston(_heston(), 13, 5, seed=1)
-    assert shapes == [(2, 5), (13, 5)]  # month buffer, first result
-    # vasicek's total leaves out the variance: (1 + 2 x 13) x 5 values of 8 bytes
+    assert shapes == [(2, 2, 5), (13, 5)]  # draw slots, first result
+    # vasicek's total leaves out the variance: (2 x 1 + 2 x 13) x 5 values of 8 bytes
     shapes.clear()
     vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
-    with pytest.raises(ValidationError, match=r"^5 paths: a buffer of 1 draws and 2 arrays of "
-                                              r"13 months \(1.01e-06 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^5 paths: two slots of 1 draws and 2 arrays of "
+                                              r"13 months \(1.04e-06 GiB\) cannot be allocated$"):
         simulate_vasicek(vp, 13, 5, seed=1)
-    assert shapes == [(1, 5), (13, 5)]
+    assert shapes == [(2, 1, 5), (13, 5)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -893,11 +900,15 @@ def _values(params, history) -> dict:
     scheme=st.sampled_from(["reflect", "truncate"]),
     history=st.lists(_FINITE, max_size=4),
 )
+# a vasicek mu whose 12-digit text, -1, the reader refuses
+@example(model="vasicek", c1=0.01, mu=-0.9999999999999999, variances=(0.0, 0.0),
+         rates=(1.0, 0.1), rho=0.0, spikes={}, start=(2015, 1), scheme="reflect", history=[])
 def test_params_file_write_read_write(
     model, c1, mu, variances, rates, rho, spikes, start, scheme, history
 ):
     # any parameter set the constructors accept is written, read back at
-    # the file's 12 significant digits, and written again to the same bytes
+    # the file's 12 significant digits (a vasicek mu that would read as -1
+    # there is written in full), and written again to the same bytes
     common = dict(c1=c1, mu=mu, start=start, scheme=scheme,
                   spikes=tuple(SpikeSpec(m, a, b) for m, (a, b) in spikes.items()))
     with warnings.catch_warnings():
@@ -917,6 +928,8 @@ def test_params_file_write_read_write(
             write_stochastic_params(back, second, history_tail=hist)
             assert second.read_bytes() == first.read_bytes()
     want = {key: float(f"{v:.12g}") for key, v in _values(p, history).items()}
+    if model == "vasicek" and want["mu"] <= -1.0:
+        want["mu"] = p.mu
     if model == "heston":
         # the file holds volatilities, which the reader squares into variances
         want.update({key: float(f"{math.sqrt(v):.12g}") ** 2
@@ -995,3 +1008,192 @@ def test_paths_never_negative_under_adversarial_parameters(
     assert np.all(res.rate_paths >= 0.0)
     assert np.all(res.var_paths >= 0.0)
     assert np.all(np.isfinite(res.rate_paths))
+
+
+# ---------------------------------------------------------------------------
+# month draws on a worker thread
+
+_AHEAD = stochastic_engine._AHEAD_PATHS
+
+
+def _drawing(monkeypatch, threaded: bool):
+    # the worker draws from the threshold on more than one CPU; either switch
+    # alone sends a call inline
+    monkeypatch.setattr(stochastic_engine, "_AHEAD_PATHS", 1 if threaded else 2**62)
+    monkeypatch.setattr(stochastic_engine, "_cpus", lambda: 2 if threaded else 1)
+
+
+def _thread_starts(monkeypatch) -> list:
+    starts, real = [], threading.Thread.start
+
+    def start(self):
+        starts.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
+
+
+_SPIKED = dict(spikes=(SpikeSpec(1, 0.3, 0.2), SpikeSpec(7, -0.1, 0.1)), start=(2015, 1))
+_MODELS = {
+    "heston": (_heston(**_SPIKED), simulate_heston, stochastic_engine._heston),
+    "vasicek": (VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0, **_SPIKED),
+                simulate_vasicek, stochastic_engine._vasicek),
+}
+
+
+@pytest.mark.parametrize("scheme", ["reflect", "truncate"])
+@pytest.mark.parametrize("model", ["heston", "vasicek"])
+def test_worker_and_inline_draws_give_the_same_bytes(model, scheme, monkeypatch):
+    # the library simulators and the program's streamed forecasts, with a
+    # spike in month 0 (January) that reads the 12-month history tail, on
+    # either side of the threshold and of the forecast's 12-row ring
+    params, simulate, parts = _MODELS[model]
+    params = dataclasses.replace(params, scheme=scheme)
+    tail = np.linspace(0.004, 0.006, 12)
+
+    def outputs(threaded, seed, n_paths, horizon):
+        with monkeypatch.context() as m:
+            _drawing(m, threaded)
+            res = simulate(params, horizon, n_paths, seed, tail)
+            q = _simulated(parts, (params, tail), horizon, n_paths, seed, DEFAULT_LEVELS)
+        return [a.tobytes() for a in (res.rate_paths, res.var_paths, res.base_paths,
+                                      q.median, q.bands)]
+
+    for case in itertools.product((1, 7, 2**64 + 3), (1, _AHEAD - 1, _AHEAD), (1, 11, 12, 13, 60)):
+        assert outputs(True, *case) == outputs(False, *case), case
+
+
+class _Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("levels", [None, DEFAULT_LEVELS])
+@pytest.mark.parametrize("threaded", [True, False])
+def test_no_thread_outlives_a_call(threaded, levels, monkeypatch):
+    # after a normal return, a step that raises at month 5 (a KeyboardInterrupt
+    # too) and a ValidationError from the vasicek growth target at month 12,
+    # the thread count is back where it was, and the exception is the one raised
+    _drawing(monkeypatch, threaded)
+    starts = _thread_starts(monkeypatch)
+    before = threading.active_count()
+    p = _heston()
+    v0, var_evolves, draws, step = stochastic_engine._heston(p)
+    stochastic_engine._simulate(p, v0, var_evolves, draws, step, 60, 50, 1, (), levels)
+    assert threading.active_count() == before
+    for raised in (_Raised("step at month 5"), KeyboardInterrupt()):
+
+        def failing(c, v, t, z, *out):
+            if t == 5:
+                raise raised
+            step(c, v, t, z, *out)
+
+        with pytest.raises(type(raised)) as info:
+            stochastic_engine._simulate(p, v0, var_evolves, draws, failing, 60, 50, 1, (), levels)
+        assert info.value is raised and threading.active_count() == before
+    vp = VasicekParams(c1=0.005, mu=1e300, kappa_v=0.5, sigma_v=2.0)
+    with pytest.raises(ValidationError, match=r"^1 \+ mu = 1e\+300 overflows at power 1.08333$"):
+        stochastic_engine._simulate(vp, *stochastic_engine._vasicek(vp), 60, 50, 1, (), levels)
+    assert threading.active_count() == before
+    assert starts == ["crashvol-draws"] * (4 if threaded else 0)
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+def test_a_fill_that_raises_is_raised_in_the_caller(threaded, monkeypatch):
+    # the 12th row's fill raises, on the worker thread when there is one; the
+    # caller raises that exception and no thread is left running
+    _drawing(monkeypatch, threaded)
+    raised, filled_on = _Raised("fill of row 12"), set()
+    real = np.random.Generator
+
+    class Failing:
+        def __init__(self, bitgen):
+            self.normal, self.rows = real(bitgen).standard_normal, 0
+
+        def standard_normal(self, out):
+            filled_on.add(threading.current_thread())
+            self.rows += 1
+            if self.rows == 12:
+                raise raised
+            self.normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    before = threading.active_count()
+    for call in (lambda: simulate_heston(_heston(), 60, 50, seed=1),
+                 lambda: _simulated(stochastic_engine._heston, (_heston(), ()), 60, 50, 1,
+                                    DEFAULT_LEVELS)):
+        filled_on.clear()
+        with pytest.raises(_Raised) as info:
+            call()
+        assert info.value is raised and threading.active_count() == before
+        assert (filled_on == {threading.main_thread()}) is not threaded
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("affinity", [True, False])
+def test_one_usable_cpu_starts_no_thread(cpus, affinity, monkeypatch):
+    # the CPUs this process may run on, or the machine's count where the
+    # platform has no affinity call; at the threshold only one CPU keeps a
+    # call inline
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    starts = _thread_starts(monkeypatch)
+    simulate_heston(_heston(), 3, _AHEAD, seed=1)
+    _simulated(stochastic_engine._vasicek, (_MODELS["vasicek"][0], ()), 3, _AHEAD, 1,
+               DEFAULT_LEVELS)
+    simulate_heston(_heston(), 3, _AHEAD - 1, seed=1)
+    assert starts == ["crashvol-draws"] * 2 * (cpus - 1)
+
+
+def test_oversized_draw_slots_start_no_thread(monkeypatch):
+    # the allocation fails before anything is drawn or any thread started
+    real_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if 200_000_000 in np.atleast_1d(shape):
+            raise MemoryError("fake: out of memory")
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    _forbid_drawing(monkeypatch)
+    _drawing(monkeypatch, threaded=True)
+    starts = _thread_starts(monkeypatch)
+    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 2 draws "):
+        simulate_heston(_heston(), 7, 200_000_000, seed=3)
+    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 1 draws "):
+        _simulated(stochastic_engine._vasicek, (VasicekParams(0.005, 0.14, 0.5, 2.0), ()), 7,
+                   200_000_000, 3, DEFAULT_LEVELS)
+    assert starts == []
+
+
+def test_worker_draws_hold_under_concurrent_calls_and_a_short_switch_interval(monkeypatch):
+    # four calling threads at once, each with its own worker (8 threads on
+    # fewer cores), switching every 10 us: each call still gives the bytes of
+    # the inline draws, and every caller finishes
+    cases = [(model, seed) for model in ("heston", "vasicek") for seed in (1, 7)]
+
+    def outputs(model, seed):
+        params, simulate, parts = _MODELS[model]
+        q = _simulated(parts, (params, ()), 60, 300, seed, DEFAULT_LEVELS)
+        return simulate(params, 60, 300, seed).rate_paths.tobytes() + q.bands.tobytes()
+
+    _drawing(monkeypatch, threaded=False)
+    want = {case: outputs(*case) for case in cases}
+    _drawing(monkeypatch, threaded=True)
+    got = {}
+    callers = [threading.Thread(target=lambda case=case: got.update({case: outputs(*case)}))
+               for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == want
