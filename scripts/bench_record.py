@@ -16,8 +16,12 @@ the metric counts as better. For each end-to-end metric that
 `BENCHMARK.json` declares, `end_to_end` gives the metric's `better`
 direction, each side's `median` and quartiles `q1` and `q3` over the
 `--trace 0` pairs (numpy's default linear interpolation; one pair gives its
-value for all three), and `wins`, the pairs in which the change reads
-better in that direction out of `pairs`; a tie counts for neither side.
+value for all three), `wins`, the pairs in which the change reads
+better in that direction out of `pairs` (a tie counts for neither side),
+and `resolved`: "better" when the change wins at least nine tenths of the
+pairs and its median is better than the parent's by more than the
+parent's q3 - q1, "worse" when the parent wins that share and its median
+is better by that much, else null, a move inside the runs' spread.
 Writes JSON to --out, or to stdout.
 """
 
@@ -63,13 +67,17 @@ def _end_to_end(pairs: list[dict], better: dict[str, str]) -> dict:
         if not sides:
             continue
         sign = 1 if direction == "higher" else -1
-        summary[name] = {
-            "better": direction,
-            "parent": _spread([before for before, _ in sides]),
-            "change": _spread([after for _, after in sides]),
-            "wins": sum(sign * (after - before) > 0 for before, after in sides),
-            "pairs": len(sides),
-        }
+        parent, change = _spread([before for before, _ in sides]), _spread([after for _, after in sides])
+        wins = sum(sign * (after - before) > 0 for before, after in sides)
+        losses = sum(sign * (after - before) < 0 for before, after in sides)
+        gain, iqr = sign * (change["median"] - parent["median"]), parent["q3"] - parent["q1"]
+        resolved = None
+        if 10 * wins >= 9 * len(sides) and gain > iqr:
+            resolved = "better"
+        elif 10 * losses >= 9 * len(sides) and -gain > iqr:
+            resolved = "worse"
+        summary[name] = {"better": direction, "parent": parent, "change": change, "wins": wins,
+                         "pairs": len(sides), "resolved": resolved}
     return summary
 
 

@@ -23,6 +23,9 @@ simulations, and either side of the path count from which a worker thread
 draws the next month's normals); a heston and a vasicek forecast (seed 7,
 257 paths) at `--horizon` 1, 11 and 13, on either side of the 12 months of
 base rates a forecast keeps for the spike window; a heston and a vasicek
+forecast (seed 7, 4000 paths) at `--horizon` 1 and 2, where the caller,
+sharing the draws with the worker thread, looks past the last month for
+rows to draw; a heston and a vasicek
 forecast (seed 7) from a copy of the fit file with a `dt = 0.0833333333333` line
 appended, as files written before monthly steps were fixed carry, which
 must give the bytes of the forecast from the fit file itself.
@@ -114,6 +117,12 @@ def runs(w: str):
         for model in ("heston", "vasicek"):
             yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", "257",
                    "--horizon", horizon, "--out", f"{w}/{model}.horizon{horizon}.fc.csv"]
+    # the shortest horizons that draw on the worker thread: the caller looks
+    # past month 0, then past the last month, for rows to draw
+    for horizon in ("1", "2"):
+        for model in ("heston", "vasicek"):
+            yield ["forecast", "--params", f"{w}/{model}.params", "--seed", "7", "--paths", "4000",
+                   "--horizon", horizon, "--out", f"{w}/{model}.paths4000.horizon{horizon}.fc.csv"]
     # written here, once the fits above have run: main runs each argv before
     # asking for the next
     for model in ("heston", "vasicek"):

@@ -23,16 +23,20 @@ Determinism (random stream v3): draw row r, the r-th normal of every path
 first `n_paths` values of `Generator(PCG64(seed).jumped(r)).standard_normal`
 for any seed >= 0, and path p is column p of every row. A fill of k values
 equals the first k values of any longer fill, so path p depends neither on
-`n_paths` nor on the other paths. One PCG64 is seeded per call, and each
-row resets it to that state and advances it by r jumps. The rows are the
-same whether a worker thread or the caller draws them, so the bytes
-depend neither on the thread nor on the CPU count.
+`n_paths` nor on the other paths. Each side that draws seeds one PCG64
+per call, and each row resets it to that state and advances it by r
+jumps. A row is the same whichever side draws it and each row is drawn
+once, so the bytes depend neither on the thread nor on the CPU count.
 
 Layout: the state is month-major, one C-ordered row of paths per month, and
 each Euler step folds its result straight into a row. Two small slots hold
-the draw rows of months in turn: from `_AHEAD_PATHS` paths on more than one
-CPU a worker thread fills month t + 1's slot while month t is stepped from
-the other; otherwise the caller fills each just before its step. The
+the draw rows of months in turn. From `_AHEAD_PATHS` paths on more than one
+CPU a worker thread and the caller share the rows, each claiming one row at
+a time (the worker from a month's first row, the caller from its last):
+the worker draws up to a month ahead, and before month t's step the caller
+draws month t's unclaimed rows and, while the worker still draws month t,
+month t + 1's. Otherwise the caller draws each month just before its step.
+`forecast_quantiles` shares its month rows' sorts the same way. The
 simulators keep every month's base and reported rows, and heston's
 variances, as read-only (paths, months) `.T` views; the baseline's constant
 variance is a broadcast of one value. A forecast keeps a
@@ -303,13 +307,16 @@ def _allocate(n_paths: int, draws: int, months: list[int]) -> list[np.ndarray]:
 
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # `PCG64.jumped`'s step, (phi - 1) * 2**128
 
-# Paths from which a worker thread draws month t + 1 while the caller steps
-# month t. The thread start and one hand-off a month cost ~1.5 ms a 60-month
-# call. Medians of 41 streamed 60-month forecasts, inline -> threaded, heston
-# and vasicek, 2 shared vCPUs, numpy 2.4.6: 2000 paths 5.24 -> 5.51 and 3.05
-# -> 3.75 ms; 3000 7.12 -> 6.28 and 4.17 -> 4.23; 4000 9.08 -> 7.08 and 5.21
-# -> 4.70; 5000 10.72 -> 8.05 and 6.23 -> 5.20. The library simulators cross
-# at the same sizes.
+# Paths from which a worker thread shares each month's draw rows with the
+# caller, and a thread shares `forecast_quantiles`' sorts. The thread start
+# and the row claims cost ~1.3-1.8 ms a 60-month call (at 1 path, inline ->
+# threaded, 3.36 -> 5.14 ms heston and 2.08 -> 3.39 vasicek). Medians of 81
+# streamed 60-month forecasts, inline -> threaded, heston and vasicek, 2
+# shared vCPUs, numpy 2.4.6: 2000 paths 7.89 -> 9.72 and 6.41 -> 7.84 ms;
+# 3000 14.63 -> 13.18 and 8.74 -> 9.03; 4000 14.10 -> 13.10 and 10.75 ->
+# 10.85; 5000 18.47 -> 15.29 and 11.72 -> 11.62. The library simulators
+# with `forecast_quantiles` cross at about the same sizes (4000: 17.39 ->
+# 15.84 and 10.24 -> 10.51 ms).
 _AHEAD_PATHS = 4000
 
 
@@ -321,59 +328,130 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_months(seed: int, counts: list[int], slots):
-    """A generator whose t-th `next` draws month t's counts[t] rows into the
-    rows of slots[t % 2]: row r of the call is PCG64(seed).jumped(r), from one
-    PCG64 seeded once and reset to that state and advanced r jumps before each row."""
-    bitgen = np.random.PCG64(seed)
-    seeded = bitgen.state
-    normal = np.random.Generator(bitgen).standard_normal
-    r = 0
-    for t, k in enumerate(counts):
-        for out in slots[t % 2][:k]:
-            bitgen.state = seeded
-            bitgen.advance(r * _JUMP)
-            normal(out=out)
-            r += 1
-        yield
+class _Ends:
+    """Rows 0..k - 1 of each block b (k = counts[b]), each claimed once: `claim`
+    gives block b's next unclaimed row from the front or from the back, or
+    None once none is left. Callers hold `lock` around each claim; `close`
+    claims every row left, so no side takes another."""
 
+    def __init__(self, counts):
+        self.lock = threading.Lock()
+        self.lo, self.hi = [0] * len(counts), list(counts)
 
-class _DrawAhead:
-    """Steps `fills` (`_draw_months`) on one worker thread up to a month ahead
-    of the caller. Calling it before month t frees month t - 1's slot and
-    returns once month t is drawn, or raises the worker's exception as it
-    was raised; `close` stops and joins the worker."""
-
-    def __init__(self, fills, horizon: int):
-        # one slot is free at the start, and the first call frees the other
-        self.free, self.drawn = threading.Semaphore(1), threading.Semaphore(0)
-        self.stop, self.error = False, None
-        self.thread = threading.Thread(target=self._run, args=(fills, horizon),
-                                       name="crashvol-draws")
-        self.thread.start()
-
-    def _run(self, fills, horizon: int):
-        try:
-            for _ in range(horizon):
-                self.free.acquire()
-                if self.stop:
-                    return
-                next(fills)
-                self.drawn.release()
-        except BaseException as exc:  # handed to the caller
-            self.error = exc
-            self.drawn.release()
-
-    def __call__(self):
-        self.free.release()
-        self.drawn.acquire()
-        if self.error is not None:
-            raise self.error
+    def claim(self, b: int, front: bool):
+        if self.lo[b] == self.hi[b]:
+            return None
+        if front:
+            self.lo[b] += 1
+            return self.lo[b] - 1
+        self.hi[b] -= 1
+        return self.hi[b]
 
     def close(self):
-        self.stop = True
-        self.free.release()
-        self.thread.join()
+        self.lo[:] = self.hi
+
+
+class _Draws:
+    """Who draws which normal row: month t's counts[t] rows go into
+    slots[t % 2], and row r of the call (months in order) is
+    PCG64(seed).jumped(r), from a PCG64 seeded once per side and reset to
+    that state and advanced r jumps before each row. Calling it before month
+    t's step returns once month t is drawn.
+
+    Inline, the caller draws each month's rows in order with one generator.
+    With `ahead`, one worker thread with its own generator claims each
+    month's rows from the front, up to a month ahead of the caller, and the
+    caller claims them from the back instead of waiting: before month t it
+    frees month t - 1's slot, draws month t's unclaimed rows and, while the
+    worker still draws month t's last row, month t + 1's unclaimed rows into
+    the slot just freed; only then does it block. A worker exception is
+    raised in the caller as it was raised; `close` stops and joins the worker.
+    """
+
+    def __init__(self, seed: int, counts: list[int], slots, ahead: bool):
+        self.seed, self.counts, self.slots = seed, counts, slots
+        self.first = [0]  # each month's first row of the call
+        for k in counts[:-1]:
+            self.first.append(self.first[-1] + k)
+        self.mine = self._generator()
+        self.worker = None
+        if ahead:
+            self.ends = _Ends(counts)
+            self.changed = threading.Condition(self.ends.lock)
+            # under the lock: rows not yet drawn per month, the caller's month
+            # (its slot and the next are free), a stop request, a worker exception
+            self.left, self.month, self.stop, self.error = list(counts), 0, False, None
+            self.worker = threading.Thread(target=self._run, name="crashvol-draws")
+            self.worker.start()
+
+    def _generator(self):
+        bitgen = np.random.PCG64(self.seed)
+        return bitgen, bitgen.state, np.random.Generator(bitgen).standard_normal
+
+    def _fill(self, generator, t: int, rows):
+        bitgen, seeded, normal = generator
+        slot, first = self.slots[t % 2], self.first[t]
+        for i in rows:
+            bitgen.state = seeded
+            bitgen.advance((first + i) * _JUMP)
+            normal(out=slot[i])
+
+    def __call__(self, t: int):
+        if self.worker is None:
+            self._fill(self.mine, t, range(self.counts[t]))
+            return
+        with self.changed:
+            self.month = t
+            self.changed.notify()
+            row = self._claim(t)
+        while row is not None:
+            m, i = row
+            self._fill(self.mine, m, (i,))
+            with self.changed:
+                self.left[m] -= 1
+                row = self._claim(t)
+
+    def _claim(self, t: int):
+        """Under the lock, the caller's next (month, row): from month t, else,
+        while the worker still draws month t, from month t + 1; None once
+        month t is drawn. Blocks only while neither month has a row left."""
+        while self.error is None:
+            if self.left[t] == 0:
+                return None
+            for m in range(t, min(t + 2, len(self.counts))):
+                i = self.ends.claim(m, front=False)
+                if i is not None:
+                    return m, i
+            self.changed.wait()
+        raise self.error
+
+    def _run(self):
+        try:
+            mine = self._generator()
+            for t in range(len(self.counts)):
+                with self.changed:
+                    while t > self.month + 1 and not self.stop:
+                        self.changed.wait()
+                    i = self.ends.claim(t, front=True)
+                while i is not None:
+                    self._fill(mine, t, (i,))
+                    with self.changed:
+                        self.left[t] -= 1
+                        self.changed.notify()
+                        i = self.ends.claim(t, front=True)
+        except BaseException as exc:  # handed to the caller
+            with self.changed:
+                self.error = exc
+                self.changed.notify()
+
+    def close(self):
+        if self.worker is None:
+            return
+        with self.changed:
+            self.stop = True
+            self.ends.close()
+            self.changed.notify()
+        self.worker.join()
 
 
 def _trailing_average(base, t, tail_arr):
@@ -406,7 +484,7 @@ class _RowQuantiles:
     tied zeros of opposite sign; no rate is -0.0, as each is folded to >= +0.
     """
 
-    def __init__(self, levels, n: int):
+    def __init__(self, levels, n: int, months: int):
         self.levels = _check_levels(levels)
         virt = (n - 1) * np.array(self.levels, dtype=float)
         prev = np.floor(virt)
@@ -416,10 +494,10 @@ class _RowQuantiles:
         # columns kept from each sorted row: prev, nxt, the middle one or two, the last
         cols = [prev, nxt, np.arange((n - 1) // 2, n // 2 + 1), [-1]]
         self.cols = np.concatenate(cols).astype(np.intp)
-        self.kept = []
+        self.kept = [None] * months
 
-    def take(self, row) -> None:
-        self.kept.append(np.sort(row)[self.cols])
+    def take(self, t: int, row) -> None:
+        self.kept[t] = np.sort(row)[self.cols]
 
     def result(self, months) -> ForecastQuantiles:
         kept, n_lv = np.array(self.kept).reshape(-1, self.cols.size), len(self.levels)
@@ -443,9 +521,9 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     rows, one value per path. The step folds the new base rates into out[0]
     and, if `var_evolves`, the new variances into out[1]; otherwise the
     variance stays v0. In a spike month one more draw follows the step's
-    draws. Month t's draws are in slot t % 2; from `_AHEAD_PATHS` paths on more
-    than one CPU a worker thread draws month t + 1 while month t is stepped,
-    else each month is drawn just before its step, to the same bytes. Returns
+    draws. Month t's draws are in slot t % 2, drawn by `_Draws` before its
+    step: from `_AHEAD_PATHS` paths on more than one CPU by a worker thread
+    and the caller together, else by the caller alone, to the same bytes. Returns
     the SimulationResult, or with `levels` its `forecast_quantiles`, byte for
     byte, from the rows of a forecast's ring (a month without a spike hands
     over its base row).
@@ -463,16 +541,15 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     rows = [horizon] * 3 if levels is None else [min(horizon, 12), 1, 1]
     z, base, rep, *var = _allocate(n_paths, draws + bool(spike_at), rows[: 2 + var_evolves])
     # after the allocation, which refuses a path count past numpy's index range
-    quantiles = None if levels is None else _RowQuantiles(levels, n_paths)
+    quantiles = None if levels is None else _RowQuantiles(levels, n_paths, horizon)
     slots = [list(slot) for slot in z]  # each slot's row views, made once
-    fills = _draw_months(seed, [draws + (month in spike_at) for _, month in months], slots)
-    ahead = _DrawAhead(fills, horizon) if n_paths >= _AHEAD_PATHS and _cpus() > 1 else None
-    drawn = ahead or fills.__next__
+    drawn = _Draws(seed, [draws + (month in spike_at) for _, month in months], slots,
+                   n_paths >= _AHEAD_PATHS and _cpus() > 1)
 
     c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
     try:
         for t, (_, month) in enumerate(months):
-            drawn()
+            drawn(t)
             zt = slots[t % 2]
             spec = spike_at.get(month)
             new = [a[t % len(a)] for a in (base, *var)]
@@ -485,10 +562,9 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
             elif quantiles is None:
                 rep[t] = c
             if quantiles is not None:
-                quantiles.take(reported)
+                quantiles.take(t, reported)
     finally:
-        if ahead is not None:
-            ahead.close()
+        drawn.close()
     if quantiles is not None:
         return quantiles.result(months)
     if not var:
@@ -546,11 +622,42 @@ def simulate_vasicek(params: VasicekParams, horizon: int, n_paths: int, seed: in
 
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
     """Per-month empirical quantiles (numpy's `linear` method) plus the median,
-    with numpy's bytes, from each month's row as `_RowQuantiles` takes it."""
+    with numpy's bytes, from each month's row as `_RowQuantiles` takes it.
+    From `_AHEAD_PATHS` paths on more than one CPU, one thread sorts month
+    rows from the last while the caller sorts them from the first, each row
+    claimed once, to the same bytes."""
     by_month = result.rate_paths.T
-    quantiles = _RowQuantiles(levels, by_month.shape[1])
-    for row in by_month:
-        quantiles.take(row)
+    quantiles = _RowQuantiles(levels, by_month.shape[1], len(by_month))
+    if by_month.shape[1] < _AHEAD_PATHS or _cpus() < 2:
+        for t, row in enumerate(by_month):
+            quantiles.take(t, row)
+        return quantiles.result(result.months)
+    ends, error = _Ends([len(by_month)]), []
+
+    def sort(front: bool):
+        while True:
+            with ends.lock:
+                t = ends.claim(0, front)
+            if t is None:
+                return
+            quantiles.take(t, by_month[t])
+
+    def back():
+        try:
+            sort(front=False)
+        except BaseException as exc:  # handed to the caller
+            error.append(exc)
+
+    thread = threading.Thread(target=back, name="crashvol-sorts")
+    thread.start()
+    try:
+        sort(front=True)
+    finally:
+        with ends.lock:
+            ends.close()
+        thread.join()
+    if error:
+        raise error[0]
     return quantiles.result(result.months)
 
 

@@ -41,7 +41,7 @@ def test_pairs_records_by_workload_and_seed(tmp_path):
     assert entry["median_ratio"] == {"op_p50_s": 0.25}
     assert entry["traced_pairs"] == [] and entry["traced_median_ratio"] == {}
     assert entry["end_to_end"] == {"op_p50_s": {
-        "better": "lower", "wins": 3, "pairs": 3,
+        "better": "lower", "wins": 3, "pairs": 3, "resolved": None,
         "parent": {"q1": 1.5, "median": 2.0, "q3": 3.0},
         "change": {"q1": 0.5, "median": 0.5, "q3": 0.75},
     }}
@@ -107,3 +107,35 @@ def test_end_to_end_of_one_pair(tmp_path):
     summary = _load().pair_records(parent, change)["workloads"]["cli-cold"]["end_to_end"]
     assert summary["op_p50_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert summary["op_p50_s"]["wins"] == 0
+
+
+
+def test_resolved_needs_nine_tenths_of_the_pairs_and_a_move_past_the_parents_spread(tmp_path):
+    # over 10 pairs the parent's setup_s runs 1.0..1.9 (q1 1.225, q3 1.675: a
+    # spread of 0.45) and its ops_per_s 10..19 (a spread of 4.5)
+    runs = iter(range(100))
+
+    def resolved(name, change_values):
+        parent_values = [1.0 + i / 10 for i in range(10)] if name == "setup_s" else range(10, 20)
+        directory = tmp_path / str(next(runs))
+        for side, values in (("parent", parent_values), ("change", change_values)):
+            (directory / side).mkdir(parents=True)
+            for seed, value in enumerate(values):
+                record = {"workload": "sim-paths", "seed": seed, "attempted": 12, "failed": 0,
+                          "environment": {}, "metrics": {name: {"value": value, "unit": "s"}}}
+                (directory / side / f"sim-paths-seed{seed}-trace0.json").write_text(
+                    json.dumps(record))
+        entry = _load().pair_records(directory / "parent", directory / "change")
+        return entry["workloads"]["sim-paths"]["end_to_end"][name]["resolved"]
+
+    # ops_per_s counts higher as better: +5 on all 10 pairs is past the
+    # spread, +4 on all 10 is not, and +10 on 8 of 10 wins too few pairs
+    assert resolved("ops_per_s", [r + 5 for r in range(10, 20)]) == "better"
+    assert resolved("ops_per_s", [r + 4 for r in range(10, 20)]) is None
+    assert resolved("ops_per_s", [r + 10 for r in range(10, 18)] + [10, 11]) is None
+    # setup_s counts lower as better: 9 of 10 lower by 0.5 is better (median
+    # 0.95 against 1.45), 9 of 10 higher by 0.6 is worse (median 1.95), and
+    # all 10 higher by 0.3 is inside the spread
+    assert resolved("setup_s", [1.0 + i / 10 - 0.5 for i in range(9)] + [1.9]) == "better"
+    assert resolved("setup_s", [1.0 + i / 10 + 0.6 for i in range(9)] + [1.9]) == "worse"
+    assert resolved("setup_s", [1.0 + i / 10 + 0.3 for i in range(10)]) is None

@@ -1096,37 +1096,215 @@ def test_no_thread_outlives_a_call(threaded, levels, monkeypatch):
         stochastic_engine._simulate(vp, *stochastic_engine._vasicek(vp), 60, 50, 1, (), levels)
     assert threading.active_count() == before
     assert starts == ["crashvol-draws"] * (4 if threaded else 0)
+    # forecast_quantiles, with a sort that raises on the caller and, threaded,
+    # one that raises on the sorting thread (the caller's sorts wait for it)
+    res = simulate_heston(p, 60, 50, seed=1)
+    starts.clear()
+    for side in ("caller", "thread") if threaded else ("caller",):
+        raised, failed, real_sort = _Raised(f"sort on the {side}"), threading.Event(), np.sort
+
+        def sort(a, *args, side=side, raised=raised, failed=failed, **kwargs):
+            main = threading.current_thread() is threading.main_thread()
+            if main == (side == "caller"):
+                failed.set()
+                raise raised
+            _wait(failed)
+            return real_sort(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "sort", sort)
+            with pytest.raises(_Raised) as info:
+                forecast_quantiles(res, DEFAULT_LEVELS)
+        assert info.value is raised and threading.active_count() == before
+    assert starts == ["crashvol-sorts"] * (2 if threaded else 0)
+
+
+def _per_thread_fills(monkeypatch, on_caller, on_worker, worker_start=None):
+    # np.random.Generator whose fills first run on_caller() on the main
+    # thread, else on_worker(); with `worker_start`, a generator made off the
+    # main thread waits for that event first
+    real = np.random.Generator
+
+    class Generator:
+        def __init__(self, bitgen):
+            if worker_start is not None and threading.current_thread() is not threading.main_thread():
+                _wait(worker_start)
+            self.normal = real(bitgen).standard_normal
+
+        def standard_normal(self, out):
+            main = threading.current_thread() is threading.main_thread()
+            (on_caller if main else on_worker)()
+            self.normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Generator)
+
+
+def _wait(event):
+    assert event.wait(timeout=30), "the other side never got there"
 
 
 @pytest.mark.parametrize("threaded", [True, False])
 def test_a_fill_that_raises_is_raised_in_the_caller(threaded, monkeypatch):
-    # the 12th row's fill raises, on the worker thread when there is one; the
-    # caller raises that exception and no thread is left running
+    # inline, the 12th fill raises; threaded, once the worker's first fill
+    # raises (the caller's fills wait for it, so the worker has a row) and
+    # once the caller's first fill raises (the worker's fills wait for it).
+    # Each time the caller raises that exception and no thread is left running
     _drawing(monkeypatch, threaded)
-    raised, filled_on = _Raised("fill of row 12"), set()
-    real = np.random.Generator
+    raised = _Raised("a fill")
 
-    class Failing:
+    def inline():
+        rows = []
+
+        def fill():
+            rows.append(1)
+            if len(rows) == 12:
+                raise raised
+
+        _per_thread_fills(monkeypatch, fill, None)
+
+    def failing_on(side):
+        failed = threading.Event()
+
+        def fail():
+            failed.set()
+            raise raised
+
+        def after():
+            _wait(failed)
+
+        _per_thread_fills(monkeypatch, *((after, fail) if side == "worker" else (fail, after)))
+
+    setups = [lambda: failing_on("worker"), lambda: failing_on("caller")] if threaded else [inline]
+    before = threading.active_count()
+    for setup in setups:
+        for call in (lambda: simulate_heston(_heston(), 60, 50, seed=1),
+                     lambda: _simulated(stochastic_engine._heston, (_heston(), ()), 60, 50, 1,
+                                        DEFAULT_LEVELS)):
+            setup()
+            with pytest.raises(_Raised) as info:
+                call()
+            assert info.value is raised and threading.active_count() == before
+
+
+_SIMULATORS = [(model, streamed) for model in ("heston", "vasicek") for streamed in (False, True)]
+
+
+def _run_simulator(model, streamed, horizon, n_paths, seed):
+    params, simulate, parts = _MODELS[model]
+    tail = np.linspace(0.004, 0.006, 12)
+    if streamed:
+        q = _simulated(parts, (params, tail), horizon, n_paths, seed, DEFAULT_LEVELS)
+        return [q.median.tobytes(), q.bands.tobytes()]
+    res = simulate(params, horizon, n_paths, seed, tail)
+    return [a.tobytes() for a in (res.rate_paths, res.var_paths, res.base_paths)]
+
+
+def _rows_of_call(model, horizon):
+    # draw rows of a call: 2 (heston) or 1 (vasicek) a month, plus one in each
+    # spike month (months 0 and 6 of each year)
+    return sum((2 if model == "heston" else 1) + (t % 12 in (0, 6)) for t in range(horizon))
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+@pytest.mark.parametrize("model, streamed", _SIMULATORS)
+def test_every_draw_row_is_filled_once(model, streamed, threaded, monkeypatch):
+    # the row a fill draws is told by its generator's state, which is
+    # PCG64(seed) advanced r jumps for row r; each row of the call is filled
+    # exactly once, whichever side claims it
+    _drawing(monkeypatch, threaded)
+    seed, real = 5, np.random.Generator
+    index = {}
+    for r in range(_rows_of_call(model, 60)):
+        bitgen = np.random.PCG64(seed)
+        bitgen.advance(r * stochastic_engine._JUMP)
+        index[bitgen.state["state"]["state"]] = r
+    fills = []
+
+    class Counting:
         def __init__(self, bitgen):
-            self.normal, self.rows = real(bitgen).standard_normal, 0
+            self.bitgen, self.normal = bitgen, real(bitgen).standard_normal
 
         def standard_normal(self, out):
-            filled_on.add(threading.current_thread())
-            self.rows += 1
-            if self.rows == 12:
-                raise raised
+            fills.append(index[self.bitgen.state["state"]["state"]])
             self.normal(out=out)
 
-    monkeypatch.setattr(np.random, "Generator", Failing)
-    before = threading.active_count()
-    for call in (lambda: simulate_heston(_heston(), 60, 50, seed=1),
-                 lambda: _simulated(stochastic_engine._heston, (_heston(), ()), 60, 50, 1,
-                                    DEFAULT_LEVELS)):
-        filled_on.clear()
-        with pytest.raises(_Raised) as info:
-            call()
-        assert info.value is raised and threading.active_count() == before
-        assert (filled_on == {threading.main_thread()}) is not threaded
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    for horizon in (1, 2, 13, 60):
+        fills.clear()
+        _run_simulator(model, streamed, horizon, 50, seed)
+        assert sorted(fills) == list(range(_rows_of_call(model, horizon))), horizon
+
+
+@pytest.mark.parametrize("model, streamed", _SIMULATORS)
+def test_forced_claim_orders_give_the_inline_bytes(model, streamed, monkeypatch):
+    # the caller claims every row while the worker is held back before its
+    # first claim; the worker claims every row while the caller's claims are
+    # disabled; the caller draws the rest of month 0 and all of month 1 while
+    # the worker is held in its fill of month 0's first row. Each gives the
+    # inline bytes
+    horizon, n_paths, seed = 14, 60, 9
+    rows = _rows_of_call(model, horizon)
+    _drawing(monkeypatch, threaded=False)
+    want = _run_simulator(model, streamed, horizon, n_paths, seed)
+    _drawing(monkeypatch, threaded=True)
+    with monkeypatch.context() as m:
+        caller_rows, done = [], threading.Event()
+
+        def counted():
+            caller_rows.append(1)
+            if len(caller_rows) == rows:
+                done.set()
+
+        # the worker makes its generator before its first claim
+        _per_thread_fills(m, counted, lambda: pytest.fail("the worker drew"), worker_start=done)
+        assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
+        assert len(caller_rows) == rows
+    with monkeypatch.context() as m:
+        worker_rows, real_claim = [], stochastic_engine._Ends.claim
+        m.setattr(stochastic_engine._Ends, "claim",
+                  lambda self, b, front: real_claim(self, b, front) if front else None)
+        _per_thread_fills(m, lambda: pytest.fail("the caller drew"), lambda: worker_rows.append(1))
+        assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
+        assert len(worker_rows) == rows
+    with monkeypatch.context() as m:
+        ahead = _rows_of_call(model, 2) - 1  # months 0 and 1 but the worker's row
+        caller_rows, worker_in, caller_ahead = [], threading.Event(), threading.Event()
+
+        def caller():
+            _wait(worker_in)
+            caller_rows.append(1)
+            if len(caller_rows) == ahead:
+                caller_ahead.set()
+
+        def worker():
+            if not worker_in.is_set():
+                worker_in.set()
+                _wait(caller_ahead)
+
+        _per_thread_fills(m, caller, worker)
+        assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
+        assert len(caller_rows) >= ahead
+
+
+@pytest.mark.parametrize("n", [_AHEAD - 1, _AHEAD, 20000])
+def test_two_lane_forecast_quantiles_give_the_one_lane_bytes(n, monkeypatch):
+    # from _AHEAD_PATHS paths on more than one CPU a thread sorts month rows
+    # from the last while the caller sorts from the first; the bytes are
+    # those of the caller sorting every row, a NaN row and an inf row included
+    starts = _thread_starts(monkeypatch)
+    for months in (1, 2, 61):
+        rows = _quantile_rows(np.random.default_rng(months), months, n)
+        res = SimulationResult(rate_paths=rows.T, var_paths=rows.T, base_paths=rows.T,
+                               start=(2015, 1))
+        got = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(stochastic_engine, "_cpus", lambda cpus=cpus: cpus)
+            with np.errstate(invalid="ignore"):
+                q = forecast_quantiles(res, DEFAULT_LEVELS)
+            got.append((q.median.tobytes(), q.bands.tobytes(), q.months))
+        assert got[0] == got[1], months
+        assert np.isnan(q.median[-1]) and np.isnan(q.bands[:, -1]).all()
+    assert starts == ["crashvol-sorts"] * 3 * (n >= _AHEAD)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1172,13 +1350,15 @@ def test_oversized_draw_slots_start_no_thread(monkeypatch):
 def test_worker_draws_hold_under_concurrent_calls_and_a_short_switch_interval(monkeypatch):
     # four calling threads at once, each with its own worker (8 threads on
     # fewer cores), switching every 10 us: each call still gives the bytes of
-    # the inline draws, and every caller finishes
+    # the inline draws and one-lane sorts, and every caller finishes
     cases = [(model, seed) for model in ("heston", "vasicek") for seed in (1, 7)]
 
     def outputs(model, seed):
         params, simulate, parts = _MODELS[model]
         q = _simulated(parts, (params, ()), 60, 300, seed, DEFAULT_LEVELS)
-        return simulate(params, 60, 300, seed).rate_paths.tobytes() + q.bands.tobytes()
+        res = simulate(params, 60, 300, seed)
+        sorted_q = forecast_quantiles(res, DEFAULT_LEVELS)
+        return b"".join(a.tobytes() for a in (res.rate_paths, q.bands, sorted_q.bands))
 
     _drawing(monkeypatch, threaded=False)
     want = {case: outputs(*case) for case in cases}
