@@ -14,14 +14,16 @@ before and after the run). Per workload it adds `median_ratio` and
 change / parent. Below 1 is lower on the change side, whichever direction
 the metric counts as better. For each end-to-end metric that
 `BENCHMARK.json` declares, `end_to_end` gives the metric's `better`
-direction, each side's `median` and quartiles `q1` and `q3` over the
-`--trace 0` pairs (numpy's default linear interpolation; one pair gives its
-value for all three), `wins`, the pairs in which the change reads
-better in that direction out of `pairs` (a tie counts for neither side),
-and `resolved`: "better" when the change wins at least nine tenths of the
-pairs and its median is better than the parent's by more than the
-parent's q3 - q1, "worse" when the parent wins that share and its median
-is better by that much, else null, a move inside the runs' spread.
+direction and its `bound`, each side's `median` and quartiles `q1` and
+`q3` over the `--trace 0` pairs (numpy's default linear interpolation; one
+pair gives its value for all three), `move`, the change's median over the
+parent's minus 1, signed so that positive is worse (null for a parent
+median of 0), to read against `bound`, `wins`, the pairs in which the
+change reads better in that direction out of `pairs` (a tie counts for
+neither side), and `resolved`: "better" when the change wins at least nine
+tenths of the pairs and its median is better than the parent's by more
+than the parent's q3 - q1, "worse" when the parent wins that share and its
+median is better by that much, else null, a move inside the runs' spread.
 Writes JSON to --out, or to stdout.
 """
 
@@ -59,9 +61,10 @@ def _spread(values: list[float]) -> dict:
     return {"q1": q1, "median": statistics.median(values), "q3": q3}
 
 
-def _end_to_end(pairs: list[dict], better: dict[str, str]) -> dict:
+def _end_to_end(pairs: list[dict], declared: dict[str, dict]) -> dict:
     summary = {}
-    for name, direction in better.items():
+    for name, metric in declared.items():
+        direction = metric["better"]
         sides = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
                  if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
         if not sides:
@@ -76,8 +79,10 @@ def _end_to_end(pairs: list[dict], better: dict[str, str]) -> dict:
             resolved = "better"
         elif 10 * losses >= 9 * len(sides) and -gain > iqr:
             resolved = "worse"
-        summary[name] = {"better": direction, "parent": parent, "change": change, "wins": wins,
-                         "pairs": len(sides), "resolved": resolved}
+        move = -sign * (change["median"] / parent["median"] - 1) if parent["median"] else None
+        summary[name] = {"better": direction, "bound": metric["bound"], "parent": parent,
+                         "change": change, "move": move, "wins": wins, "pairs": len(sides),
+                         "resolved": resolved}
     return summary
 
 
@@ -103,9 +108,9 @@ def pair_records(parent_dir: Path, change_dir: Path) -> dict:
                     if after is not None and before != 0:
                         ratios.setdefault(name, []).append(after / before)
             entry[out] = {name: statistics.median(r) for name, r in ratios.items()}
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    declared = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     for entry in workloads.values():
-        entry["end_to_end"] = _end_to_end(entry["pairs"], better)
+        entry["end_to_end"] = _end_to_end(entry["pairs"], declared)
     return {"workloads": workloads}
 
 

@@ -20,7 +20,7 @@ of `--orders` 2,1,1,1,0, 0,1,3,1,2, 1,1,0 and 3,1,0,3,2; a heston and a vasicek
 forecast at `--paths` 1, 4999, 257, 20000, 3999 and 4000 (one path, the odd
 branch of the median, a few hundred paths, the size of the benchmark's
 simulations, and either side of the path count from which a worker thread
-draws the next month's normals); a heston and a vasicek forecast (seed 7,
+draws normals ahead of the caller); a heston and a vasicek forecast (seed 7,
 257 paths) at `--horizon` 1, 11 and 13, on either side of the 12 months of
 base rates a forecast keeps for the spike window; a heston and a vasicek
 forecast (seed 7, 4000 paths) at `--horizon` 1 and 2, where the caller,

@@ -29,13 +29,14 @@ jumps. A row is the same whichever side draws it and each row is drawn
 once, so the bytes depend neither on the thread nor on the CPU count.
 
 Layout: the state is month-major, one C-ordered row of paths per month, and
-each Euler step folds its result straight into a row. Two small slots hold
-the draw rows of months in turn. From `_AHEAD_PATHS` paths on more than one
-CPU a worker thread and the caller share the rows, each claiming one row at
-a time (the worker from a month's first row, the caller from its last):
-the worker draws up to a month ahead, and before month t's step the caller
-draws month t's unclaimed rows and, while the worker still draws month t,
-month t + 1's. Otherwise the caller draws each month just before its step.
+each Euler step folds its result straight into a row. Draw row r of the
+call goes into row r % `_DRAW_ROWS` of a ring. From `_AHEAD_PATHS` paths on
+more than one CPU a worker thread and the caller share the rows, each
+claiming one row at a time (the worker from a month's first row, the caller
+from its last), and row r only while r < first[t] + `_DRAW_ROWS` for the
+caller's month t; before month t's step the caller draws month t's unclaimed
+rows and, while the worker still draws month t, month t + 1's. Otherwise the
+caller draws each month just before its step.
 `forecast_quantiles` shares its month rows' sorts the same way. The
 simulators keep every month's base and reported rows, and heston's
 variances, as read-only (paths, months) `.T` views; the baseline's constant
@@ -290,18 +291,18 @@ def _step_vasicek(c_prev, params: VasicekParams, t: int, z_c, out=None):
     return _fold(raw, params.scheme, out)
 
 
-def _allocate(n_paths: int, draws: int, months: list[int]) -> list[np.ndarray]:
-    """Two slots of `draws` month draw rows, as one (2, draws, paths) array, and
-    one (m, paths) array of month rows per m in `months`, allocated together
-    before anything is drawn; a size that cannot be allocated is one
-    ValidationError naming the total bytes."""
-    shapes = [(2, draws, n_paths), *[(m, n_paths) for m in months]]
+def _allocate(n_paths: int, ring: int, months: list[int]) -> list[np.ndarray]:
+    """A ring of `ring` draw rows, as one (ring, paths) array, and one (m,
+    paths) array of month rows per m in `months`, allocated together before
+    anything is drawn; a size that cannot be allocated is one ValidationError
+    naming the total bytes."""
+    shapes = [(ring, n_paths), *[(m, n_paths) for m in months]]
     try:
         return [np.empty(shape) for shape in shapes]
     except (MemoryError, ValueError):
         gib = sum(math.prod(shape) for shape in shapes) * 8 / 2**30
         rows = months[0] if len(set(months)) == 1 else ", ".join(map(str, months))
-        raise ValidationError(f"{n_paths} paths: two slots of {draws} draws and {len(months)} arrays"
+        raise ValidationError(f"{n_paths} paths: a ring of {ring} draw rows and {len(months)} arrays"
                               f" of {rows} months ({gib:.3g} GiB) cannot be allocated") from None
 
 
@@ -310,14 +311,27 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # `PCG64.jumped`'s step, (phi - 1) *
 # Paths from which a worker thread shares each month's draw rows with the
 # caller, and a thread shares `forecast_quantiles`' sorts. The thread start
 # and the row claims cost ~1.3-1.8 ms a 60-month call (at 1 path, inline ->
-# threaded, 3.36 -> 5.14 ms heston and 2.08 -> 3.39 vasicek). Medians of 81
-# streamed 60-month forecasts, inline -> threaded, heston and vasicek, 2
-# shared vCPUs, numpy 2.4.6: 2000 paths 7.89 -> 9.72 and 6.41 -> 7.84 ms;
-# 3000 14.63 -> 13.18 and 8.74 -> 9.03; 4000 14.10 -> 13.10 and 10.75 ->
-# 10.85; 5000 18.47 -> 15.29 and 11.72 -> 11.62. The library simulators
-# with `forecast_quantiles` cross at about the same sizes (4000: 17.39 ->
-# 15.84 and 10.24 -> 10.51 ms).
+# threaded, 3.36 -> 5.14 ms heston and 2.08 -> 3.39 vasicek). Medians of 41
+# streamed 60-month forecasts (two runs), inline -> threaded, heston and
+# vasicek, 2 shared vCPUs, numpy 2.4.6: 2000 paths 7.1-7.4 -> 7.4-7.8 and
+# 4.1-4.4 -> 4.8-5.0 ms; 2500 8.5-8.6 -> 8.0-8.2 and 4.9-5.0 -> 5.1-5.4;
+# 3000 9.8-10.3 -> 8.3-8.4 and 5.5-5.8 -> 5.0-5.5; 4000 13.6-16.7 ->
+# 9.2-10.1 and 7.1-7.2 -> 5.9; 5000 15.4-16.2 -> 11.2-11.9 and 9.5-9.7 ->
+# 6.6-7.4. Heston crosses at ~2250 paths (paths x rows 4500) and vasicek
+# at ~3000 (paths x rows 3000), so neither paths nor paths x rows is one
+# crossover for both; 4000 keeps 500-path calls inline and both gain.
 _AHEAD_PATHS = 4000
+
+# Rows in the draw ring: the worker may draw this many rows past the first
+# of the caller's month, ~3 heston or ~6 vasicek months, so it seldom idles
+# through spike months or vasicek's one-row months. 8 x paths x 8 bytes: a
+# warm 60-month backtest's traced peak, as a share of one (60, paths) array
+# at 5000 and 20000 paths, went 0.42-0.43 -> 0.45-0.46 (heston) and 0.37-0.38
+# -> 0.44-0.45 (vasicek) from two month slots. Medians of 31 streamed
+# 60-month forecasts, slots -> ring, 2 shared vCPUs: 20000 paths, heston
+# 37.4-37.7 -> 32.4-32.6 ms, vasicek 24.4-24.5 -> 19.9; 5000 paths, heston
+# 11.0-11.5 -> 11.0-11.3, vasicek 8.4 -> 6.7-6.8.
+_DRAW_ROWS = 8
 
 
 def _cpus() -> int:
@@ -352,24 +366,27 @@ class _Ends:
 
 
 class _Draws:
-    """Who draws which normal row: month t's counts[t] rows go into
-    slots[t % 2], and row r of the call (months in order) is
-    PCG64(seed).jumped(r), from a PCG64 seeded once per side and reset to
-    that state and advanced r jumps before each row. Calling it before month
-    t's step returns once month t is drawn.
+    """Who draws which normal row: row r of the call (months in order) goes
+    into ring row r % len(ring) and is PCG64(seed).jumped(r), from a PCG64
+    seeded once per side and reset to that state and advanced r jumps before
+    each row. Calling it before month t's step returns month t's rows once
+    they are drawn; the caller is then done with month t - 1's.
 
     Inline, the caller draws each month's rows in order with one generator.
     With `ahead`, one worker thread with its own generator claims each
-    month's rows from the front, up to a month ahead of the caller, and the
-    caller claims them from the back instead of waiting: before month t it
-    frees month t - 1's slot, draws month t's unclaimed rows and, while the
-    worker still draws month t's last row, month t + 1's unclaimed rows into
-    the slot just freed; only then does it block. A worker exception is
-    raised in the caller as it was raised; `close` stops and joins the worker.
+    month's rows from the front, and the caller claims them from the back
+    instead of waiting: before month t it draws month t's unclaimed rows and,
+    while the worker still draws month t's last row, month t + 1's; only then
+    does it block. Either side claims row r only while r < first[t] +
+    len(ring) for the caller's month t, so no row is overwritten before its
+    step and the worker draws up to a ring of rows ahead. A worker exception
+    is raised in the caller as it was raised; `close` stops and joins the
+    worker.
     """
 
-    def __init__(self, seed: int, counts: list[int], slots, ahead: bool):
-        self.seed, self.counts, self.slots = seed, counts, slots
+    def __init__(self, seed: int, counts: list[int], ring: list, ahead: bool):
+        self.seed, self.counts, self.ring = seed, counts, ring
+        self.rows = ring * 2  # the ring twice, so a month's rows are one slice
         self.first = [0]  # each month's first row of the call
         for k in counts[:-1]:
             self.first.append(self.first[-1] + k)
@@ -378,9 +395,9 @@ class _Draws:
         if ahead:
             self.ends = _Ends(counts)
             self.changed = threading.Condition(self.ends.lock)
-            # under the lock: rows not yet drawn per month, the caller's month
-            # (its slot and the next are free), a stop request, a worker exception
-            self.left, self.month, self.stop, self.error = list(counts), 0, False, None
+            # under the lock: rows not yet drawn per month, the first row past
+            # the ring (first[t] + len(ring) for the caller's month t), a worker exception
+            self.left, self.bound, self.error = list(counts), len(ring), None
             self.worker = threading.Thread(target=self._run, name="crashvol-draws")
             self.worker.start()
 
@@ -388,57 +405,73 @@ class _Draws:
         bitgen = np.random.PCG64(self.seed)
         return bitgen, bitgen.state, np.random.Generator(bitgen).standard_normal
 
-    def _fill(self, generator, t: int, rows):
+    def _fill(self, generator, rows):
         bitgen, seeded, normal = generator
-        slot, first = self.slots[t % 2], self.first[t]
-        for i in rows:
+        for r in rows:
             bitgen.state = seeded
-            bitgen.advance((first + i) * _JUMP)
-            normal(out=slot[i])
+            bitgen.advance(r * _JUMP)
+            normal(out=self.ring[r % len(self.ring)])
 
     def __call__(self, t: int):
+        first, k = self.first[t], self.counts[t]
         if self.worker is None:
-            self._fill(self.mine, t, range(self.counts[t]))
-            return
-        with self.changed:
-            self.month = t
-            self.changed.notify()
-            row = self._claim(t)
-        while row is not None:
-            m, i = row
-            self._fill(self.mine, m, (i,))
+            self._fill(self.mine, range(first, first + k))
+        else:
             with self.changed:
-                self.left[m] -= 1
+                self.bound = first + len(self.ring)
+                self.changed.notify()
                 row = self._claim(t)
+            while row is not None:
+                m, r = row
+                self._fill(self.mine, (r,))
+                with self.changed:
+                    self.left[m] -= 1
+                    row = self._claim(t)
+        first %= len(self.ring)
+        return self.rows[first : first + k]
+
+    def _take(self, m: int, front: bool):
+        """Under the lock, month m's next unclaimed row of the call from the
+        front or the back; None if none is left or it lies past the ring."""
+        i = self.ends.lo[m] if front else self.ends.hi[m] - 1
+        if self.first[m] + i >= self.bound:
+            return None
+        i = self.ends.claim(m, front)
+        return None if i is None else self.first[m] + i
 
     def _claim(self, t: int):
         """Under the lock, the caller's next (month, row): from month t, else,
         while the worker still draws month t, from month t + 1; None once
-        month t is drawn. Blocks only while neither month has a row left."""
+        month t is drawn. Blocks only while neither has a row left in the ring."""
         while self.error is None:
             if self.left[t] == 0:
                 return None
             for m in range(t, min(t + 2, len(self.counts))):
-                i = self.ends.claim(m, front=False)
-                if i is not None:
-                    return m, i
+                r = self._take(m, front=False)
+                if r is not None:
+                    return m, r
             self.changed.wait()
         raise self.error
+
+    def _front(self, t: int):
+        """Under the lock, the worker's next row of month t, once it lies in
+        the ring; None once month t has none left."""
+        while (r := self._take(t, front=True)) is None and self.ends.lo[t] < self.ends.hi[t]:
+            self.changed.wait()
+        return r
 
     def _run(self):
         try:
             mine = self._generator()
             for t in range(len(self.counts)):
                 with self.changed:
-                    while t > self.month + 1 and not self.stop:
-                        self.changed.wait()
-                    i = self.ends.claim(t, front=True)
-                while i is not None:
-                    self._fill(mine, t, (i,))
+                    r = self._front(t)
+                while r is not None:
+                    self._fill(mine, (r,))
                     with self.changed:
                         self.left[t] -= 1
                         self.changed.notify()
-                        i = self.ends.claim(t, front=True)
+                        r = self._front(t)
         except BaseException as exc:  # handed to the caller
             with self.changed:
                 self.error = exc
@@ -448,7 +481,6 @@ class _Draws:
         if self.worker is None:
             return
         with self.changed:
-            self.stop = True
             self.ends.close()
             self.changed.notify()
         self.worker.join()
@@ -517,13 +549,13 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     """The Monte Carlo loop; `step(c, v, t, z, *out)` advances one month.
 
     `c` and `v` are the previous month's base-rate and variance rows (c1 and
-    v0 in month 0, which broadcast), and `z` holds the month's `draws` normal
-    rows, one value per path. The step folds the new base rates into out[0]
-    and, if `var_evolves`, the new variances into out[1]; otherwise the
-    variance stays v0. In a spike month one more draw follows the step's
-    draws. Month t's draws are in slot t % 2, drawn by `_Draws` before its
-    step: from `_AHEAD_PATHS` paths on more than one CPU by a worker thread
-    and the caller together, else by the caller alone, to the same bytes. Returns
+    v0 in month 0, which broadcast), and `z` holds the month's normal rows,
+    one value per path: the step's `draws`, then in a spike month the spike
+    draw. The step folds the new base rates into out[0] and, if
+    `var_evolves`, the new variances into out[1]; otherwise the variance
+    stays v0. Month t's rows are drawn into the draw ring by `_Draws` before
+    its step: from `_AHEAD_PATHS` paths on more than one CPU by a worker
+    thread and the caller together, else by the caller alone, to the same bytes. Returns
     the SimulationResult, or with `levels` its `forecast_quantiles`, byte for
     byte, from the rows of a forecast's ring (a month without a spike hands
     over its base row).
@@ -539,21 +571,19 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     spike_at = {s.month: s for s in params.spikes}
     months = [add_months(*params.start, k) for k in range(horizon)]
     rows = [horizon] * 3 if levels is None else [min(horizon, 12), 1, 1]
-    z, base, rep, *var = _allocate(n_paths, draws + bool(spike_at), rows[: 2 + var_evolves])
+    z, base, rep, *var = _allocate(n_paths, _DRAW_ROWS, rows[: 2 + var_evolves])
     # after the allocation, which refuses a path count past numpy's index range
     quantiles = None if levels is None else _RowQuantiles(levels, n_paths, horizon)
-    slots = [list(slot) for slot in z]  # each slot's row views, made once
-    drawn = _Draws(seed, [draws + (month in spike_at) for _, month in months], slots,
+    drawn = _Draws(seed, [draws + (month in spike_at) for _, month in months], list(z),
                    n_paths >= _AHEAD_PATHS and _cpus() > 1)
 
     c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
     try:
         for t, (_, month) in enumerate(months):
-            drawn(t)
-            zt = slots[t % 2]
+            zt = drawn(t)
             spec = spike_at.get(month)
             new = [a[t % len(a)] for a in (base, *var)]
-            step(c, v, t, zt[:draws], *new)
+            step(c, v, t, zt, *new)
             c, v = new[0], (new[1] if var else v0)
             reported = c if spec is None else rep[t % len(rep)]
             if spec is not None:

@@ -41,7 +41,7 @@ def test_pairs_records_by_workload_and_seed(tmp_path):
     assert entry["median_ratio"] == {"op_p50_s": 0.25}
     assert entry["traced_pairs"] == [] and entry["traced_median_ratio"] == {}
     assert entry["end_to_end"] == {"op_p50_s": {
-        "better": "lower", "wins": 3, "pairs": 3, "resolved": None,
+        "better": "lower", "bound": 0.25, "move": -0.75, "wins": 3, "pairs": 3, "resolved": None,
         "parent": {"q1": 1.5, "median": 2.0, "q3": 3.0},
         "change": {"q1": 0.5, "median": 0.5, "q3": 0.75},
     }}
@@ -139,3 +139,24 @@ def test_resolved_needs_nine_tenths_of_the_pairs_and_a_move_past_the_parents_spr
     assert resolved("setup_s", [1.0 + i / 10 - 0.5 for i in range(9)] + [1.9]) == "better"
     assert resolved("setup_s", [1.0 + i / 10 + 0.6 for i in range(9)] + [1.9]) == "worse"
     assert resolved("setup_s", [1.0 + i / 10 + 0.3 for i in range(10)]) is None
+
+
+def test_move_is_positive_when_worse_and_carries_the_declared_bound(tmp_path):
+    # setup_s counts lower as better and ops_per_s higher: +28 % setup_s and
+    # -20 % ops_per_s are both worse, so both moves are positive; a parent
+    # median of 0 gives no move
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    sides = ((parent, {"setup_s": 0.25, "ops_per_s": 30.0, "op_p50_s": 0.0}),
+             (change, {"setup_s": 0.32, "ops_per_s": 24.0, "op_p50_s": 0.1}))
+    for directory, values in sides:
+        directory.mkdir()
+        record = {"workload": "sim-paths", "seed": 1, "attempted": 12, "failed": 0,
+                  "environment": {},
+                  "metrics": {name: {"value": v, "unit": "s"} for name, v in values.items()}}
+        (directory / "sim-paths-seed1-trace0.json").write_text(json.dumps(record))
+    summary = _load().pair_records(parent, change)["workloads"]["sim-paths"]["end_to_end"]
+    setup, rate, p50 = summary["setup_s"], summary["ops_per_s"], summary["op_p50_s"]
+    assert (setup["bound"], rate["bound"]) == (0.25, 0.25)
+    assert abs(setup["move"] - 0.28) < 1e-12 and abs(rate["move"] - 0.2) < 1e-12
+    assert setup["move"] > setup["bound"] and rate["move"] < rate["bound"]
+    assert p50["move"] is None

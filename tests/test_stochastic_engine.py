@@ -199,18 +199,16 @@ def test_oversized_draw_buffer_is_one_validation_error(monkeypatch):
 
     monkeypatch.setattr(np, "empty", empty)
     _forbid_drawing(monkeypatch)
-    # two slots of 2 + 1 month draw rows (a spike is configured) and 3 x 7
-    # result rows of 200e6 paths
+    # a ring of 8 draw rows and 3 x 7 result rows of 200e6 paths
     p = _heston(spikes=(SpikeSpec(3, 0.1, 0.1),))
-    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 3 draws and 3 arrays "
-                                              r"of 7 months \(40.2 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a ring of 8 draw rows and 3 arrays "
+                                              r"of 7 months \(43.2 GiB\) cannot be allocated$"):
         simulate_heston(p, 7, 200_000_000, seed=3)
-    # vasicek keeps no variance array: two slots of 1 + 1 draw rows and 2 x 7
-    # result rows
+    # vasicek keeps no variance array: the same ring and 2 x 7 result rows
     vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0,
                        spikes=(SpikeSpec(3, 0.1, 0.1),))
-    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 2 draws and 2 arrays "
-                                              r"of 7 months \(26.8 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a ring of 8 draw rows and 2 arrays "
+                                              r"of 7 months \(32.8 GiB\) cannot be allocated$"):
         simulate_vasicek(vp, 7, 200_000_000, seed=3)
 
 
@@ -406,7 +404,7 @@ def test_vasicek_variance_owns_no_storage():
 
 
 def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
-    # the result arrays' allocation is faked to fail after the two draw slots'
+    # the result arrays' allocation is faked to fail after the draw ring's
     # succeeded; it must fail before any path is drawn, as one ValidationError
     real_empty = np.empty
     shapes = []
@@ -419,17 +417,17 @@ def test_result_arrays_allocated_with_the_draw_buffer(monkeypatch):
 
     monkeypatch.setattr(np, "empty", empty)
     _forbid_drawing(monkeypatch)
-    with pytest.raises(ValidationError, match=r"^5 paths: two slots of 2 draws and 3 arrays of "
+    with pytest.raises(ValidationError, match=r"^5 paths: a ring of 8 draw rows and 3 arrays of "
                                               r"13 months \([0-9.e-]+ GiB\) cannot be allocated$"):
         simulate_heston(_heston(), 13, 5, seed=1)
-    assert shapes == [(2, 2, 5), (13, 5)]  # draw slots, first result
-    # vasicek's total leaves out the variance: (2 x 1 + 2 x 13) x 5 values of 8 bytes
+    assert shapes == [(8, 5), (13, 5)]  # draw ring, first result
+    # vasicek's total leaves out the variance: (8 + 2 x 13) x 5 values of 8 bytes
     shapes.clear()
     vp = VasicekParams(c1=0.005, mu=0.14, kappa_v=0.5, sigma_v=2.0)
-    with pytest.raises(ValidationError, match=r"^5 paths: two slots of 1 draws and 2 arrays of "
-                                              r"13 months \(1.04e-06 GiB\) cannot be allocated$"):
+    with pytest.raises(ValidationError, match=r"^5 paths: a ring of 8 draw rows and 2 arrays of "
+                                              r"13 months \(1.27e-06 GiB\) cannot be allocated$"):
         simulate_vasicek(vp, 13, 5, seed=1)
-    assert shapes == [(2, 1, 5), (13, 5)]
+    assert shapes == [(8, 5), (13, 5)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1042,26 +1040,38 @@ _MODELS = {
 }
 
 
+def _rings(model):
+    # draw ring sizes: the fewest rows that hold a month's draws (3 in a
+    # heston spike month, 2 in a vasicek one), 4, the default 8, and more
+    # rows than a 60-month call draws
+    return (3 if model == "heston" else 2, 4, 8, _rows_of_call(model, 60) + 1)
+
+
 @pytest.mark.parametrize("scheme", ["reflect", "truncate"])
 @pytest.mark.parametrize("model", ["heston", "vasicek"])
 def test_worker_and_inline_draws_give_the_same_bytes(model, scheme, monkeypatch):
     # the library simulators and the program's streamed forecasts, with a
     # spike in month 0 (January) that reads the 12-month history tail, on
-    # either side of the threshold and of the forecast's 12-row ring
+    # either side of the threshold and of the forecast's 12-row ring, at
+    # each draw ring size: all give the bytes of the default ring inline
     params, simulate, parts = _MODELS[model]
     params = dataclasses.replace(params, scheme=scheme)
     tail = np.linspace(0.004, 0.006, 12)
 
-    def outputs(threaded, seed, n_paths, horizon):
+    def outputs(threaded, ring, seed, n_paths, horizon):
         with monkeypatch.context() as m:
             _drawing(m, threaded)
+            m.setattr(stochastic_engine, "_DRAW_ROWS", ring)
             res = simulate(params, horizon, n_paths, seed, tail)
             q = _simulated(parts, (params, tail), horizon, n_paths, seed, DEFAULT_LEVELS)
         return [a.tobytes() for a in (res.rate_paths, res.var_paths, res.base_paths,
                                       q.median, q.bands)]
 
     for case in itertools.product((1, 7, 2**64 + 3), (1, _AHEAD - 1, _AHEAD), (1, 11, 12, 13, 60)):
-        assert outputs(True, *case) == outputs(False, *case), case
+        want = outputs(False, stochastic_engine._DRAW_ROWS, *case)
+        for ring in _rings(model):
+            assert outputs(True, ring, *case) == want, (ring, case)
+            assert outputs(False, ring, *case) == want, (ring, case)
 
 
 class _Raised(Exception):
@@ -1210,7 +1220,7 @@ def _rows_of_call(model, horizon):
 def test_every_draw_row_is_filled_once(model, streamed, threaded, monkeypatch):
     # the row a fill draws is told by its generator's state, which is
     # PCG64(seed) advanced r jumps for row r; each row of the call is filled
-    # exactly once, whichever side claims it
+    # exactly once, whichever side claims it, at each draw ring size
     _drawing(monkeypatch, threaded)
     seed, real = 5, np.random.Generator
     index = {}
@@ -1229,19 +1239,20 @@ def test_every_draw_row_is_filled_once(model, streamed, threaded, monkeypatch):
             self.normal(out=out)
 
     monkeypatch.setattr(np.random, "Generator", Counting)
-    for horizon in (1, 2, 13, 60):
+    for ring, horizon in itertools.product(_rings(model), (1, 2, 13, 60)):
+        monkeypatch.setattr(stochastic_engine, "_DRAW_ROWS", ring)
         fills.clear()
         _run_simulator(model, streamed, horizon, 50, seed)
-        assert sorted(fills) == list(range(_rows_of_call(model, horizon))), horizon
+        assert sorted(fills) == list(range(_rows_of_call(model, horizon))), (ring, horizon)
 
 
-@pytest.mark.parametrize("model, streamed", _SIMULATORS)
-def test_forced_claim_orders_give_the_inline_bytes(model, streamed, monkeypatch):
+def _forced_claim_orders(monkeypatch, model, streamed):
     # the caller claims every row while the worker is held back before its
     # first claim; the worker claims every row while the caller's claims are
-    # disabled; the caller draws the rest of month 0 and all of month 1 while
-    # the worker is held in its fill of month 0's first row. Each gives the
-    # inline bytes
+    # disabled; the caller draws the rest of month 0 and as much of month 1
+    # as the draw ring holds while the worker is held in its fill of month
+    # 0's first row (month 1 from its last row, so all of it or none). Each
+    # gives the inline bytes
     horizon, n_paths, seed = 14, 60, 9
     rows = _rows_of_call(model, horizon)
     _drawing(monkeypatch, threaded=False)
@@ -1267,7 +1278,9 @@ def test_forced_claim_orders_give_the_inline_bytes(model, streamed, monkeypatch)
         assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
         assert len(worker_rows) == rows
     with monkeypatch.context() as m:
-        ahead = _rows_of_call(model, 2) - 1  # months 0 and 1 but the worker's row
+        # months 0 and 1, or month 0 alone if month 1 passes the ring, but the worker's row
+        two = _rows_of_call(model, 2)
+        ahead = (two if two <= stochastic_engine._DRAW_ROWS else _rows_of_call(model, 1)) - 1
         caller_rows, worker_in, caller_ahead = [], threading.Event(), threading.Event()
 
         def caller():
@@ -1284,6 +1297,45 @@ def test_forced_claim_orders_give_the_inline_bytes(model, streamed, monkeypatch)
         _per_thread_fills(m, caller, worker)
         assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
         assert len(caller_rows) >= ahead
+
+
+@pytest.mark.parametrize("model, streamed", _SIMULATORS)
+def test_forced_claim_orders_give_the_inline_bytes(model, streamed, monkeypatch):
+    _forced_claim_orders(monkeypatch, model, streamed)
+
+
+@pytest.mark.parametrize("model, streamed", _SIMULATORS)
+def test_no_row_is_claimed_past_the_ring(model, streamed, monkeypatch):
+    # at each draw ring size, under the forced claim orders and free-running,
+    # either side claims row r only while r < first[t] + ring for the
+    # caller's month t: the draws of months before t are spent, and no row in
+    # use is overwritten. The month is recorded as the caller asks for it,
+    # so a worker claim may see a later month than its bound
+    month, claims = [0], []
+    real_call, real_claim = stochastic_engine._Draws.__call__, stochastic_engine._Ends.claim
+
+    def call(self, t):
+        month[0] = t
+        return real_call(self, t)
+
+    def claim(self, b, front):
+        i = real_claim(self, b, front)
+        if i is not None:
+            claims.append((_rows_of_call(model, b) + i, month[0]))
+        return i
+
+    monkeypatch.setattr(stochastic_engine._Draws, "__call__", call)
+    monkeypatch.setattr(stochastic_engine._Ends, "claim", claim)
+    for ring in _rings(model):
+        monkeypatch.setattr(stochastic_engine, "_DRAW_ROWS", ring)
+        claims.clear()
+        _forced_claim_orders(monkeypatch, model, streamed)
+        _drawing(monkeypatch, threaded=False)
+        want = _run_simulator(model, streamed, 60, 300, 4)
+        _drawing(monkeypatch, threaded=True)
+        assert _run_simulator(model, streamed, 60, 300, 4) == want, ring
+        past = [(r, t) for r, t in claims if r >= _rows_of_call(model, t) + ring]
+        assert claims and not past, (ring, past)
 
 
 @pytest.mark.parametrize("n", [_AHEAD - 1, _AHEAD, 20000])
@@ -1339,9 +1391,9 @@ def test_oversized_draw_slots_start_no_thread(monkeypatch):
     _forbid_drawing(monkeypatch)
     _drawing(monkeypatch, threaded=True)
     starts = _thread_starts(monkeypatch)
-    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 2 draws "):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a ring of 8 draw rows and 3 "):
         simulate_heston(_heston(), 7, 200_000_000, seed=3)
-    with pytest.raises(ValidationError, match=r"^200000000 paths: two slots of 1 draws "):
+    with pytest.raises(ValidationError, match=r"^200000000 paths: a ring of 8 draw rows and 2 "):
         _simulated(stochastic_engine._vasicek, (VasicekParams(0.005, 0.14, 0.5, 2.0), ()), 7,
                    200_000_000, 3, DEFAULT_LEVELS)
     assert starts == []
@@ -1349,8 +1401,9 @@ def test_oversized_draw_slots_start_no_thread(monkeypatch):
 
 def test_worker_draws_hold_under_concurrent_calls_and_a_short_switch_interval(monkeypatch):
     # four calling threads at once, each with its own worker (8 threads on
-    # fewer cores), switching every 10 us: each call still gives the bytes of
-    # the inline draws and one-lane sorts, and every caller finishes
+    # fewer cores), switching every 10 us, with the fewest draw rows that hold
+    # a heston spike month and with the default ring: each call still gives
+    # the bytes of the inline draws and one-lane sorts, and every caller finishes
     cases = [(model, seed) for model in ("heston", "vasicek") for seed in (1, 7)]
 
     def outputs(model, seed):
@@ -1363,17 +1416,19 @@ def test_worker_draws_hold_under_concurrent_calls_and_a_short_switch_interval(mo
     _drawing(monkeypatch, threaded=False)
     want = {case: outputs(*case) for case in cases}
     _drawing(monkeypatch, threaded=True)
-    got = {}
-    callers = [threading.Thread(target=lambda case=case: got.update({case: outputs(*case)}))
-               for case in cases]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    assert got == want
+    for ring in (3, stochastic_engine._DRAW_ROWS):
+        monkeypatch.setattr(stochastic_engine, "_DRAW_ROWS", ring)
+        got = {}
+        callers = [threading.Thread(target=lambda case=case: got.update({case: outputs(*case)}))
+                   for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers), ring
+        assert got == want, ring
