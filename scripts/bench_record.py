@@ -18,7 +18,10 @@ direction and its `bound`, each side's `median` and quartiles `q1` and
 `q3` over the `--trace 0` pairs (numpy's default linear interpolation; one
 pair gives its value for all three), `move`, the change's median over the
 parent's minus 1, signed so that positive is worse (null for a parent
-median of 0), to read against `bound`, `wins`, the pairs in which the
+median of 0), to read against `bound`, `ratio`, the quartiles `q1`,
+`median` and `q3` of change / parent within each pair (pairs with a parent
+value of 0 left out; null if none is left), which a move smaller than the
+runs' spread between pairs can still show, `wins`, the pairs in which the
 change reads better in that direction out of `pairs` (a tie counts for
 neither side), and `resolved`: "better" when the change wins at least nine
 tenths of the pairs and its median is better than the parent's by more
@@ -80,9 +83,11 @@ def _end_to_end(pairs: list[dict], declared: dict[str, dict]) -> dict:
         elif 10 * losses >= 9 * len(sides) and -gain > iqr:
             resolved = "worse"
         move = -sign * (change["median"] / parent["median"] - 1) if parent["median"] else None
+        ratios = [after / before for before, after in sides if before]
         summary[name] = {"better": direction, "bound": metric["bound"], "parent": parent,
-                         "change": change, "move": move, "wins": wins, "pairs": len(sides),
-                         "resolved": resolved}
+                         "change": change, "move": move,
+                         "ratio": _spread(ratios) if ratios else None, "wins": wins,
+                         "pairs": len(sides), "resolved": resolved}
     return summary
 
 

@@ -31,12 +31,12 @@ once, so the bytes depend neither on the thread nor on the CPU count.
 Layout: the state is month-major, one C-ordered row of paths per month, and
 each Euler step folds its result straight into a row. Draw row r of the
 call goes into row r % `_DRAW_ROWS` of a ring. From `_AHEAD_PATHS` paths on
-more than one CPU a worker thread and the caller share the rows, each
-claiming one row at a time (the worker from a month's first row, the caller
-from its last), and row r only while r < first[t] + `_DRAW_ROWS` for the
-caller's month t; before month t's step the caller draws month t's unclaimed
-rows and, while the worker still draws month t, month t + 1's. Otherwise the
-caller draws each month just before its step.
+more than one CPU a worker thread and the caller share the rows: each side
+takes the lowest unclaimed row, and row r only while r < first[t] +
+`_DRAW_ROWS` for the caller's month t. Before month t's step the caller
+draws such rows of months t and t + 1 until none of month t's is left
+unclaimed or on the worker, and waits only when it has none to take.
+Otherwise the caller draws each month just before its step.
 `forecast_quantiles` shares its month rows' sorts the same way. The
 simulators keep every month's base and reported rows, and heston's
 variances, as read-only (paths, months) `.T` views; the baseline's constant
@@ -309,17 +309,19 @@ def _allocate(n_paths: int, ring: int, months: list[int]) -> list[np.ndarray]:
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835  # `PCG64.jumped`'s step, (phi - 1) * 2**128
 
 # Paths from which a worker thread shares each month's draw rows with the
-# caller, and a thread shares `forecast_quantiles`' sorts. The thread start
-# and the row claims cost ~1.3-1.8 ms a 60-month call (at 1 path, inline ->
-# threaded, 3.36 -> 5.14 ms heston and 2.08 -> 3.39 vasicek). Medians of 41
-# streamed 60-month forecasts (two runs), inline -> threaded, heston and
-# vasicek, 2 shared vCPUs, numpy 2.4.6: 2000 paths 7.1-7.4 -> 7.4-7.8 and
-# 4.1-4.4 -> 4.8-5.0 ms; 2500 8.5-8.6 -> 8.0-8.2 and 4.9-5.0 -> 5.1-5.4;
-# 3000 9.8-10.3 -> 8.3-8.4 and 5.5-5.8 -> 5.0-5.5; 4000 13.6-16.7 ->
-# 9.2-10.1 and 7.1-7.2 -> 5.9; 5000 15.4-16.2 -> 11.2-11.9 and 9.5-9.7 ->
-# 6.6-7.4. Heston crosses at ~2250 paths (paths x rows 4500) and vasicek
-# at ~3000 (paths x rows 3000), so neither paths nor paths x rows is one
-# crossover for both; 4000 keeps 500-path calls inline and both gain.
+# caller, and a thread shares `forecast_quantiles`' sorts. The thread
+# start and the row claims cost ~1.0-1.8 ms a 60-month call (at 1 path,
+# inline -> threaded, medians of 81-121 streamed forecasts over four runs:
+# heston 1.8-4.0 -> 3.4-5.5 ms, +1.4-1.8; vasicek 1.1-2.3 -> 2.3-3.5,
+# +1.0-1.2). Medians of 41 streamed 60-month forecasts (two runs), inline
+# -> threaded, heston and vasicek, 2 shared vCPUs, numpy 2.4.6: 2000 paths
+# 7.1-7.4 -> 7.4-7.8 and 4.1-4.4 -> 4.8-5.0 ms; 2500 8.5-8.6 -> 8.0-8.2
+# and 4.9-5.0 -> 5.1-5.4; 3000 9.8-10.3 -> 8.3-8.4 and 5.5-5.8 -> 5.0-5.5;
+# 4000 13.6-16.7 -> 9.2-10.1 and 7.1-7.2 -> 5.9; 5000 15.4-16.2 ->
+# 11.2-11.9 and 9.5-9.7 -> 6.6-7.4. Heston crosses at ~2250 paths (paths x
+# rows 4500) and vasicek at ~3000 (paths x rows 3000), so neither paths
+# nor paths x rows is one crossover for both; 4000 keeps 500-path calls
+# inline and both gain.
 _AHEAD_PATHS = 4000
 
 # Rows in the draw ring: the worker may draw this many rows past the first
@@ -342,148 +344,97 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Ends:
-    """Rows 0..k - 1 of each block b (k = counts[b]), each claimed once: `claim`
-    gives block b's next unclaimed row from the front or from the back, or
-    None once none is left. Callers hold `lock` around each claim; `close`
-    claims every row left, so no side takes another."""
-
-    def __init__(self, counts):
-        self.lock = threading.Lock()
-        self.lo, self.hi = [0] * len(counts), list(counts)
-
-    def claim(self, b: int, front: bool):
-        if self.lo[b] == self.hi[b]:
-            return None
-        if front:
-            self.lo[b] += 1
-            return self.lo[b] - 1
-        self.hi[b] -= 1
-        return self.hi[b]
-
-    def close(self):
-        self.lo[:] = self.hi
-
-
-class _Draws:
-    """Who draws which normal row: row r of the call (months in order) goes
-    into ring row r % len(ring) and is PCG64(seed).jumped(r), from a PCG64
-    seeded once per side and reset to that state and advanced r jumps before
-    each row. Calling it before month t's step returns month t's rows once
-    they are drawn; the caller is then done with month t - 1's.
-
-    Inline, the caller draws each month's rows in order with one generator.
-    With `ahead`, one worker thread with its own generator claims each
-    month's rows from the front, and the caller claims them from the back
-    instead of waiting: before month t it draws month t's unclaimed rows and,
-    while the worker still draws month t's last row, month t + 1's; only then
-    does it block. Either side claims row r only while r < first[t] +
-    len(ring) for the caller's month t, so no row is overwritten before its
-    step and the worker draws up to a ring of rows ahead. A worker exception
-    is raised in the caller as it was raised; `close` stops and joins the
-    worker.
+class _Lanes:
+    """Items 0..n - 1, each run once by a function that `make()` returns on
+    the side that runs it. Inline, the caller runs them in order. From
+    `_AHEAD_PATHS` paths on more than one CPU, one worker thread makes its
+    own function and shares the items with the caller: either side claims
+    the lowest unclaimed item, the worker only while it lies below `limit`,
+    which only the caller raises. A worker exception is raised in the caller
+    as it was raised; `close` stops and joins the worker.
     """
 
-    def __init__(self, seed: int, counts: list[int], ring: list, ahead: bool):
-        self.seed, self.counts, self.ring = seed, counts, ring
-        self.rows = ring * 2  # the ring twice, so a month's rows are one slice
-        self.first = [0]  # each month's first row of the call
-        for k in counts[:-1]:
-            self.first.append(self.first[-1] + k)
-        self.mine = self._generator()
+    def __init__(self, n: int, n_paths: int, make, name: str):
+        self.n, self.next, self.run = n, 0, make()
         self.worker = None
-        if ahead:
-            self.ends = _Ends(counts)
-            self.changed = threading.Condition(self.ends.lock)
-            # under the lock: rows not yet drawn per month, the first row past
-            # the ring (first[t] + len(ring) for the caller's month t), a worker exception
-            self.left, self.bound, self.error = list(counts), len(ring), None
-            self.worker = threading.Thread(target=self._run, name="crashvol-draws")
+        if n_paths >= _AHEAD_PATHS and _cpus() > 1:
+            self.changed = threading.Condition()
+            # under the lock: the worker's bound, the item it runs, its exception
+            self.limit, self.working, self.error = 0, None, None
+            self.worker = threading.Thread(target=self._work, args=(make,), name=name)
             self.worker.start()
 
-    def _generator(self):
-        bitgen = np.random.PCG64(self.seed)
-        return bitgen, bitgen.state, np.random.Generator(bitgen).standard_normal
-
-    def _fill(self, generator, rows):
-        bitgen, seeded, normal = generator
-        for r in rows:
-            bitgen.state = seeded
-            bitgen.advance(r * _JUMP)
-            normal(out=self.ring[r % len(self.ring)])
-
-    def __call__(self, t: int):
-        first, k = self.first[t], self.counts[t]
+    def until(self, end: int, limit: int, reach: int):
+        """Raise the worker's limit to `limit` and return once items 0..end - 1
+        are done; meanwhile run the items below min(reach, limit) rather than
+        wait. Inline, run the items up to `end`."""
         if self.worker is None:
-            self._fill(self.mine, range(first, first + k))
-        else:
-            with self.changed:
-                self.bound = first + len(self.ring)
+            while self.next < end:
+                self.run(self.next)
+                self.next += 1
+            return
+        with self.changed:
+            self.limit = limit
+            self.changed.notify()
+        while (item := self.claim(end, reach)) is not None:
+            self.run(item)
+
+    def claim(self, end: int, reach: int, worker: bool = False):
+        """One side's next item, the lowest unclaimed, once it lies below
+        min(reach, limit); None once every item below `end` is claimed and
+        the worker's is not below it. The worker's last item is done when it
+        claims the next."""
+        with self.changed:
+            if worker:
+                self.working = None
                 self.changed.notify()
-                row = self._claim(t)
-            while row is not None:
-                m, r = row
-                self._fill(self.mine, (r,))
-                with self.changed:
-                    self.left[m] -= 1
-                    row = self._claim(t)
-        first %= len(self.ring)
-        return self.rows[first : first + k]
+            while self.error is None:
+                if self.next >= end and (self.working is None or self.working >= end):
+                    return None
+                if self.next < min(reach, self.limit):
+                    self.next += 1
+                    if worker:
+                        self.working = self.next - 1
+                    return self.next - 1
+                self.changed.wait()
+            raise self.error
 
-    def _take(self, m: int, front: bool):
-        """Under the lock, month m's next unclaimed row of the call from the
-        front or the back; None if none is left or it lies past the ring."""
-        i = self.ends.lo[m] if front else self.ends.hi[m] - 1
-        if self.first[m] + i >= self.bound:
-            return None
-        i = self.ends.claim(m, front)
-        return None if i is None else self.first[m] + i
-
-    def _claim(self, t: int):
-        """Under the lock, the caller's next (month, row): from month t, else,
-        while the worker still draws month t, from month t + 1; None once
-        month t is drawn. Blocks only while neither has a row left in the ring."""
-        while self.error is None:
-            if self.left[t] == 0:
-                return None
-            for m in range(t, min(t + 2, len(self.counts))):
-                r = self._take(m, front=False)
-                if r is not None:
-                    return m, r
-            self.changed.wait()
-        raise self.error
-
-    def _front(self, t: int):
-        """Under the lock, the worker's next row of month t, once it lies in
-        the ring; None once month t has none left."""
-        while (r := self._take(t, front=True)) is None and self.ends.lo[t] < self.ends.hi[t]:
-            self.changed.wait()
-        return r
-
-    def _run(self):
+    def _work(self, make):
         try:
-            mine = self._generator()
-            for t in range(len(self.counts)):
-                with self.changed:
-                    r = self._front(t)
-                while r is not None:
-                    self._fill(mine, (r,))
-                    with self.changed:
-                        self.left[t] -= 1
-                        self.changed.notify()
-                        r = self._front(t)
+            run = make()
+            while (item := self.claim(self.n, self.n, worker=True)) is not None:
+                run(item)
         except BaseException as exc:  # handed to the caller
             with self.changed:
                 self.error = exc
                 self.changed.notify()
 
     def close(self):
-        if self.worker is None:
-            return
-        with self.changed:
-            self.ends.close()
-            self.changed.notify()
-        self.worker.join()
+        if self.worker is not None:
+            with self.changed:
+                self.next = self.n
+                self.changed.notify()
+            self.worker.join()
+
+
+def _row_fills(seed: int, ring):
+    """`make` for `_Lanes`: each call seeds one PCG64 and returns a fill of
+    row r of the call (months in order), PCG64(seed).jumped(r), into ring
+    row r % len(ring), resetting the PCG64 to its seeded state and advancing
+    it r jumps before each row."""
+
+    def make():
+        bitgen = np.random.PCG64(seed)
+        seeded, normal = bitgen.state, np.random.Generator(bitgen).standard_normal
+
+        def fill(r: int):
+            bitgen.state = seeded
+            bitgen.advance(r * _JUMP)
+            normal(out=ring[r % len(ring)])
+
+        return fill
+
+    return make
 
 
 def _trailing_average(base, t, tail_arr):
@@ -553,9 +504,10 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     one value per path: the step's `draws`, then in a spike month the spike
     draw. The step folds the new base rates into out[0] and, if
     `var_evolves`, the new variances into out[1]; otherwise the variance
-    stays v0. Month t's rows are drawn into the draw ring by `_Draws` before
-    its step: from `_AHEAD_PATHS` paths on more than one CPU by a worker
-    thread and the caller together, else by the caller alone, to the same bytes. Returns
+    stays v0. Month t's rows are drawn into the draw ring before its step:
+    from `_AHEAD_PATHS` paths on more than one CPU by a worker thread and
+    the caller together, each side taking the lowest unclaimed row, else by
+    the caller alone, to the same bytes. Returns
     the SimulationResult, or with `levels` its `forecast_quantiles`, byte for
     byte, from the rows of a forecast's ring (a month without a spike hands
     over its base row).
@@ -574,13 +526,19 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     z, base, rep, *var = _allocate(n_paths, _DRAW_ROWS, rows[: 2 + var_evolves])
     # after the allocation, which refuses a path count past numpy's index range
     quantiles = None if levels is None else _RowQuantiles(levels, n_paths, horizon)
-    drawn = _Draws(seed, [draws + (month in spike_at) for _, month in months], list(z),
-                   n_paths >= _AHEAD_PATHS and _cpus() > 1)
+    first = [0]  # each month's first draw row of the call, then the end twice
+    for _, month in months:
+        first.append(first[-1] + draws + (month in spike_at))
+    first.append(first[-1])
+    ring = list(z) * 2  # the draw ring twice, so a month's rows are one slice
+    drawn = _Lanes(first[-1], n_paths, _row_fills(seed, z), "crashvol-draws")
 
     c, v = params.c1, v0  # every path starts from the same state; month 0 broadcasts it
     try:
         for t, (_, month) in enumerate(months):
-            zt = drawn(t)
+            drawn.until(first[t + 1], first[t] + len(z), first[t + 2])
+            lo = first[t] % len(z)
+            zt = ring[lo : lo + first[t + 1] - first[t]]
             spec = spike_at.get(month)
             new = [a[t % len(a)] for a in (base, *var)]
             step(c, v, t, zt, *new)
@@ -653,41 +611,17 @@ def simulate_vasicek(params: VasicekParams, horizon: int, n_paths: int, seed: in
 def forecast_quantiles(result: SimulationResult, levels) -> ForecastQuantiles:
     """Per-month empirical quantiles (numpy's `linear` method) plus the median,
     with numpy's bytes, from each month's row as `_RowQuantiles` takes it.
-    From `_AHEAD_PATHS` paths on more than one CPU, one thread sorts month
-    rows from the last while the caller sorts them from the first, each row
-    claimed once, to the same bytes."""
+    From `_AHEAD_PATHS` paths on more than one CPU, one thread and the caller
+    sort the month rows, each side taking the lowest unclaimed row, to the
+    same bytes."""
     by_month = result.rate_paths.T
     quantiles = _RowQuantiles(levels, by_month.shape[1], len(by_month))
-    if by_month.shape[1] < _AHEAD_PATHS or _cpus() < 2:
-        for t, row in enumerate(by_month):
-            quantiles.take(t, row)
-        return quantiles.result(result.months)
-    ends, error = _Ends([len(by_month)]), []
-
-    def sort(front: bool):
-        while True:
-            with ends.lock:
-                t = ends.claim(0, front)
-            if t is None:
-                return
-            quantiles.take(t, by_month[t])
-
-    def back():
-        try:
-            sort(front=False)
-        except BaseException as exc:  # handed to the caller
-            error.append(exc)
-
-    thread = threading.Thread(target=back, name="crashvol-sorts")
-    thread.start()
+    sorts = _Lanes(len(by_month), by_month.shape[1],
+                   lambda: lambda t: quantiles.take(t, by_month[t]), "crashvol-sorts")
     try:
-        sort(front=True)
+        sorts.until(len(by_month), len(by_month), len(by_month))
     finally:
-        with ends.lock:
-            ends.close()
-        thread.join()
-    if error:
-        raise error[0]
+        sorts.close()
     return quantiles.result(result.months)
 
 

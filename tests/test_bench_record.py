@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
 
 
@@ -42,6 +44,7 @@ def test_pairs_records_by_workload_and_seed(tmp_path):
     assert entry["traced_pairs"] == [] and entry["traced_median_ratio"] == {}
     assert entry["end_to_end"] == {"op_p50_s": {
         "better": "lower", "bound": 0.25, "move": -0.75, "wins": 3, "pairs": 3, "resolved": None,
+        "ratio": {"q1": 0.25, "median": 0.25, "q3": 0.375},
         "parent": {"q1": 1.5, "median": 2.0, "q3": 3.0},
         "change": {"q1": 0.5, "median": 0.5, "q3": 0.75},
     }}
@@ -108,6 +111,25 @@ def test_end_to_end_of_one_pair(tmp_path):
     assert summary["op_p50_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert summary["op_p50_s"]["wins"] == 0
 
+
+def test_ratio_is_paired_within_each_pair(tmp_path):
+    # the parent runs 10..19 ops/s (q3 - q1 = 4.5) and the change 1.1 times
+    # each: the medians differ by 1.45, inside the parent's spread, while
+    # every pair reads 1.1. A parent value of 0 gives no ratio
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        for directory, values in ((parent, {"ops_per_s": 10.0 + seed, "op_p50_s": 0.0}),
+                                  (change, {"ops_per_s": 1.1 * (10.0 + seed), "op_p50_s": 0.1})):
+            directory.mkdir(exist_ok=True)
+            record = {"workload": "sim-paths", "seed": seed, "attempted": 12, "failed": 0,
+                      "environment": {},
+                      "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+            (directory / f"sim-paths-seed{seed}-trace0.json").write_text(json.dumps(record))
+    summary = _load().pair_records(parent, change)["workloads"]["sim-paths"]["end_to_end"]
+    rate = summary["ops_per_s"]
+    assert rate["resolved"] is None and rate["wins"] == 10
+    assert rate["ratio"] == pytest.approx({"q1": 1.1, "median": 1.1, "q3": 1.1})
+    assert summary["op_p50_s"]["ratio"] is None
 
 
 def test_resolved_needs_nine_tenths_of_the_pairs_and_a_move_past_the_parents_spread(tmp_path):

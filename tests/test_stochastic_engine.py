@@ -1247,12 +1247,12 @@ def test_every_draw_row_is_filled_once(model, streamed, threaded, monkeypatch):
 
 
 def _forced_claim_orders(monkeypatch, model, streamed):
-    # the caller claims every row while the worker is held back before its
-    # first claim; the worker claims every row while the caller's claims are
-    # disabled; the caller draws the rest of month 0 and as much of month 1
-    # as the draw ring holds while the worker is held in its fill of month
-    # 0's first row (month 1 from its last row, so all of it or none). Each
-    # gives the inline bytes
+    # each side takes the lowest unclaimed row: the caller claims every row
+    # while the worker is held back before its first claim; the worker claims
+    # every row while the caller's claims are disabled; the caller draws the
+    # rest of month 0 and as much of month 1 as the draw ring holds while the
+    # worker is held in its fill of one of month 0's rows. Each gives the
+    # inline bytes
     horizon, n_paths, seed = 14, 60, 9
     rows = _rows_of_call(model, horizon)
     _drawing(monkeypatch, threaded=False)
@@ -1271,16 +1271,17 @@ def _forced_claim_orders(monkeypatch, model, streamed):
         assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
         assert len(caller_rows) == rows
     with monkeypatch.context() as m:
-        worker_rows, real_claim = [], stochastic_engine._Ends.claim
-        m.setattr(stochastic_engine._Ends, "claim",
-                  lambda self, b, front: real_claim(self, b, front) if front else None)
+        # with a reach of 0 the caller takes no row and waits for the worker's
+        worker_rows, real_claim = [], stochastic_engine._Lanes.claim
+        m.setattr(stochastic_engine._Lanes, "claim",
+                  lambda self, end, reach, worker=False:
+                  real_claim(self, end, reach if worker else 0, worker))
         _per_thread_fills(m, lambda: pytest.fail("the caller drew"), lambda: worker_rows.append(1))
         assert _run_simulator(model, streamed, horizon, n_paths, seed) == want
         assert len(worker_rows) == rows
     with monkeypatch.context() as m:
-        # months 0 and 1, or month 0 alone if month 1 passes the ring, but the worker's row
-        two = _rows_of_call(model, 2)
-        ahead = (two if two <= stochastic_engine._DRAW_ROWS else _rows_of_call(model, 1)) - 1
+        # the rows of months 0 and 1 that lie in the ring, but the worker's row
+        ahead = min(_rows_of_call(model, 2), stochastic_engine._DRAW_ROWS) - 1
         caller_rows, worker_in, caller_ahead = [], threading.Event(), threading.Event()
 
         def caller():
@@ -1309,23 +1310,25 @@ def test_no_row_is_claimed_past_the_ring(model, streamed, monkeypatch):
     # at each draw ring size, under the forced claim orders and free-running,
     # either side claims row r only while r < first[t] + ring for the
     # caller's month t: the draws of months before t are spent, and no row in
-    # use is overwritten. The month is recorded as the caller asks for it,
-    # so a worker claim may see a later month than its bound
+    # use is overwritten. The month is recorded as the caller asks for it
+    # (told by the end of its rows), so a worker claim may see a later month
+    # than its bound
     month, claims = [0], []
-    real_call, real_claim = stochastic_engine._Draws.__call__, stochastic_engine._Ends.claim
+    month_ending = {_rows_of_call(model, t + 1): t for t in range(60)}
+    real_until, real_claim = stochastic_engine._Lanes.until, stochastic_engine._Lanes.claim
 
-    def call(self, t):
-        month[0] = t
-        return real_call(self, t)
+    def until(self, end, limit, reach):
+        month[0] = month_ending[end]
+        return real_until(self, end, limit, reach)
 
-    def claim(self, b, front):
-        i = real_claim(self, b, front)
-        if i is not None:
-            claims.append((_rows_of_call(model, b) + i, month[0]))
-        return i
+    def claim(self, end, reach, worker=False):
+        r = real_claim(self, end, reach, worker)
+        if r is not None:
+            claims.append((r, month[0]))
+        return r
 
-    monkeypatch.setattr(stochastic_engine._Draws, "__call__", call)
-    monkeypatch.setattr(stochastic_engine._Ends, "claim", claim)
+    monkeypatch.setattr(stochastic_engine._Lanes, "until", until)
+    monkeypatch.setattr(stochastic_engine._Lanes, "claim", claim)
     for ring in _rings(model):
         monkeypatch.setattr(stochastic_engine, "_DRAW_ROWS", ring)
         claims.clear()
@@ -1340,8 +1343,8 @@ def test_no_row_is_claimed_past_the_ring(model, streamed, monkeypatch):
 
 @pytest.mark.parametrize("n", [_AHEAD - 1, _AHEAD, 20000])
 def test_two_lane_forecast_quantiles_give_the_one_lane_bytes(n, monkeypatch):
-    # from _AHEAD_PATHS paths on more than one CPU a thread sorts month rows
-    # from the last while the caller sorts from the first; the bytes are
+    # from _AHEAD_PATHS paths on more than one CPU a thread and the caller
+    # sort month rows, each taking the lowest unclaimed row; the bytes are
     # those of the caller sorting every row, a NaN row and an inf row included
     starts = _thread_starts(monkeypatch)
     for months in (1, 2, 61):
@@ -1364,18 +1367,20 @@ def test_two_lane_forecast_quantiles_give_the_one_lane_bytes(n, monkeypatch):
 def test_one_usable_cpu_starts_no_thread(cpus, affinity, monkeypatch):
     # the CPUs this process may run on, or the machine's count where the
     # platform has no affinity call; at the threshold only one CPU keeps a
-    # call inline
+    # call inline, the draws' and forecast_quantiles' sorts alike
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     starts = _thread_starts(monkeypatch)
-    simulate_heston(_heston(), 3, _AHEAD, seed=1)
+    at = simulate_heston(_heston(), 3, _AHEAD, seed=1)
     _simulated(stochastic_engine._vasicek, (_MODELS["vasicek"][0], ()), 3, _AHEAD, 1,
                DEFAULT_LEVELS)
-    simulate_heston(_heston(), 3, _AHEAD - 1, seed=1)
-    assert starts == ["crashvol-draws"] * 2 * (cpus - 1)
+    below = simulate_heston(_heston(), 3, _AHEAD - 1, seed=1)
+    forecast_quantiles(at, DEFAULT_LEVELS)
+    forecast_quantiles(below, DEFAULT_LEVELS)
+    assert starts == ["crashvol-draws", "crashvol-draws", "crashvol-sorts"] * (cpus - 1)
 
 
 def test_oversized_draw_slots_start_no_thread(monkeypatch):
