@@ -383,7 +383,7 @@ class _Lanes:
         """One side's next item, the lowest unclaimed, once it lies below
         min(reach, limit); None once every item below `end` is claimed and
         the worker's is not below it. The worker's last item is done when it
-        claims the next."""
+        claims the next; a worker exception is raised here."""
         with self.changed:
             if worker:
                 self.working = None
