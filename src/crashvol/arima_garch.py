@@ -32,7 +32,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .data_ingest import (
     ConvergenceError,
     InsufficientDataError,
     ValidationError,
+    _integer,
     _pop_float,
     _pop_indexed,
     _pop_int,
@@ -67,8 +67,7 @@ _FIT_CACHE_SIZE = 64
 def difference(series, d: int) -> np.ndarray:
     """Apply the first-difference operator d times."""
     x = np.asarray(series, dtype=float)
-    if d < 0:
-        raise ValidationError("differencing order must be nonnegative")
+    d = _integer(d, "d", 0)
     if x.size <= d:
         raise InsufficientDataError(f"need more than {d} observations to difference {d} times")
     for _ in range(d):
@@ -76,17 +75,12 @@ def difference(series, d: int) -> np.ndarray:
     return x
 
 
-def pacf_to_coef(pacf) -> np.ndarray:
+def _durbin_levinson(pacf) -> list[float]:
     """Durbin-Levinson map from partial autocorrelations to AR coefficients.
 
     Inputs in (-1, 1) yield a polynomial 1 - sum(a_k B^k) with all roots
-    strictly outside the unit circle.
+    strictly outside the unit circle. Runs over Python floats.
     """
-    return np.array(_durbin_levinson(map(float, pacf)))
-
-
-def _durbin_levinson(pacf) -> list[float]:
-    # pacf_to_coef over Python floats, private so tracers do not wrap the objective
     a = []
     for r in pacf:
         a = [x - r * y for x, y in zip(a, reversed(a))] + [r]
@@ -142,14 +136,8 @@ def _all_pole(x, a, z) -> list[float]:
     return out
 
 
-def css_residuals(z, intercept: float, ar, ma) -> np.ndarray:
-    """One-step residuals of an ARMA recursion with zero pre-sample terms."""
-    x = np.asarray(z, dtype=float)
-    return _residuals(x, float(intercept), [*map(float, ar)], [*map(float, ma)])
-
-
 def _residuals(x, c, ar, ma) -> np.ndarray:
-    # css_residuals, private so tracers do not wrap the objective
+    """One-step residuals of an ARMA recursion with zero pre-sample terms."""
     rhs = (x - c) - np.convolve(x, [0.0, *ar])[: x.size]
     # e_t = rhs_t - sum_j ma_j e_{t-j}, zero initial conditions
     return np.array(_all_pole(rhs.tolist(), ma, [0.0] * len(ma))) if ma else rhs
@@ -263,14 +251,13 @@ def _multi_start(objective, x0, rng):
 
 def fit_arima(series, p: int, d: int, q: int) -> ArimaSpec:
     """Estimate ARIMA(p,d,q) by conditional sum of squares."""
-    if min(p, d, q) < 0:
-        raise ValidationError("orders must be nonnegative")
+    p, d, q = _integer(p, "p", 0), _integer(d, "d", 0), _integer(q, "q", 0)
     x = np.asarray(series, dtype=float)
     if x.size < p + q + d + 2:
         raise InsufficientDataError(
             f"series of {x.size} too short for ARIMA({p},{d},{q}), floor {p + q + d + 2}"
         )
-    spec, converged = _arima_outcome(x.tobytes(), x.shape, *map(operator.index, (p, d, q)))
+    spec, converged = _arima_outcome(x.tobytes(), x.shape, p, d, q)
     if not converged:
         raise ConvergenceError(
             f"ARIMA({p},{d},{q}) fit did not converge within {_MAXITER} iterations per start",
@@ -301,7 +288,7 @@ def _arima_outcome(data: bytes, shape, p: int, d: int, q: int):
     rng = np.random.default_rng(_JITTER_SEED)
     (fun, u_best), converged = _multi_start(objective, x0, rng)
     c, ar, ma = unpack(u_best)
-    resid = css_residuals(z, c * scale, ar, ma)
+    resid = _residuals(z, float(c * scale), ar, ma)
     css = float(resid @ resid)
     spec = ArimaSpec(
         p=p,
@@ -326,8 +313,7 @@ def _frozen(values) -> np.ndarray:
 
 def forecast_arima(model: ArimaSpec, last_observations, horizon: int) -> np.ndarray:
     """Iterated conditional-mean forecasts, integrated back to levels."""
-    if horizon < 1:
-        raise ValidationError("horizon must be at least 1")
+    horizon = _integer(horizon, "horizon", 1)
     obs = np.asarray(last_observations, dtype=float)
     if obs.size < model.p + model.d:
         raise InsufficientDataError(
@@ -376,13 +362,6 @@ class GarchSpec:
             raise ValidationError("alpha + beta must sum below 1")
 
 
-def _garch_recursion(omega, alpha, beta, e2, m) -> np.ndarray:
-    # h_t = omega + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, with every
-    # pre-sample e2 and h taken as m
-    delays = _delays(e2, len(alpha), m)
-    return _garch_h(omega, [*map(float, alpha)], [*map(float, beta)], delays, m)
-
-
 def _delays(x, k: int, fill: float) -> np.ndarray:
     # x delayed by 0..k months, one row each, pre-sample values `fill`
     padded = np.concatenate((np.full(k, fill), x))
@@ -390,8 +369,8 @@ def _delays(x, k: int, fill: float) -> np.ndarray:
 
 
 def _garch_h(omega, alpha, beta, delays, m) -> np.ndarray:
-    # _garch_recursion over _delays(e2, p, m), private so tracers do not wrap the
-    # objective: rhs += alpha_i * (e2 delayed i months), then the GARCH lags' filter
+    """h_t = omega + sum_i alpha_i e2_{t-i} + sum_j beta_j h_{t-j}, pre-sample e2 and h
+    all m, over delays = _delays(e2, p, m) and lists of floats alpha and beta."""
     rhs = np.full(delays.shape[1], omega)
     for a, lag in zip(alpha, delays[1:]):
         rhs += a * lag
@@ -408,21 +387,22 @@ def _garch_h(omega, alpha, beta, delays, m) -> np.ndarray:
 def garch_variances(spec: GarchSpec, residuals) -> np.ndarray:
     """In-sample conditional variances; pre-sample terms use the sample mean square."""
     e2 = np.asarray(residuals, dtype=float) ** 2
-    return _garch_recursion(spec.omega, spec.alpha_coeffs, spec.beta_coeffs, e2, float(e2.mean()))
+    m = float(e2.mean())
+    alpha, beta = ([*map(float, c)] for c in (spec.alpha_coeffs, spec.beta_coeffs))
+    return _garch_h(spec.omega, alpha, beta, _delays(e2, spec.p, m), m)
 
 
 def fit_garch(residuals, p: int, q: int) -> GarchSpec:
     """Gaussian QMLE for GARCH(p,q); p counts ARCH lags, q counts GARCH lags."""
+    p, q = _integer(p, "p", 0), _integer(q, "q", 0)
     if p < 1 and q < 1:
         raise ValidationError("at least one ARCH or GARCH lag is required")
-    if min(p, q) < 0:
-        raise ValidationError("orders must be nonnegative")
     e = np.asarray(residuals, dtype=float)
     if e.size < p + q + 2:
         raise InsufficientDataError(f"need more than {p + q + 1} residuals")
     if float(np.var(e)) == 0.0:
         raise ValidationError("degenerate residuals with zero variance")
-    spec, converged = _garch_outcome(e.tobytes(), e.shape, *map(operator.index, (p, q)))
+    spec, converged = _garch_outcome(e.tobytes(), e.shape, p, q)
     if not converged:
         raise ConvergenceError(
             f"GARCH({p},{q}) fit did not converge within {_MAXITER} iterations per start",
@@ -479,6 +459,7 @@ def forecast_garch_variance(
     `residuals` and `h_insample` may be trailing slices of different lengths;
     both are taken to end at the last in-sample month.
     """
+    horizon = _integer(horizon, "horizon", 1)
     e2 = list(np.asarray(residuals, dtype=float) ** 2)
     h = list(h_insample) if h_insample is not None else list(garch_variances(spec, residuals))
     if len(e2) < spec.p or len(h) < spec.q:
@@ -506,6 +487,7 @@ def psi_weights(model: ArimaSpec, horizon: int) -> np.ndarray:
     level forecast is sigma2 * sum(psi_i^2, i < h) under homoscedastic
     innovations.
     """
+    horizon = _integer(horizon, "horizon", 1)
     poly = np.concatenate(([1.0], -np.asarray(model.ar_coeffs, dtype=float)))
     for _ in range(model.d):
         poly = np.convolve(poly, [1.0, -1.0])

@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -264,6 +266,18 @@ def _pop_float(kv: dict, key: str, path) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{path}: key {key} is not finite")
     return x
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """`value` as a plain int (numpy integers too); a float, string or None is a
+    ValidationError naming the argument, and so is a number below `least`."""
+    if least is not None and isinstance(value, numbers.Real) and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValidationError(f"{name} must be {bound} ({name} >= {least}), not {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _pop_int(kv: dict, key: str, path) -> int:

@@ -11,6 +11,7 @@ formatting happens at I/O boundaries.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -23,6 +24,7 @@ from .data_ingest import (
     MonthlySeries,
     RangeError,
     ValidationError,
+    _integer,
     _write_csv,
     add_months,
     slice_window,
@@ -197,7 +199,7 @@ def _fit_from_stats(params_cls, model_values, series, train_start, train_end, te
         values["spikes"] = tuple(
             s
             if isinstance(s, stochastic_engine.SpikeSpec)
-            else stochastic_engine.SpikeSpec(month=int(s[0]), mean_a=float(s[1]), std_b=float(s[2]))
+            else stochastic_engine.SpikeSpec(month=s[0], mean_a=float(s[1]), std_b=float(s[2]))
             for s in spikes
         )
     for key in ("c1", "mu", "scheme"):
@@ -341,12 +343,10 @@ def _fit_arima(series, train, test_start, options, with_garch):
     if overrides:
         raise ValidationError(f"ARIMA models take no parameter overrides: {', '.join(overrides)}")
     rates = slice_window(series, *train).rates
-    p, d, q = (int(x) for x in options["orders"])
-    arima = arima_garch.fit_arima(rates, p, d, q)
+    arima = arima_garch.fit_arima(rates, *options["orders"])
     garch = None
     if with_garch:
-        gp, gq = (int(x) for x in options["garch_orders"])
-        garch = arima_garch.fit_garch(arima.residuals, gp, gq)
+        garch = arima_garch.fit_garch(arima.residuals, *options["garch_orders"])
     return arima, garch, tuple(test_start), rates, None
 
 
@@ -407,6 +407,15 @@ MODELS = {
 MODEL_IDS = tuple(MODELS)
 
 
+def _orders(config: dict, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+    # config[key], else `default`: as many integers as `default`, each read by `_integer`
+    value = config.pop(key, default)
+    values = tuple(value) if isinstance(value, Iterable) else ()
+    if len(values) != len(default):
+        raise ValidationError(f"{key} must be {len(default)} integers, not {value!r}")
+    return tuple(_integer(x, key) for x in values)
+
+
 def backtest(
     series: MonthlySeries,
     train: tuple[tuple[int, int], tuple[int, int]],
@@ -434,12 +443,15 @@ def backtest(
     horizon = len(test_slice)
     observed = dated_rates(test_slice)
     months = test_slice.months
-    n_paths = stochastic_engine._integer(config.pop("n_paths", _DEFAULT_PATHS), "n_paths")
+    n_paths = _integer(config.pop("n_paths", _DEFAULT_PATHS), "n_paths")
     levels = stochastic_engine._check_levels(config.pop("levels", DEFAULT_LEVELS))
+    overrides = config.pop("overrides", {})
+    if not isinstance(overrides, Mapping):
+        raise ValidationError(f"overrides must be a mapping, not {overrides!r}")
     options = {
-        "orders": tuple(config.pop("orders", _DEFAULT_ORDERS)),
-        "garch_orders": tuple(config.pop("garch_orders", _DEFAULT_GARCH_ORDERS)),
-        "overrides": dict(config.pop("overrides", {})),
+        "orders": _orders(config, "orders", _DEFAULT_ORDERS),
+        "garch_orders": _orders(config, "garch_orders", _DEFAULT_GARCH_ORDERS),
+        "overrides": dict(overrides),
     }
     if config:
         raise ValidationError(f"unknown backtest config keys: {', '.join(sorted(config))}")

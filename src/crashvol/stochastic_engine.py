@@ -53,7 +53,7 @@ kernel, and a path's sum on no other path.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import os
 import re
 import threading
@@ -64,6 +64,7 @@ import numpy as np
 
 from .data_ingest import (
     ValidationError,
+    _integer,
     _pop_float,
     _pop_indexed,
     _pop_start,
@@ -88,6 +89,7 @@ class SpikeSpec:
     std_b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "month", _integer(self.month, "spike month"))
         if not 1 <= self.month <= 12:
             raise ValidationError(f"spike month {self.month} outside 1..12")
         if not (math.isfinite(self.mean_a) and math.isfinite(self.std_b)):
@@ -99,15 +101,6 @@ class SpikeSpec:
 def _check(cond: bool, what: str):
     if not cond:
         raise ValidationError(f"violated invariant: {what}")
-
-
-def _integer(value, name: str) -> int:
-    """`value` as a plain int (numpy integers too); a float, string or None is
-    a ValidationError naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _power(x: float, p: float, name: str) -> float:
@@ -228,8 +221,13 @@ def _level_from_name(name: str) -> float | None:
 def _check_levels(levels) -> tuple[float, ...]:
     """Quantile levels as floats: strictly inside (0, 1), strictly increasing, and
     each read back unchanged from its column name (no precision lost at %g, no
-    exponent form, no shared name). No levels at all is a median-only forecast."""
-    lv = tuple(float(x) for x in levels)
+    exponent form, no shared name). No levels at all is a median-only forecast;
+    a string, or a level that is not a number, is a ValidationError."""
+    items = [levels] if isinstance(levels, str) else list(levels)
+    for x in items:
+        if not isinstance(x, numbers.Real):
+            raise ValidationError(f"quantile level {x!r} is not a number")
+    lv = tuple(map(float, items))
     for x in lv:
         if not 0.0 < x < 1.0:
             raise ValidationError(f"quantile level {x:g} ({x * 100:g} %) is not inside (0, 1)")
@@ -512,12 +510,9 @@ def _simulate(params, v0, var_evolves, draws, step, horizon, n_paths, seed, hist
     byte, from the rows of a forecast's ring (a month without a spike hands
     over its base row).
     """
-    horizon = _integer(horizon, "horizon")
-    n_paths = _integer(n_paths, "n_paths")
-    seed = _integer(seed, "seed")
-    _check(horizon >= 1, "horizon >= 1")
-    _check(n_paths >= 1, "n_paths >= 1")
-    _check(seed >= 0, "seed >= 0")
+    horizon = _integer(horizon, "horizon", 1)
+    n_paths = _integer(n_paths, "n_paths", 1)
+    seed = _integer(seed, "seed", 0)
     tail_arr = np.asarray(history_tail, dtype=float)
     _check(np.isfinite(tail_arr).all(), "finite history_tail")
     spike_at = {s.month: s for s in params.spikes}

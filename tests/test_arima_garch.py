@@ -1,3 +1,4 @@
+import inspect
 import math
 import tempfile
 from pathlib import Path
@@ -13,7 +14,6 @@ from crashvol.arima_garch import (
     ConvergenceError,
     GarchSpec,
     aic,
-    css_residuals,
     difference,
     fit_arima,
     fit_garch,
@@ -21,7 +21,6 @@ from crashvol.arima_garch import (
     forecast_garch_variance,
     forecast_level_variance,
     garch_variances,
-    pacf_to_coef,
     psi_weights,
     read_arima_model,
     select_order,
@@ -58,10 +57,10 @@ def test_difference():
 
 
 def test_pacf_to_coef_order_one_and_two():
-    assert pacf_to_coef([0.6]) == pytest.approx([0.6])
+    assert arima_garch._durbin_levinson([0.6]) == pytest.approx([0.6])
     # order 2: a1 = r1*(1 - r2), a2 = r2
     r1, r2 = 0.5, -0.3
-    a = pacf_to_coef([r1, r2])
+    a = arima_garch._durbin_levinson([r1, r2])
     assert a == pytest.approx([r1 * (1 - r2), r2])
 
 
@@ -69,21 +68,21 @@ def test_pacf_map_always_stationary():
     rng = np.random.default_rng(14)
     for _ in range(25):
         r = rng.uniform(-0.999, 0.999, size=rng.integers(1, 6))
-        a = pacf_to_coef(r)
+        a = np.array(arima_garch._durbin_levinson(r.tolist()))
         poly = np.concatenate(([1.0], -a))[::-1]
         assert np.all(np.abs(np.roots(poly)) > 1.0)
 
 
 def test_css_residuals_ar1_hand_value():
     x = np.array([1.0, 2.0, 4.0, 8.0])
-    e = css_residuals(x, 0.5, [0.5], [])
+    e = arima_garch._residuals(x, 0.5, [0.5], [])
     # e_t = x_t - 0.5 - 0.5*x_{t-1}, pre-sample x_0 = 0
     assert e == pytest.approx([0.5, 1.0, 2.5, 5.5])
 
 
 def test_css_residuals_ma1_hand_value():
     x = np.array([1.0, 1.0, 1.0])
-    e = css_residuals(x, 0.0, [], [0.5])
+    e = arima_garch._residuals(x, 0.0, [], [0.5])
     # e_t = x_t - 0.5*e_{t-1}
     assert e == pytest.approx([1.0, 0.5, 0.75])
 
@@ -356,7 +355,8 @@ def test_model_file_write_read_write(pacf, d, scalars, residuals, levels, start,
     # a file read back is written again to the same bytes (with a GARCH
     # layer, through the stored variances); a stored variance that
     # overflows is refused when written
-    ar, ma = pacf_to_coef(pacf[0]), -pacf_to_coef(pacf[1])
+    ar = np.array(arima_garch._durbin_levinson(pacf[0]))
+    ma = -np.array(arima_garch._durbin_levinson(pacf[1]))
     intercept, sigma2, css = scalars
     spec = ArimaSpec(p=ar.size, d=d, q=ma.size, ar_coeffs=ar, ma_coeffs=ma, intercept=intercept,
                      residuals=np.array(residuals), sigma2=sigma2, css=css)
@@ -488,8 +488,14 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64).tolist()
 
 
+def _garch_kernel(omega, alpha, beta, e2, m):
+    # the GARCH kernel over e2 and coefficient arrays, as garch_variances calls it
+    delays = arima_garch._delays(e2, len(alpha), m)
+    return arima_garch._garch_h(omega, [*map(float, alpha)], [*map(float, beta)], delays, m)
+
+
 def test_filters_match_lfilter():
-    # the MA inverse filter of css_residuals (zero state) and the GARCH-lag
+    # the MA inverse filter of the ARMA residuals (zero state) and the GARCH-lag
     # filter of garch_variances (lfiltic state), against scipy on random
     # inputs of lengths 1-79 and orders 1-4, some coefficients exactly zero
     from scipy.signal import lfilter, lfiltic
@@ -502,14 +508,15 @@ def test_filters_match_lfilter():
         c, ar = float(rng.normal()), rng.uniform(-0.5, 0.5, size=int(rng.integers(0, 3)))
         rhs = x - c - np.convolve(x, np.concatenate(([0.0], ar)))[:n] if ar.size else x - c
         want = lfilter([1.0], np.concatenate(([1.0], coefs)), rhs)
-        assert _bits(css_residuals(x, c, ar, coefs)) == _bits(want), trial
+        got = arima_garch._residuals(x, c, ar.tolist(), coefs.tolist())
+        assert _bits(got) == _bits(want), trial
 
         beta = np.abs(coefs) / (1.0 + order)
         e2, m = x**2, float(rng.uniform(0.1, 3.0))
         rhs = np.full(n, 0.3) + 0.1 * np.concatenate(([m], e2))[:n]
         a_poly = np.concatenate(([1.0], -beta))
         want = lfilter([1.0], a_poly, rhs, zi=lfiltic([1.0], a_poly, np.full(order, m)))[0]
-        got = arima_garch._garch_recursion(0.3, [0.1], beta, e2, m)
+        got = _garch_kernel(0.3, [0.1], beta, e2, m)
         assert _bits(got) == _bits(want), trial
 
 
@@ -672,7 +679,7 @@ def test_garch_objective_matches_reference(monkeypatch, train_series, p, q):
 
 
 def test_residuals_and_variances_match_reference():
-    # the public css_residuals and the GARCH recursion behind garch_variances,
+    # the ARMA residuals and the GARCH recursion behind garch_variances,
     # at AR orders 0-4 (np.convolve from three lags) and GARCH orders up to (3, 4)
     rng = np.random.default_rng(12)
     for trial in range(600):
@@ -682,13 +689,14 @@ def test_residuals_and_variances_match_reference():
         ma = rng.uniform(-0.5, 0.5, size=int(rng.integers(0, 4)))
         c = float(rng.normal())
         want = _reference_css_residuals(x, c, ar, ma)
-        assert _bits(css_residuals(x, c, ar, ma)) == _bits(want), trial
+        got = arima_garch._residuals(x, c, ar.tolist(), ma.tolist())
+        assert _bits(got) == _bits(want), trial
 
         alpha = rng.uniform(0.0, 0.3, size=int(rng.integers(0, 4)))
         beta = rng.uniform(0.0, 0.2, size=int(rng.integers(0, 5)))
         e2, m = x**2, float(rng.uniform(0.1, 3.0))
         want = _reference_garch_recursion(0.3, alpha, beta, e2, m)
-        assert _bits(arima_garch._garch_recursion(0.3, alpha, beta, e2, m)) == _bits(want), trial
+        assert _bits(_garch_kernel(0.3, alpha, beta, e2, m)) == _bits(want), trial
 
 
 def test_one_tanh_call_matches_two_slices():
@@ -705,7 +713,7 @@ def test_one_tanh_call_matches_two_slices():
 
 
 def test_objectives_call_no_public_kernel(monkeypatch, train_series):
-    # tracers wrap every public function; a fit may call the public kernels a
+    # tracers wrap every public function of the module; a fit may call them a
     # fixed number of times, never once per objective evaluation
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -713,24 +721,34 @@ def test_objectives_call_no_public_kernel(monkeypatch, train_series):
             return fn(*args, **kwargs)
         return wrapper
 
+    public = [name for name, obj in vars(arima_garch).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == arima_garch.__name__]
+    assert {"difference", "garch_variances", "fit_arima", "fit_garch"} <= set(public)
     x = train_series.rates
+    e = np.random.default_rng(6).standard_normal(60)
     counts = []
     for maxiter in (2000, 2):
         _clear_fit_caches()  # a memoised fit would call nothing
-        calls = {"css_residuals": 0, "pacf_to_coef": 0, "garch_variances": 0}
+        calls = dict.fromkeys(public, 0)
         with monkeypatch.context() as m:
-            for name in calls:
+            for name in public:
                 m.setattr(arima_garch, name, counted(getattr(arima_garch, name)))
             m.setattr(arima_garch, "_MAXITER", maxiter)
+            # at 2 iterations the ARIMA fit raises, so each fit runs on its own
             try:
-                fit_garch(fit_arima(x, 1, 2, 2).residuals, 2, 1)
+                fit_arima(x, 1, 2, 2)
+            except ConvergenceError:
+                pass
+            try:
+                fit_garch(e, 2, 1)
             except ConvergenceError:
                 pass
         counts.append(calls)
     assert counts[0] == counts[1]
     assert all(n <= 1 for n in counts[0].values())
-    # the ARIMA fit really ran in each pass: it forms its final residuals once
-    assert [c["css_residuals"] for c in counts] == [1, 1]
+    # the ARIMA fit really ran in each pass: it differences its input once
+    assert [c["difference"] for c in counts] == [1, 1]
 
 
 def test_default_fits_keep_their_optimizer_path(monkeypatch, train_series):
@@ -819,13 +837,13 @@ def test_fit_cache_sees_a_changed_input(monkeypatch, train_series, order):
 
 
 def test_fit_cache_keys_orders_as_ints(monkeypatch, train_series):
-    # a float order equal to a cached int order is still a TypeError, not a hit
+    # a float order equal to a cached int order is still an error, not a hit
     x = train_series.rates
     spec = fit_arima(x, 1, 2, 2)
     garch = fit_garch(spec.residuals, 2, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match=r"^p must be an integer, not 1\.0$"):
         fit_arima(x, 1.0, 2, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match=r"^p must be an integer, not 2\.0$"):
         fit_garch(spec.residuals, 2.0, 1)
     starts = _counted_starts(monkeypatch)
     assert fit_arima(x, *np.array([1, 2, 2])) is spec
@@ -868,6 +886,26 @@ def test_fit_argument_errors_come_before_the_cache(fit, args, error, match):
             fit(*args)
     for cached in (arima_garch._arima_outcome, arima_garch._garch_outcome):
         assert cached.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("horizon, match", [
+    (0, r"^horizon must be at least 1 \(horizon >= 1\), not 0$"),
+    (-1, r"^horizon must be at least 1 \(horizon >= 1\), not -1$"),
+    (2.0, r"^horizon must be an integer, not 2\.0$"),
+])
+def test_gaussian_forecast_horizons_are_checked(train_series, horizon, match):
+    # the four Gaussian-forecast kernels read the horizon by one rule
+    spec = fit_arima(train_series.rates, 1, 2, 2)
+    garch = fit_garch(spec.residuals, 2, 1)
+    for kernel, args in [
+        (forecast_arima, (spec, train_series.rates, horizon)),
+        (psi_weights, (spec, horizon)),
+        (forecast_level_variance, (spec, horizon)),
+        (forecast_garch_variance, (garch, spec.residuals, horizon)),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            kernel(*args)
+        assert len(kernel(*args[:-1], np.int64(2))) == 2, kernel.__name__
 
 
 def test_select_order_leaves_its_fits_resident(monkeypatch, train_series):

@@ -437,6 +437,26 @@ def test_backtest_rejects_non_integer_path_counts(full_series, n_paths):
                  model="vasicek", config={"n_paths": n_paths}, seed=3)
 
 
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+@pytest.mark.parametrize("config, match", [
+    ({"orders": 5}, r"^orders must be 3 integers, not 5$"),
+    ({"orders": (1, 2)}, r"^orders must be 3 integers, not \(1, 2\)$"),
+    ({"orders": (1, 2, 2, 1)}, r"^orders must be 3 integers, not \(1, 2, 2, 1\)$"),
+    ({"orders": (1.7, 2, 2)}, r"^orders must be an integer, not 1\.7$"),
+    ({"orders": ("1", 2, 2)}, r"^orders must be an integer, not '1'$"),
+    ({"garch_orders": (2,)}, r"^garch_orders must be 2 integers, not \(2,\)$"),
+    ({"garch_orders": (2.0, 1)}, r"^garch_orders must be an integer, not 2\.0$"),
+    ({"overrides": 5}, r"^overrides must be a mapping, not 5$"),
+    ({"overrides": [("c1", 0.01)]}, r"^overrides must be a mapping, not \[\('c1', 0\.01\)\]$"),
+], ids=["orders-int", "orders-2", "orders-4", "orders-float", "orders-str", "garch-1",
+        "garch-float", "overrides-int", "overrides-pairs"])
+def test_backtest_config_is_checked_where_it_is_read(full_series, model_id, config, match):
+    # every model reads its config by one rule: one ValidationError naming the key
+    with pytest.raises(ValidationError, match=match):
+        backtest(full_series, ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12)),
+                 model=model_id, config={"n_paths": 20, **config}, seed=3)
+
+
 def test_backtest_numpy_integer_path_count(full_series):
     train, test = ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12))
     q_int, _ = backtest(full_series, train, test, "vasicek", {"n_paths": 200}, seed=3)

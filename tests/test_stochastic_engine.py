@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -834,6 +835,45 @@ def test_forecast_quantiles_level_validation():
                           bands=np.empty((0, 1)))
     assert q.levels == ()
     assert forecast_quantiles(res, ()).bands.shape == (0, 3)
+
+
+@pytest.mark.parametrize("levels, match", [
+    ("0.5", r"^quantile level '0\.5' is not a number$"),
+    (["a"], r"^quantile level 'a' is not a number$"),
+    ((0.25, "0.75"), r"^quantile level '0\.75' is not a number$"),
+    ((0.5, None), r"^quantile level None is not a number$"),
+])
+def test_levels_that_are_not_numbers_are_validation_errors(full_series, levels, match):
+    # no string is parsed and no level iterated into characters
+    from crashvol.evaluation import backtest
+
+    res = simulate_heston(_heston(), 3, 10, seed=1)
+    with pytest.raises(ValidationError, match=match):
+        forecast_quantiles(res, levels)
+    with pytest.raises(ValidationError, match=match):
+        ForecastQuantiles(months=((2015, 1),), median=np.ones(1), levels=levels,
+                          bands=np.ones((1, 1)))
+    with pytest.raises(ValidationError, match=match):
+        backtest(full_series, ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12)),
+                 model="vasicek", config={"n_paths": 20, "levels": levels}, seed=3)
+    numpy_levels = forecast_quantiles(res, np.array([0.25, 0.75]))
+    assert numpy_levels.levels == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("month", [7.5, 7.0, "7", None])
+def test_spike_month_must_be_an_integer(full_series, month):
+    # a month that no calendar month equals would never fire, and its file
+    # keys would not read back
+    from crashvol.evaluation import backtest
+
+    match = f"^spike month must be an integer, not {re.escape(repr(month))}$"
+    with pytest.raises(ValidationError, match=match):
+        SpikeSpec(month, 0.3, 0.05)
+    with pytest.raises(ValidationError, match=match):
+        backtest(full_series, ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12)), model="heston",
+                 config={"n_paths": 20, "overrides": {"spikes": [(month, 0.3, 0.05)]}}, seed=3)
+    spike = SpikeSpec(np.int64(7), 0.3, 0.05)
+    assert spike == SpikeSpec(7, 0.3, 0.05) and type(spike.month) is int
 
 
 def test_params_file_round_trip(tmp_path):
