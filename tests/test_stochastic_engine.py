@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from crashvol import stochastic_engine
 from crashvol.data_ingest import ValidationError, add_months
-from crashvol.evaluation import DEFAULT_LEVELS, _simulated
+from crashvol.evaluation import DEFAULT_LEVELS, _simulated, backtest
 from crashvol.stochastic_engine import (
     FellerWarning,
     ForecastQuantiles,
@@ -845,8 +845,6 @@ def test_forecast_quantiles_level_validation():
 ])
 def test_levels_that_are_not_numbers_are_validation_errors(full_series, levels, match):
     # no string is parsed and no level iterated into characters
-    from crashvol.evaluation import backtest
-
     res = simulate_heston(_heston(), 3, 10, seed=1)
     with pytest.raises(ValidationError, match=match):
         forecast_quantiles(res, levels)
@@ -864,8 +862,6 @@ def test_levels_that_are_not_numbers_are_validation_errors(full_series, levels, 
 def test_spike_month_must_be_an_integer(full_series, month):
     # a month that no calendar month equals would never fire, and its file
     # keys would not read back
-    from crashvol.evaluation import backtest
-
     match = f"^spike month must be an integer, not {re.escape(repr(month))}$"
     with pytest.raises(ValidationError, match=match):
         SpikeSpec(month, 0.3, 0.05)
