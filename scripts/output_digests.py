@@ -28,7 +28,10 @@ sharing the draws with the worker thread, looks past the last month for
 rows to draw; a heston and a vasicek
 forecast (seed 7) from a copy of the fit file with a `dt = 0.0833333333333` line
 appended, as files written before monthly steps were fixed carry, which
-must give the bytes of the forecast from the fit file itself.
+must give the bytes of the forecast from the fit file itself; a backtest of
+all four models (seed 1, 5000 paths) trained on 2010-01..2015-02 and tested
+on 2015-03..2019-08, whose first and last test years are partial, which pins
+the scoring of a ragged window's head and tail years.
 Prints one `<sha256>  <file>` line per output, then `<sha256>  ALL`, the
 digest of those lines. Two trees that print the same last line wrote the
 same bytes. Exits 1 if any run fails or a legacy forecast differs.
@@ -131,6 +134,13 @@ def runs(w: str):
         Path(w, f"{model}.legacy.params").write_text("\n".join(lines) + "\n")
         yield ["forecast", "--params", f"{w}/{model}.legacy.params", "--seed", "7",
                "--out", f"{w}/{model}.legacy.fc.csv"]
+    # a test window that starts in March and ends in August: scored as a
+    # partial year, whole years and a partial year
+    ragged = ["backtest", "--input", TRAIN_CSV, "--input", TEST_CSV,
+              "--train-start", "2010-01", "--train-end", "2015-02",
+              "--test-start", "2015-03", "--test-end", "2019-08", "--paths", "5000", "--seed", "1"]
+    for model in MODELS:
+        yield [*ragged, "--model", model, "--out", f"{w}/bt.{model}.ragged.csv"]
 
 
 def main() -> int:

@@ -6,11 +6,19 @@ the simulation models) against observed rates. Error tables carry one
 MAE/RMSE/MAPE row per calendar year plus an `overall` row holding the
 unweighted mean of the yearly rows. All values are rate fractions; percent
 formatting happens at I/O boundaries.
+
+Repeated backtests of one window pay again only for their seeds. The
+simulator fits keep the window statistics of their last 64 windows, as the
+ARIMA and GARCH fits keep their outcomes; the overrides, each model's own
+values and the spike selection still run on every call. A report scores
+all years of one length in one pass, by the plain formulas wherever they
+give the bits of the scaled ones.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -47,16 +55,7 @@ def _powers_above(x) -> np.ndarray:
     return np.ldexp(1.0, np.minimum(np.frexp(x)[1], 1023))
 
 
-def error_stats(forecast, observed) -> tuple[float, float, float]:
-    """MAE, RMSE, and MAPE between two aligned rate vectors; each is finite
-    whenever its true value is within float range, and RMSE is non-zero
-    whenever an error is."""
-    f = np.asarray(forecast, dtype=float)
-    o = np.asarray(observed, dtype=float)
-    if f.shape != o.shape or f.size == 0:
-        raise AlignmentError(f"length mismatch: forecast {f.size}, observed {o.size}")
-    if np.any(o <= 0):
-        raise ValidationError("MAPE needs strictly positive observed rates")
+def _scaled_error_stats(f, o) -> tuple[float, float, float]:
     # errors and ratios |f - o| / o come from rates divided by a power of two at
     # or above them, and each mean from values divided by the power just above
     # the largest finite one, then scaled back: no difference, square or sum
@@ -78,6 +77,42 @@ def error_stats(forecast, observed) -> tuple[float, float, float]:
         with np.errstate(over="ignore"):
             return mae, rmse, float(np.ldexp(np.mean(a / b * np.ldexp(1.0, e - e.max())), e.max()))
     return mae, rmse, u * float(np.mean(ratio / u))
+
+
+def _error_rows(f: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """(MAE, RMSE, MAPE) of each row of two (rows, n) arrays of checked rates."""
+    # the plain formulas, when every nonzero |f|, o and |f - o| lies in
+    # [2**-250, 2**251): then every difference, square, ratio, sum and mean
+    # here and in `_scaled_error_stats` is zero or a normal float, so the
+    # scaled code's divisions by powers of two are exact and both paths give
+    # the same bits. A nan or inf rate makes some MAE non-finite
+    with np.errstate(all="ignore"):
+        d = f - o
+        e = np.abs(d)
+        rows = np.stack((e.mean(axis=-1), np.sqrt((d * d).mean(axis=-1)), (e / o).mean(axis=-1)),
+                        axis=-1)
+    exponents = np.frexp(np.concatenate((f, o, d), axis=-1))[1]  # 0 for zeros
+    if -249 <= exponents.min() and exponents.max() <= 251 and np.isfinite(rows[:, 0]).all():
+        return rows
+    return np.array([_scaled_error_stats(a, b) for a, b in zip(f, o)])
+
+
+def _checked_rates(forecast, observed) -> tuple[np.ndarray, np.ndarray]:
+    f = np.asarray(forecast, dtype=float)
+    o = np.asarray(observed, dtype=float)
+    if f.shape != o.shape or f.size == 0:
+        raise AlignmentError(f"length mismatch: forecast {f.size}, observed {o.size}")
+    if np.any(o <= 0):
+        raise ValidationError("MAPE needs strictly positive observed rates")
+    return f, o
+
+
+def error_stats(forecast, observed) -> tuple[float, float, float]:
+    """MAE, RMSE, and MAPE between two aligned rate vectors; each is finite
+    whenever its true value is within float range, and RMSE is non-zero
+    whenever an error is."""
+    f, o = _checked_rates(forecast, observed)
+    return tuple(_error_rows(f.reshape(1, -1), o.reshape(1, -1))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -105,17 +140,24 @@ def yearly_error_report(forecast, observed, model_id: str) -> ErrorReport:
     fc = list(forecast)
     ob = list(observed)
     _check_dates([d for d, _ in fc], [d for d, _ in ob])
-    years = sorted({d[0] for d, _ in fc})
-    rows = []
-    for y in years:
-        f = [v for (yy, _), v in fc if yy == y]
-        o = [v for (yy, _), v in ob if yy == y]
-        rows.append((y, *error_stats(f, o)))
-    triples = np.array([r[1:] for r in rows])
+    # each year's positions, in the order given. The years of one length (a
+    # window's whole years; its first or last partial year) are scored in one
+    # call, a contiguous row each, which numpy sums as that year on its own
+    at: dict = {}
+    for i, ((year, _), _) in enumerate(fc):
+        at.setdefault(year, []).append(i)
+    years = sorted(at)
+    f, o = _checked_rates([v for _, v in fc], [v for _, v in ob])
+    triples = {}
+    for n in {len(positions) for positions in at.values()}:
+        same = [y for y in years if len(at[y]) == n]
+        index = [at[y] for y in same]
+        triples.update(zip(same, _error_rows(f[index], o[index]).tolist()))
+    rows = tuple((y, *triples[y]) for y in years)
     return ErrorReport(
         model_id=model_id,
-        per_year=tuple(rows),
-        overall=tuple(float(x) for x in triples.mean(axis=0)),
+        per_year=rows,
+        overall=tuple(float(x) for x in np.array([r[1:] for r in rows]).mean(axis=0)),
         n_months=len(fc),
     )
 
@@ -176,23 +218,66 @@ def _spike_specs(profile: series_stats.SeasonProfile, threshold: float):
     )
 
 
+# windows whose statistics the simulator fits keep, as many as arima_garch keeps fits
+_WINDOW_CACHE_SIZE = 64
+
+
+class _Window(NamedTuple):
+    """What a simulator fit reads from the series for one window; arrays read-only."""
+
+    profile: series_stats.VolatilityProfile
+    growth: float
+    season: series_stats.SeasonProfile
+    train_rates: np.ndarray
+    history: tuple[float, ...]
+    c1: float
+
+
+_windows: OrderedDict = OrderedDict()  # least recently used first
+
+
+def _window(series: MonthlySeries, train_start, train_end, test_start) -> _Window:
+    # memoised like arima_garch's fits. The statistics read only the rates and
+    # the first month, so those key the series (hashing it would hash every
+    # observation); a window that raises is not kept, and raises on every call
+    key = (series.rates.tobytes(), series.start, train_start, train_end, test_start)
+    window = _windows.pop(key, None)
+    if window is None:
+        stats_slice = _train_slice_for_stats(series, train_start, train_end)
+        train = slice_window(series, train_start, train_end)
+        profile = series_stats.volatility_profile(stats_slice)
+        season = series_stats.season_profile(stats_slice)
+        for array in (profile.yearly_vols, season.deviations, season.mean, season.std):
+            array.flags.writeable = False
+        window = _Window(profile, series_stats.annual_growth_rate(stats_slice).annual_growth,
+                         season, train.rates, tuple(float(r) for r in train.rates[-12:]),
+                         _anchor_rate(series, train_end, test_start))
+    # no lock: each insert trims after itself, so threads fitting at once
+    # can overshoot the bound only while they run
+    _windows[key] = window
+    if len(_windows) > _WINDOW_CACHE_SIZE:
+        _windows.popitem(last=False)
+    return window
+
+
 def _fit_from_stats(params_cls, model_values, series, train_start, train_end, test_start, overrides):
     # the statistics and overrides both simulators share; `model_values`
     # pops its own overrides and returns the model-specific parameters
     overrides = dict(overrides or {})
-    stats_slice = _train_slice_for_stats(series, train_start, train_end)
-    train = slice_window(series, train_start, train_end)
-    prof = series_stats.volatility_profile(stats_slice)
-    growth = series_stats.annual_growth_rate(stats_slice)
-    season = series_stats.season_profile(stats_slice)
+    # integers, so that no float month finds the entry of an integer one
+    train_start, train_end, test_start = (
+        tuple(_integer(x, name) for x in month) for name, month in
+        (("train_start", train_start), ("train_end", train_end), ("test_start", test_start))
+    )
+    window = _window(series, train_start, train_end, test_start)
     threshold = float(overrides.pop("spike_threshold", DEFAULT_SPIKE_THRESHOLD))
 
     values = {
-        **model_values(prof, train, overrides),
-        "c1": _anchor_rate(series, train_end, test_start),
-        "mu": growth.annual_growth,
-        "spikes": _spike_specs(season, threshold),
-        "start": tuple(test_start),
+        **model_values(window.profile, window.train_rates, overrides),
+        "c1": window.c1,
+        "mu": window.growth,
+        "spikes": _spike_specs(window.season, threshold),
+        "start": test_start,
     }
     spikes = overrides.pop("spikes", None)
     if spikes is not None:
@@ -207,11 +292,10 @@ def _fit_from_stats(params_cls, model_values, series, train_start, train_end, te
             values[key] = overrides.pop(key)
     if overrides:
         raise ValidationError(f"unknown parameter overrides: {', '.join(sorted(overrides))}")
-    history = tuple(float(r) for r in train.rates[-12:])
-    return params_cls(**values), history
+    return params_cls(**values), window.history
 
 
-def _heston_values(prof, train, overrides) -> dict:
+def _heston_values(prof, train_rates, overrides) -> dict:
     if "xi" not in overrides and not math.isfinite(prof.vol_of_vol):
         raise InsufficientDataError("heston vol_of_vol is not finite: it needs at least 3 full "
                                     "calendar years of nonzero volatility, and the training "
@@ -261,11 +345,11 @@ def _ar1_slope(rates: np.ndarray) -> float:
     return float(np.cov(x, y, bias=True)[0, 1] / vx)
 
 
-def _vasicek_values(prof, train, overrides) -> dict:
+def _vasicek_values(prof, train_rates, overrides) -> dict:
     if "kappa_v" in overrides:
         kappa_v = float(overrides.pop("kappa_v"))
     else:
-        slope = _ar1_slope(train.rates)
+        slope = _ar1_slope(train_rates)
         if not math.exp(-2.0) < slope < 1:  # so kappa_v is below 24, as monthly steps need
             raise ValidationError(f"AR(1) slope {slope:.4g} outside (e^-2, 1): kappa_v "
                                   "undefined or not below 24 per year")
@@ -443,7 +527,7 @@ def backtest(
     horizon = len(test_slice)
     observed = dated_rates(test_slice)
     months = test_slice.months
-    n_paths = _integer(config.pop("n_paths", _DEFAULT_PATHS), "n_paths")
+    n_paths = _integer(config.pop("n_paths", _DEFAULT_PATHS), "n_paths", 1)
     levels = stochastic_engine._check_levels(config.pop("levels", DEFAULT_LEVELS))
     overrides = config.pop("overrides", {})
     if not isinstance(overrides, Mapping):

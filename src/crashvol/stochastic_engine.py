@@ -647,12 +647,15 @@ def write_stochastic_params(params, path, history_tail=()) -> None:
 
 
 def _pop_spikes(kv: dict, path) -> tuple[SpikeSpec, ...]:
-    try:
-        months = sorted({int(k.split(".")[1]) for k in kv if k.startswith("spike.")})
-    except (IndexError, ValueError):
-        raise ValidationError(f"{path}: malformed spike key") from None
+    months = set()
+    for key in kv:
+        if key.startswith("spike."):
+            match = re.fullmatch(r"spike\.(0|[1-9][0-9]*)\.(mean|std)", key)
+            if match is None:
+                raise ValidationError(f"{path}: malformed spike key {key}")
+            months.add(int(match[1]))
     return tuple(SpikeSpec(m, _pop_float(kv, f"spike.{m}.mean", path),
-                           _pop_float(kv, f"spike.{m}.std", path)) for m in months)
+                           _pop_float(kv, f"spike.{m}.std", path)) for m in sorted(months))
 
 
 def read_stochastic_params(path):

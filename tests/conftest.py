@@ -1,11 +1,11 @@
-"""Shared fixtures: bundled series, and cold ARIMA/GARCH fit caches per test."""
+"""Shared fixtures: bundled series, and cold fit and window caches per test."""
 
 import sys
 from importlib.resources import files
 
 import pytest
 
-from crashvol import arima_garch, merge_series, parse_monthly_csv
+from crashvol import arima_garch, evaluation, merge_series, parse_monthly_csv
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -22,9 +22,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def cold_fit_caches():
-    # every test starts with no memoised fit, as if it ran alone
+    # every test starts with no memoised fit or window, as if it ran alone
     arima_garch._arima_outcome.cache_clear()
     arima_garch._garch_outcome.cache_clear()
+    evaluation._windows.clear()
 
 
 def data_path(name: str) -> str:

@@ -2,18 +2,24 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from crashvol import evaluation
 from crashvol.data_ingest import (
     AlignmentError,
     InsufficientDataError,
     MonthlyObservation,
     MonthlySeries,
     ValidationError,
+    add_months,
 )
 from crashvol.evaluation import (
     DEFAULT_LEVELS,
@@ -32,6 +38,7 @@ from crashvol.evaluation import (
     yearly_error_report,
 )
 from crashvol.stochastic_engine import (
+    FellerWarning,
     ForecastQuantiles,
     forecast_quantiles,
     simulate_heston,
@@ -94,6 +101,133 @@ def test_error_stats_guards():
         error_stats([1.0], [1.0, 2.0])
     with pytest.raises(ValidationError):
         error_stats([1.0, 2.0], [1.0, 0.0])
+
+
+@st.composite
+def _rate_pairs(draw):
+    # forecast and observed rates of one length: either anywhere in the float
+    # range (nan and inf forecasts, subnormal and inf observed rates too), or
+    # about one power of two, some errors exactly zero. The power is anywhere
+    # in the range, or near where a step of either path leaves it: the plain
+    # path's bounds 2**-250 and 2**251, squares at 2**-511 and 2**512, and
+    # the subnormals below 2**-1022
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        f = draw(st.lists(st.floats(), min_size=n, max_size=n))
+        o = draw(st.lists(st.floats(min_value=0.0, exclude_min=True), min_size=n, max_size=n))
+        return f, o
+    if draw(st.booleans()):
+        scale = draw(st.integers(-1100, 1018))
+    else:
+        scale = draw(st.sampled_from([-1022, -511, -250, 251, 512])) + draw(st.integers(-40, 40))
+    spread = st.integers(-3, 3)
+    o = [max(math.ldexp(draw(st.floats(0.5, 4.0)), scale + draw(spread)), 5e-324)
+         for _ in range(n)]
+    f = [b if draw(st.booleans()) else
+         math.ldexp(draw(st.floats(-4.0, 4.0)), scale + draw(spread)) for b in o]
+    return f, o
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=_rate_pairs())
+@example(pair=([3e200, 2e200], [1e200, 1e200]))  # squares past the float range
+@example(pair=([1e-170, 3e-170], [2e-170, 1e-170]))  # squares below it
+@example(pair=([1e308, 1.0], [1.0, 1.0]))  # an error of at least 2**1023
+@example(pair=([-1.7e308, 1.0], [1.7e308, 1.0]))  # a difference past the float range
+@example(pair=([1.0, 1.0], [5e-324, 1.0]))  # a ratio over a subnormal rate
+@example(pair=([1.5e308, 1.5e308], [1.0, 1.0]))  # finite ratios whose sum overflows
+@example(pair=([2.0, 1.0], [1e-308, 1.0]))  # a ratio past the range, its mean inside
+@example(pair=([math.inf, 1.0], [1e-308, 1.0]))
+@example(pair=([2.0**-250, 1.0], [2.0**251 * (1 - 2.0**-53), 1.0]))  # the plain path's bounds
+@example(pair=([2.0**-240 * (1 + 2.0**-52)], [2.0**-240]))  # an error below them
+def test_plain_scoring_has_the_bits_of_the_scaled_code(pair):
+    # error_stats and each row of a report take the plain formulas only
+    # where they give the scaled code's bits, over the whole float range
+    f, o = (np.array(x) for x in pair)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = np.array(evaluation._scaled_error_stats(f, o))
+        assert np.array(error_stats(f, o)).tobytes() == want.tobytes()
+        rows = evaluation._error_rows(np.stack((f, f)), np.stack((o, o)))
+    assert rows.tobytes() == np.stack((want, want)).tobytes()
+
+
+@pytest.mark.parametrize("f, o, plain", [
+    ([1.0, 2.0], [2.0, 4.0], True),
+    ([0.0, 1.0], [1.0, 1.0], True),  # a zero forecast
+    ([1.0, 1.0], [1.0, 1.0], True),  # zero errors
+    ([2.0**-250, 1.0], [1.0, 1.0], True),
+    ([2.0**-250 * (1 - 2.0**-53), 1.0], [1.0, 1.0], False),
+    ([1.0, 1.0], [2.0**-250 * (1 - 2.0**-53), 1.0], False),
+    ([2.0**251 * (1 - 2.0**-53), 1.0], [1.0, 1.0], True),
+    ([-(2.0**251), 1.0], [1.0, 1.0], False),
+    ([1.0, 1.0], [2.0**251, 1.0], False),
+    ([2.0**-240 * (1 + 2.0**-52)], [2.0**-240], False),  # |f - o| = 2**-292
+    ([math.nan, 1.0], [1.0, 1.0], False),
+    ([math.inf, 1.0], [1.0, 1.0], False),
+    ([1.0, 1.0], [math.inf, 1.0], False),
+])
+def test_plain_scoring_bounds(f, o, plain, monkeypatch):
+    # every nonzero |f|, o and |f - o| in [2**-250, 2**251), and finite
+    calls = []
+    scaled = evaluation._scaled_error_stats
+    monkeypatch.setattr(evaluation, "_scaled_error_stats",
+                        lambda a, b: calls.append(1) or scaled(a, b))
+    with np.errstate(all="ignore"):
+        error_stats(f, o)
+    assert calls == ([] if plain else [1])
+
+
+def _months(first, last):
+    months = [first]
+    while months[-1] != last:
+        months.append(add_months(*months[-1], 1))
+    return months
+
+
+@pytest.mark.parametrize("first, last", [
+    ((2015, 4), (2017, 12)),  # a partial first year
+    ((2015, 1), (2017, 5)),  # a partial last year
+    ((2015, 4), (2017, 5)),  # both
+    ((2015, 3), (2015, 9)),  # a single partial year
+    ((2015, 10), (2016, 3)),  # two partial years of one length
+    ((2015, 1), (2016, 12)),  # whole years only
+])
+@pytest.mark.parametrize("huge", [False, True], ids=["plain", "scaled-year"])
+def test_yearly_error_report_rows_have_the_bytes_of_error_stats(first, last, huge):
+    # each year's row is error_stats of that year alone, byte for byte, also
+    # when one year (here the first) must take the scaled path
+    months = _months(first, last)
+    rng = np.random.default_rng(len(months))
+    f = rng.uniform(0.003, 0.007, len(months))
+    o = rng.uniform(0.003, 0.007, len(months))
+    if huge:
+        f[[y == first[0] for y, _ in months]] *= 1e300
+    rep = yearly_error_report(list(zip(months, f.tolist())), list(zip(months, o.tolist())), "m")
+    years = sorted({y for y, _ in months})
+    assert [row[0] for row in rep.per_year] == years
+    for year, *triple in rep.per_year:
+        pick = [y == year for y, _ in months]
+        assert np.array(triple).tobytes() == np.array(error_stats(f[pick], o[pick])).tobytes()
+    mean = np.array([row[1:] for row in rep.per_year]).mean(axis=0)
+    assert np.array(rep.overall).tobytes() == mean.tobytes()
+    assert rep.n_months == len(months)
+
+
+def test_yearly_error_report_groups_unordered_months_by_year():
+    # months need not be consecutive or in order: each year's rates are
+    # scored in the order given, and the rows come in year order
+    months = [(2016, 3), (2015, 7), (2016, 1), (2018, 2), (2015, 2), (2016, 12)]
+    f = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    o = [2.0, 2.5, 2.0, 5.0, 4.0, 7.0]
+    rep = yearly_error_report(list(zip(months, f)), list(zip(months, o)), "m")
+    for year, *triple in rep.per_year:
+        pick = [i for i, (y, _) in enumerate(months) if y == year]
+        want = error_stats([f[i] for i in pick], [o[i] for i in pick])
+        assert np.array(triple).tobytes() == np.array(want).tobytes()
+    assert [row[0] for row in rep.per_year] == [2015, 2016, 2018]
+    with pytest.raises(ValidationError, match="strictly positive"):
+        yearly_error_report(list(zip(months, f)), list(zip(months, [1.0] * 5 + [0.0])), "m")
 
 
 def test_yearly_error_report_unweighted_overall():
@@ -218,6 +352,150 @@ def test_fit_vasicek_from_stats(full_series):
     assert params.mu == pytest.approx(0.136695684862, abs=1e-10)
     assert params.c1 == pytest.approx(HESTON_DEFAULTS["c1"], abs=1e-12)
     assert len(history) == 12
+
+
+TRAIN = ((2010, 1), (2014, 12))
+
+
+def _fitted(fit, series, *window, **kwargs):
+    # a fit's parameters and history as text and bytes: repr gives every float in full
+    params, history = fit(series, *window, **kwargs)
+    return repr(params), np.array(history).tobytes()
+
+
+@pytest.mark.parametrize("fit", [fit_heston_from_stats, fit_vasicek_from_stats])
+def test_window_cache_hit_has_the_bytes_of_a_miss(fit, full_series):
+    miss = _fitted(fit, full_series, *TRAIN, (2015, 1))
+    assert len(evaluation._windows) == 1
+    assert _fitted(fit, full_series, *TRAIN, (2015, 1)) == miss
+    assert _fitted(fit, full_series, [2010, 1], [2014, 12], [2015, 1]) == miss  # lists key alike
+    assert len(evaluation._windows) == 1
+    window = next(iter(evaluation._windows.values()))
+    for array in (window.train_rates, window.profile.yearly_vols, window.season.deviations,
+                  window.season.mean, window.season.std):
+        assert not array.flags.writeable
+
+
+def test_feller_warning_fires_on_every_fit(full_series):
+    for _ in range(2):
+        with pytest.warns(FellerWarning):
+            fit_heston_from_stats(full_series, *TRAIN, (2015, 1), overrides={"kappa": 0.01})
+    assert len(evaluation._windows) == 1
+
+
+@pytest.mark.parametrize("fit, overrides", [
+    (fit_heston_from_stats, {"theta_vol": 0.5, "v0_vol": 0.7, "xi": 0.3, "kappa": 2.0,
+                             "rho": -0.2, "spike_threshold": 0.05, "c1": 0.01, "mu": 0.05,
+                             "scheme": "truncate"}),
+    (fit_vasicek_from_stats, {"kappa_v": 3.0, "sigma_v": 0.4, "spikes": [(1, -0.1, 0.1)],
+                              "c1": 0.01}),
+], ids=["heston", "vasicek"])
+def test_an_override_stays_in_its_call(fit, overrides, full_series):
+    # a plain fit and an override fit on one window read one cached entry,
+    # and each gives what it gives on a cold cache, in either order
+    given = dict(overrides)
+    plain = _fitted(fit, full_series, *TRAIN, (2015, 1))
+    changed = _fitted(fit, full_series, *TRAIN, (2015, 1), overrides=overrides)
+    assert _fitted(fit, full_series, *TRAIN, (2015, 1)) == plain != changed
+    evaluation._windows.clear()
+    assert _fitted(fit, full_series, *TRAIN, (2015, 1), overrides=overrides) == changed
+    assert _fitted(fit, full_series, *TRAIN, (2015, 1)) == plain
+    assert overrides == given and len(evaluation._windows) == 1
+
+
+def test_window_cache_misses_on_another_start_or_window(full_series):
+    # the same rates dated one month later, another training window and
+    # another first test month each read the series afresh
+    later = MonthlySeries(tuple(
+        dataclasses.replace(ob, year=y, month=m) for ob, (y, m) in
+        zip(full_series.observations, (add_months(ob.year, ob.month, 1)
+                                       for ob in full_series.observations))
+    ))
+    assert later.rates.tobytes() == full_series.rates.tobytes()
+    calls = [(full_series, *TRAIN, (2015, 1)), (later, *TRAIN, (2015, 1)),
+             (full_series, (2010, 1), (2013, 12), (2014, 1)),
+             (full_series, *TRAIN, (2015, 2))]
+    warm = [_fitted(fit_vasicek_from_stats, *call) for call in calls]
+    assert len(evaluation._windows) == len(calls) == len(set(warm))
+    for call, fitted in zip(calls, warm):
+        evaluation._windows.clear()
+        assert _fitted(fit_vasicek_from_stats, *call) == fitted
+
+
+@pytest.mark.parametrize("window, match", [
+    (((2010.0, 1), (2014, 12), (2015, 1)), r"^train_start must be an integer, not 2010\.0$"),
+    (((2010, 1), (2014, 12.0), (2015, 1)), r"^train_end must be an integer, not 12\.0$"),
+    (((2010, 1), (2014, 12), ("2015", 1)), r"^test_start must be an integer, not '2015'$"),
+])
+def test_window_months_are_integers_warm_or_cold(window, match, full_series):
+    # a float month equals an integer one as a key, so it is refused before the cache
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=match):
+            fit_vasicek_from_stats(full_series, *window)
+        fit_vasicek_from_stats(full_series, *TRAIN, (2015, 1))
+    as_numpy = [tuple(np.int64(x) for x in month) for month in (*TRAIN, (2015, 1))]
+    assert _fitted(fit_vasicek_from_stats, full_series, *as_numpy) == _fitted(
+        fit_vasicek_from_stats, full_series, *TRAIN, (2015, 1))
+
+
+def test_a_window_that_raises_is_not_kept(full_series):
+    # one full year has no volatility profile: every call raises
+    for _ in range(2):
+        with pytest.raises(InsufficientDataError, match="at least 2 full calendar years"):
+            fit_vasicek_from_stats(full_series, (2010, 1), (2010, 12), (2011, 1))
+    assert not evaluation._windows
+    # two full years have statistics, which are kept, but no heston vol-of-vol
+    for _ in range(2):
+        with pytest.raises(InsufficientDataError, match="3 full calendar years"):
+            fit_heston_from_stats(full_series, (2010, 1), (2011, 12), (2012, 1))
+    assert len(evaluation._windows) == 1
+
+
+def test_window_cache_keeps_the_64_most_recently_used(full_series):
+    windows = [((2010, 1), end, add_months(*end, k)) for end in ((2013, 12), (2014, 12))
+               for k in range(1, 41)]
+    for window in windows[:64]:
+        fit_vasicek_from_stats(full_series, *window)
+    fit_vasicek_from_stats(full_series, *windows[0])  # now the most recently used
+    for window in windows[64:]:
+        fit_vasicek_from_stats(full_series, *window)
+        assert len(evaluation._windows) == 64
+    kept = [key[2:] for key in evaluation._windows]
+    assert kept == [*windows[17:64], windows[0], *windows[64:]]  # windows[1:17] went first
+
+
+def test_window_cache_holds_under_concurrent_fits_and_a_short_switch_interval(full_series):
+    # four threads fit 80 windows in turn from different offsets, switching
+    # every 10 us, so they hit, miss and evict at once: every fit gives its
+    # cold bytes, every caller finishes, and the cache ends within its bound
+    windows = [((2010, 1), end, add_months(*end, k)) for end in ((2013, 12), (2014, 12))
+               for k in range(1, 41)]
+    want = {}
+    for window in windows:
+        evaluation._windows.clear()
+        want[window] = _fitted(fit_vasicek_from_stats, full_series, *window)
+    got, errors = [], []
+
+    def fits(offset):
+        try:
+            for window in windows[offset:] + windows[:offset]:
+                got.append(_fitted(fit_vasicek_from_stats, full_series, *window) == want[window])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    callers = [threading.Thread(target=fits, args=(offset,)) for offset in (0, 20, 40, 60)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert errors == [] and got == [True] * (4 * len(windows))
+    assert len(evaluation._windows) <= 64
 
 
 def test_default_spike_threshold_excludes_march(train_series):
@@ -435,6 +713,16 @@ def test_backtest_rejects_non_integer_path_counts(full_series, n_paths):
     with pytest.raises(ValidationError, match=f"^n_paths must be an integer, not {n_paths!r}$"):
         backtest(full_series, ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12)),
                  model="vasicek", config={"n_paths": n_paths}, seed=3)
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_backtest_floors_path_counts_at_one(full_series, model_id, n_paths):
+    # every model reads n_paths by the simulators' rule, ARIMA models too
+    with pytest.raises(ValidationError,
+                       match=rf"^n_paths must be at least 1 \(n_paths >= 1\), not {n_paths}$"):
+        backtest(full_series, ((2010, 1), (2014, 12)), ((2015, 1), (2019, 12)),
+                 model=model_id, config={"n_paths": n_paths}, seed=3)
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)

@@ -1007,6 +1007,26 @@ def test_params_file_rejects_malformed_values(tmp_path):
             read_stochastic_params(bad)
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("spike.7.", "spike.7.5.", "spike.7.5.mean"),
+    ("spike.7.mean", "spike.x.mean", "spike.x.mean"),
+    ("spike.7.mean", "spike.07.mean", "spike.07.mean"),
+    ("spike.7.mean", "spike.+7.mean", "spike.+7.mean"),
+    ("spike.7.std", "spike.7.median", "spike.7.median"),
+    ("spike.7.std", "spike.7", "spike.7"),
+])
+def test_params_file_names_a_malformed_spike_key(tmp_path, old, new, named):
+    # a spike key is spike.<month>.mean or spike.<month>.std, and any other
+    # spike.* key is named as it is written, not as a key the file lacks
+    path = tmp_path / "h.params"
+    write_stochastic_params(_heston(spikes=(SpikeSpec(1, -0.1, 0.1), SpikeSpec(7, 0.3, 0.05))),
+                            path)
+    path.write_text(path.read_text().replace(old, new))
+    match = f"^{re.escape(str(path))}: malformed spike key {re.escape(named)}$"
+    with pytest.raises(ValidationError, match=match):
+        read_stochastic_params(path)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     c1=st.floats(1e-5, 0.05),
